@@ -196,11 +196,12 @@ int main(int argc, char** argv) {
     g_sink = static_cast<double>(loaded_series.windows.size());
   });
 
-  // ---- artifact reduce path (distrib shard coordinator) -------------------
-  // The two per-group constants of the coordinator's warm reduce: validating
-  // and indexing a shard artifact (checksum + blob table, amortized over its
-  // groups), and analyzing one group straight from its serialized blob then
-  // folding the partial (EdgeReducer's whole per-group cost).
+  // ---- artifact reduce path (warm run_edge_analysis, shard coordinator) ---
+  // The two per-group constants of a warm reduce: opening a 64-group
+  // artifact (header, index, every blob's checksum) plus read(i) of every
+  // blob (pread + checksum again), amortized over its groups; and analyzing
+  // one group straight from its serialized blob then folding the partial
+  // (EdgeReducer's whole per-group cost).
   char artifact_path[128];
   std::snprintf(artifact_path, sizeof(artifact_path),
                 "/tmp/fbedge-micro-hotpath-%ld.fbecache",
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
         micro_reader.open(artifact_path, 1234, artifact_groups);
         double bytes = 0;
         for (std::size_t g = 0; g < artifact_groups; ++g) {
-          micro_reader.next(micro_blob);
+          micro_reader.read(g, micro_blob);
           bytes += static_cast<double>(micro_blob.size());
         }
         g_sink = bytes;
@@ -316,7 +317,7 @@ int main(int argc, char** argv) {
   std::printf("  agg_add_session       %10.1f\n", agg_ns);
   std::printf("  series_save           %10.1f  (960-window series)\n", series_save_ns);
   std::printf("  series_load           %10.1f  (960-window series)\n", series_load_ns);
-  std::printf("  artifact_group_load   %10.1f  (64-group shard artifact)\n",
+  std::printf("  artifact_group_load   %10.1f  (64-group artifact, open + read)\n",
               artifact_load_ns);
   std::printf("  reduce_fold_per_group %10.1f  (blob -> analyze -> fold)\n",
               reduce_fold_ns);

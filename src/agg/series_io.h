@@ -23,7 +23,10 @@ namespace fbedge {
 /// silently re-ingested instead of yielding wrong results. The constant
 /// lives here, next to the serializer, so layout edits and epoch bumps
 /// land in the same diff.
-inline constexpr std::uint32_t kIngestArtifactEpoch = 1;
+///
+/// Epoch 2: the artifact framing moved to per-blob XXH64 checksums in a
+/// trailing index (analysis/ingest_cache.h); blob bytes are unchanged.
+inline constexpr std::uint32_t kIngestArtifactEpoch = 2;
 
 /// Exact number of bytes save_group_series() will append for `series`.
 /// Compresses every cell's sketches along the way — work save() repeats as

@@ -158,6 +158,8 @@ struct EdgeScratch {
   RouteAggPool pool;
   /// Serialization buffer for the ingest-artifact cache's cold path.
   ByteWriter writer;
+  /// One group's artifact blob on the warm path (IngestArtifactReader::read).
+  std::string blob;
   /// Analysis-pass buffers, cleared per group.
   DegradationScratch degr_scratch;
   DegradationResult degr;
@@ -627,6 +629,59 @@ struct EdgeReducer::Impl {
         faults(faults_in),
         classifier_config(make_classifier_config(config_in)),
         generator(world_in, config) {}
+
+  /// The fold behind both reduce_range overloads. `blob_for(scratch, g, i)`
+  /// returns group g's (range offset i) blob, or an empty ref to
+  /// cold-ingest it; it runs inside the pool task, on the worker's scratch.
+  template <typename BlobFor>
+  void reduce(const ShardRange& range, const BlobFor& blob_for,
+              const RuntimeOptions& runtime, RunStats* stats,
+              const SaveFn* save) {
+    FBEDGE_EXPECT(range.end <= world.groups.size(),
+                  "reduce range exceeds the world's group count");
+    const std::size_t n = range.size();
+    if (n == 0) return;
+    // Per-group flags live in a side vector (each slot written by exactly
+    // one task) so blob accounting never introduces cross-thread order
+    // dependence.
+    std::vector<std::uint8_t> from_blob(n, 0);
+    auto partials = parallel_map_scratch<EdgeScratch>(
+        n, runtime,
+        [&](EdgeScratch& scratch, std::size_t i) {
+          const std::size_t g = range.begin + i;
+          const UserGroupProfile& group = world.groups[g];
+          const GroupBlobRef b = blob_for(scratch, g, i);
+          if (!b.empty()) {
+            ByteReader r(b.data, b.size);
+            if (load_group_series(r, scratch.series, &scratch.pool) &&
+                r.remaining() == 0) {
+              from_blob[i] = 1;
+              EdgePartial part;
+              analyze_series_into(scratch, scratch.series, group, thresholds,
+                                  comparison, classifier_config, part);
+              return part;
+            }
+            // Unusable blob: fall through to cold ingest for this group.
+          }
+          EdgePartial part;
+          ingest_group(scratch, generator, group, goodput, faults, part.res.faults);
+          if (save != nullptr && *save) {
+            scratch.writer.clear();
+            save_group_series(scratch.series, scratch.writer);
+            std::string bytes = scratch.writer.data();  // keep writer capacity
+            (*save)(g, std::move(bytes));
+          }
+          analyze_series_into(scratch, scratch.series, group, thresholds,
+                              comparison, classifier_config, part);
+          return part;
+        },
+        stats);
+    // The determinism rule: fold in ascending group-id order, always.
+    for (std::size_t i = 0; i < n; ++i) {
+      total.merge(partials[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) blob_groups += from_blob[i];
+  }
 };
 
 EdgeReducer::EdgeReducer(const World& world, const DatasetConfig& config,
@@ -641,54 +696,27 @@ EdgeReducer::~EdgeReducer() = default;
 void EdgeReducer::reduce_range(const ShardRange& range, const BlobFn& blob,
                                const RuntimeOptions& runtime, RunStats* stats,
                                const SaveFn* save) {
-  Impl& im = *impl_;
-  FBEDGE_EXPECT(range.end <= im.world.groups.size(),
-                "reduce range exceeds the world's group count");
-  const std::size_t n = range.size();
-  if (n == 0) return;
-  // Per-group flags live in a side vector (each slot written by exactly
-  // one task) so blob accounting never introduces cross-thread order
-  // dependence.
-  std::vector<std::uint8_t> from_blob(n, 0);
-  auto partials = parallel_map_scratch<EdgeScratch>(
-      n, runtime,
-      [&](EdgeScratch& scratch, std::size_t i) {
-        const std::size_t g = range.begin + i;
-        const UserGroupProfile& group = im.world.groups[g];
-        if (blob) {
-          const GroupBlobRef b = blob(g);
-          if (!b.empty()) {
-            ByteReader r(b.data, b.size);
-            if (load_group_series(r, scratch.series, &scratch.pool) &&
-                r.remaining() == 0) {
-              from_blob[i] = 1;
-              EdgePartial part;
-              analyze_series_into(scratch, scratch.series, group, im.thresholds,
-                                  im.comparison, im.classifier_config, part);
-              return part;
-            }
-            // Unusable blob: fall through to cold ingest for this group.
-          }
-        }
-        EdgePartial part;
-        ingest_group(scratch, im.generator, group, im.goodput, im.faults,
-                     part.res.faults);
-        if (save != nullptr && *save) {
-          scratch.writer.clear();
-          save_group_series(scratch.series, scratch.writer);
-          std::string bytes = scratch.writer.data();  // keep writer capacity
-          (*save)(g, std::move(bytes));
-        }
-        analyze_series_into(scratch, scratch.series, group, im.thresholds,
-                            im.comparison, im.classifier_config, part);
-        return part;
+  impl_->reduce(
+      range,
+      [&blob](EdgeScratch&, std::size_t g, std::size_t) {
+        return blob ? blob(g) : GroupBlobRef{};
       },
-      stats);
-  // The determinism rule: fold in ascending group-id order, always.
-  for (std::size_t i = 0; i < n; ++i) {
-    im.total.merge(partials[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) im.blob_groups += from_blob[i];
+      runtime, stats, save);
+}
+
+void EdgeReducer::reduce_range(const ShardRange& range,
+                               const IngestArtifactReader& reader,
+                               const RuntimeOptions& runtime, RunStats* stats,
+                               const SaveFn* save) {
+  FBEDGE_EXPECT(reader.groups() == 0 || reader.groups() == range.size(),
+                "artifact blob count differs from the reduce range");
+  impl_->reduce(
+      range,
+      [&reader](EdgeScratch& scratch, std::size_t, std::size_t i) {
+        if (!reader.read(i, scratch.blob)) return GroupBlobRef{};
+        return GroupBlobRef{scratch.blob.data(), scratch.blob.size()};
+      },
+      runtime, stats, save);
 }
 
 std::uint64_t EdgeReducer::blob_groups() const { return impl_->blob_groups; }
@@ -782,13 +810,13 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
   const std::size_t group_count = world.groups.size();
   std::uint64_t cache_key = 0;
   std::string artifact_path;
-  IngestArtifact artifact;
+  IngestArtifactReader artifact;
   bool warm = false;
   if (use_cache) {
     cache_key = ingest_cache_key(world, config, goodput);
     artifact_path = ingest_artifact_path(cache.dir, cache_key);
     const auto t0 = std::chrono::steady_clock::now();
-    warm = read_ingest_artifact(artifact_path, cache_key, group_count, artifact);
+    warm = artifact.open(artifact_path, cache_key, group_count);
     if (stats) stats->cache_load_seconds += seconds_since(t0);
   }
 
@@ -797,21 +825,15 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
     // persist across every group a worker processes, and partials fold in
     // group-id order — the result does not depend on the thread count.
     //
-    // Cache plumbing rides the same schedule: on a warm run each group
-    // deserializes its blob instead of ingesting (falling back to cold
-    // ingest if its blob is structurally invalid); on a cold cache-enabled
-    // run each group additionally serializes its series into `blobs[g]`
-    // (each slot written by exactly one task). Neither introduces any
-    // cross-thread order dependence — warm, cold, and uncached runs stay
-    // byte-identical.
+    // Cache plumbing rides the same schedule: on a warm run each pool task
+    // reads and checks its group's blob from the validated artifact instead
+    // of ingesting (falling back to cold ingest if the read fails or the
+    // blob is structurally invalid); a reader that never opened serves no
+    // blobs. On a cold cache-enabled run each group additionally
+    // serializes its series into `blobs[g]` (each slot written by exactly
+    // one task). Neither introduces any cross-thread order dependence —
+    // warm, cold, and uncached runs stay byte-identical.
     EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
-    EdgeReducer::BlobFn blob_fn;
-    if (warm) {
-      blob_fn = [&artifact](std::size_t g) {
-        const auto [offset, length] = artifact.blobs[g];
-        return GroupBlobRef{artifact.bytes.data() + offset, length};
-      };
-    }
     std::vector<std::string> blobs;
     EdgeReducer::SaveFn save_fn;
     if (use_cache && !warm) {
@@ -820,7 +842,7 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
         blobs[g] = std::move(blob);
       };
     }
-    reducer.reduce_range(ShardRange{0, group_count}, blob_fn, runtime, stats,
+    reducer.reduce_range(ShardRange{0, group_count}, artifact, runtime, stats,
                          save_fn ? &save_fn : nullptr);
     if (use_cache && stats) {
       const std::uint64_t hits = reducer.blob_groups();
@@ -829,8 +851,11 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
     }
     if (use_cache && !warm) {
       const auto t0 = std::chrono::steady_clock::now();
-      write_ingest_artifact(artifact_path, cache_key, blobs);
-      if (stats) stats->cache_save_seconds += seconds_since(t0);
+      const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
+      if (stats) {
+        stats->cache_save_seconds += seconds_since(t0);
+        if (!written) ++stats->cache_write_failures;
+      }
     }
     return reducer.finish();
   }

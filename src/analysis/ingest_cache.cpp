@@ -1,14 +1,14 @@
 #include "analysis/ingest_cache.h"
 
-#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
+#include <fcntl.h>
+#include <filesystem>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
-#include <unordered_map>
 
 #include "agg/series_io.h"
 #include "util/binio.h"
@@ -17,9 +17,26 @@ namespace fbedge {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'B', 'E', 'C', 'A', 'C', 'H', 'E'};
-// magic + epoch + key + group count ... trailing checksum.
+// magic + epoch + key + group count.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
-constexpr std::size_t kChecksumBytes = 8;
+// One index entry per blob: u64 length + u64 XXH64.
+constexpr std::size_t kIndexEntryBytes = 8 + 8;
+// u64 XXH64 of header + index.
+constexpr std::size_t kFooterBytes = 8;
+
+/// pread()s exactly `n` bytes at `offset`; false on error or end of file.
+bool pread_full(int fd, char* dst, std::uint64_t n, std::uint64_t offset) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, dst, static_cast<std::size_t>(n),
+                                static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    dst += got;
+    n -= static_cast<std::uint64_t>(got);
+    offset += static_cast<std::uint64_t>(got);
+  }
+  return true;
+}
 
 void hash_route(Fnv64& h, const RouteProfile& rp) {
   h.u32(rp.route.prefix.addr);
@@ -67,47 +84,7 @@ void hash_group(Fnv64& h, const UserGroupProfile& g) {
   for (const RouteProfile& rp : g.routes) hash_route(h, rp);
 }
 
-// Validated-artifact memo for IngestArtifactReader::open(): maps a path to
-// the file identity that passed the full checksum pass and the header
-// values read during it. A hit skips re-hashing the whole file — the
-// warm-path cost that dominated repeated artifact opens — while key and
-// group-count checks still run against the memoized header. Only fully
-// successful validations are stored; identity is (dev, ino, size,
-// mtime_ns), so any rewrite, truncation, or rename-over misses.
-struct ReaderMemo {
-  dev_t dev{};
-  ino_t ino{};
-  std::int64_t size{0};
-  std::int64_t mtime_ns{0};
-  std::uint64_t key{0};
-  std::uint64_t groups{0};
-};
-
-std::mutex g_reader_memo_mutex;
-std::unordered_map<std::string, ReaderMemo>& reader_memo() {
-  static auto* memo = new std::unordered_map<std::string, ReaderMemo>();
-  return *memo;
-}
-std::atomic<std::uint64_t> g_reader_checksum_passes{0};
-// Artifacts are few (one per cache key / shard); the bound only guards
-// against pathological path churn.
-constexpr std::size_t kReaderMemoMaxEntries = 256;
-
-std::int64_t stat_mtime_ns(const struct stat& st) {
-  return static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
-         static_cast<std::int64_t>(st.st_mtim.tv_nsec);
-}
-
 }  // namespace
-
-std::uint64_t ingest_reader_checksum_passes() {
-  return g_reader_checksum_passes.load(std::memory_order_relaxed);
-}
-
-void ingest_reader_memo_clear() {
-  std::lock_guard<std::mutex> lock(g_reader_memo_mutex);
-  reader_memo().clear();
-}
 
 std::uint64_t ingest_cache_key(const World& world, const DatasetConfig& config,
                                const GoodputConfig& goodput) {
@@ -157,236 +134,116 @@ bool read_ingest_artifact(const std::string& path, std::uint64_t key,
                           std::size_t expected_groups, IngestArtifact& artifact) {
   artifact.bytes.clear();
   artifact.blobs.clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long file_size = std::ftell(f);
-  if (file_size < static_cast<long>(kHeaderBytes + kChecksumBytes)) {
-    std::fclose(f);
-    return false;
-  }
-  std::fseek(f, 0, SEEK_SET);
-  artifact.bytes.resize(static_cast<std::size_t>(file_size));
-  const std::size_t got =
-      std::fread(artifact.bytes.data(), 1, artifact.bytes.size(), f);
-  std::fclose(f);
-  if (got != artifact.bytes.size()) {
-    artifact.bytes.clear();
-    return false;
-  }
-
-  // Whole-file checksum first: everything before the trailing u64 must
-  // hash to it, so any flipped bit anywhere reads as a miss.
-  const std::size_t body = artifact.bytes.size() - kChecksumBytes;
-  Fnv64 sum;
-  sum.bytes(artifact.bytes.data(), body);
-  ByteReader tail(artifact.bytes.data() + body, kChecksumBytes);
-  if (tail.u64() != sum.value()) {
-    artifact.bytes.clear();
-    return false;
-  }
-
-  ByteReader r(artifact.bytes.data(), body);
-  char magic[8];
-  for (char& c : magic) c = static_cast<char>(r.u8());
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    artifact.bytes.clear();
-    return false;
-  }
-  const std::uint32_t epoch = r.u32();
-  const std::uint64_t stored_key = r.u64();
-  const std::uint64_t groups = r.u64();
-  // Each blob costs at least its u64 length prefix, bounding a plausible
-  // group count by the bytes present (a corrupt count cannot trigger an
-  // absurd reserve — the checksum should catch it first, but belt and
-  // braces for hand-built files).
-  if (!r.ok() || epoch != kIngestArtifactEpoch || stored_key != key ||
-      (expected_groups != kAnyGroupCount && groups != expected_groups) ||
-      groups > r.remaining() / 8) {
-    artifact.bytes.clear();
-    return false;
-  }
-  artifact.blobs.reserve(static_cast<std::size_t>(groups));
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::uint64_t len = r.u64();
-    if (!r.ok() || len > r.remaining()) {
+  IngestArtifactReader reader;
+  if (!reader.open(path, key, expected_groups)) return false;
+  artifact.blobs.reserve(reader.groups());
+  std::string blob;
+  for (std::size_t g = 0; g < reader.groups(); ++g) {
+    if (!reader.read(g, blob)) {
       artifact.bytes.clear();
       artifact.blobs.clear();
       return false;
     }
-    artifact.blobs.emplace_back(r.position(), static_cast<std::size_t>(len));
-    r.skip(static_cast<std::size_t>(len));
-  }
-  if (!r.ok() || r.remaining() != 0) {
-    artifact.bytes.clear();
-    artifact.blobs.clear();
-    return false;
+    artifact.blobs.emplace_back(artifact.bytes.size(), blob.size());
+    artifact.bytes += blob;
   }
   return true;
 }
 
 void IngestArtifactReader::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
   }
-  groups_ = 0;
-  remaining_groups_ = 0;
-  body_remaining_ = 0;
+  index_.clear();
 }
 
 bool IngestArtifactReader::open(const std::string& path, std::uint64_t key,
                                 std::size_t expected_groups) {
   close();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) return false;
+  const auto fail = [this] {
+    close();
+    return false;
+  };
   struct stat st{};
-  if (::fstat(::fileno(f), &st) != 0) {
-    std::fclose(f);
-    return false;
-  }
-  const auto file_size = static_cast<long>(st.st_size);
-  if (file_size < static_cast<long>(kHeaderBytes + kChecksumBytes)) {
-    std::fclose(f);
-    return false;
-  }
-  const std::size_t body =
-      static_cast<std::size_t>(file_size) - kChecksumBytes;
+  if (::fstat(fd_, &st) != 0) return fail();
+  const auto file_size = static_cast<std::uint64_t>(st.st_size);
+  if (file_size < kHeaderBytes + kFooterBytes) return fail();
 
-  // Memo hit: this exact file (device, inode, size, mtime) already passed
-  // a full validating pass in this process. Skip the checksum; the key /
-  // group-count checks still run, against the memoized header.
-  {
-    std::lock_guard<std::mutex> lock(g_reader_memo_mutex);
-    const auto it = reader_memo().find(path);
-    if (it != reader_memo().end() && it->second.dev == st.st_dev &&
-        it->second.ino == st.st_ino &&
-        it->second.size == static_cast<std::int64_t>(st.st_size) &&
-        it->second.mtime_ns == stat_mtime_ns(st)) {
-      const std::uint64_t groups = it->second.groups;
-      if (it->second.key != key ||
-          (expected_groups != kAnyGroupCount && groups != expected_groups) ||
-          std::fseek(f, static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
-        std::fclose(f);
-        return false;
-      }
-      file_ = f;
-      groups_ = groups;
-      remaining_groups_ = groups;
-      body_remaining_ = body - kHeaderBytes;
-      return true;
-    }
-  }
-
-  // Checksum the whole body in fixed-size chunks (the header rides along
-  // in the first chunk — kHeaderBytes <= body is guaranteed by the size
-  // check above), then compare against the trailing u64. Memory stays
-  // O(chunk) no matter how large the artifact is.
-  g_reader_checksum_passes.fetch_add(1, std::memory_order_relaxed);
-  char header[kHeaderBytes];
-  char buf[1 << 16];
-  Fnv64 sum;
-  std::size_t hashed = 0;
-  while (hashed < body) {
-    const std::size_t want = std::min(body - hashed, sizeof(buf));
-    if (std::fread(buf, 1, want, f) != want) {
-      std::fclose(f);
-      return false;
-    }
-    if (hashed == 0) std::memcpy(header, buf, kHeaderBytes);
-    sum.bytes(buf, want);
-    hashed += want;
-  }
-  char tail_bytes[kChecksumBytes];
-  if (std::fread(tail_bytes, 1, kChecksumBytes, f) != kChecksumBytes) {
-    std::fclose(f);
-    return false;
-  }
-  ByteReader tail(tail_bytes, kChecksumBytes);
-  if (tail.u64() != sum.value()) {
-    std::fclose(f);
-    return false;
-  }
-
-  ByteReader r(header, kHeaderBytes);
+  // Header first: a foreign epoch, key or count is a miss before any
+  // checksum matters, and the count is bounded by the bytes present
+  // before anything is sized from it.
+  std::string meta(kHeaderBytes, '\0');
+  if (!pread_full(fd_, meta.data(), kHeaderBytes, 0)) return fail();
+  ByteReader header(meta.data(), kHeaderBytes);
   char magic[8];
-  for (char& c : magic) c = static_cast<char>(r.u8());
-  const std::uint32_t epoch = r.u32();
-  const std::uint64_t stored_key = r.u64();
-  const std::uint64_t groups = r.u64();
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 || !r.ok() ||
+  for (char& c : magic) c = static_cast<char>(header.u8());
+  const std::uint32_t epoch = header.u32();
+  const std::uint64_t stored_key = header.u64();
+  const std::uint64_t groups = header.u64();
+  const std::uint64_t room = file_size - kHeaderBytes - kFooterBytes;
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
       epoch != kIngestArtifactEpoch || stored_key != key ||
       (expected_groups != kAnyGroupCount && groups != expected_groups) ||
-      groups > (body - kHeaderBytes) / 8 ||
-      std::fseek(f, static_cast<long>(kHeaderBytes), SEEK_SET) != 0) {
-    std::fclose(f);
-    return false;
+      groups > room / kIndexEntryBytes) {
+    return fail();
   }
-  {
-    // Memoize only this fully validated identity. Re-stat the open fd so a
-    // concurrent rename-over between the first fstat and here cannot pin a
-    // stale identity to the path (the fd still reads the old inode, whose
-    // bytes are the ones that just validated — but the *path* may now name
-    // a different file, so the memo must record what we actually hashed;
-    // a mismatch on the next open's fstat then misses as intended).
-    struct stat vst{};
-    if (::fstat(::fileno(f), &vst) == 0) {
-      std::lock_guard<std::mutex> lock(g_reader_memo_mutex);
-      if (reader_memo().size() >= kReaderMemoMaxEntries) reader_memo().clear();
-      ReaderMemo& m = reader_memo()[path];
-      m.dev = vst.st_dev;
-      m.ino = vst.st_ino;
-      m.size = static_cast<std::int64_t>(vst.st_size);
-      m.mtime_ns = stat_mtime_ns(vst);
-      m.key = stored_key;
-      m.groups = groups;
-    }
+
+  // Index and footer sit at the end of the file; the footer vouches for
+  // the header and index bytes together.
+  const std::uint64_t index_bytes = groups * kIndexEntryBytes;
+  const std::uint64_t blob_bytes = room - index_bytes;
+  meta.resize(static_cast<std::size_t>(kHeaderBytes + index_bytes + kFooterBytes));
+  if (!pread_full(fd_, meta.data() + kHeaderBytes, index_bytes + kFooterBytes,
+                  kHeaderBytes + blob_bytes)) {
+    return fail();
   }
-  file_ = f;
-  groups_ = groups;
-  remaining_groups_ = groups;
-  body_remaining_ = body - kHeaderBytes;
+  ByteReader footer(meta.data() + kHeaderBytes + index_bytes, kFooterBytes);
+  if (footer.u64() != xxh64(meta.data(), kHeaderBytes + index_bytes)) {
+    return fail();
+  }
+
+  // Each length is checked against the bytes still unclaimed before it is
+  // added, so no index can overflow the running offset, and the blobs must
+  // tile the blob region exactly.
+  ByteReader r(meta.data() + kHeaderBytes, index_bytes);
+  index_.reserve(static_cast<std::size_t>(groups));
+  std::uint64_t offset = kHeaderBytes;
+  std::uint64_t unclaimed = blob_bytes;
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    const std::uint64_t length = r.u64();
+    const std::uint64_t checksum = r.u64();
+    if (length > unclaimed) return fail();
+    index_.push_back(Entry{offset, length, checksum});
+    offset += length;
+    unclaimed -= length;
+  }
+  if (unclaimed != 0) return fail();
+
+  // Verify pass: every blob against its checksum, in file order, through
+  // one reused buffer.
+  std::string blob;
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    if (!read(i, blob)) return fail();
+  }
   return true;
 }
 
-bool IngestArtifactReader::next(std::string& blob) {
-  blob.clear();
-  if (file_ == nullptr || remaining_groups_ == 0) {
-    close();
-    return false;
-  }
-  char len_bytes[8];
-  if (body_remaining_ < 8 ||
-      std::fread(len_bytes, 1, sizeof(len_bytes), file_) !=
-          sizeof(len_bytes)) {
-    close();
-    return false;
-  }
-  body_remaining_ -= 8;
-  ByteReader r(len_bytes, sizeof(len_bytes));
-  const std::uint64_t len = r.u64();
-  if (len > body_remaining_) {
-    close();
-    return false;
-  }
-  blob.resize(static_cast<std::size_t>(len));
-  if (len > 0 && std::fread(blob.data(), 1, blob.size(), file_) !=
-                     blob.size()) {
+bool IngestArtifactReader::read(std::size_t i, std::string& blob) const {
+  if (fd_ < 0 || i >= index_.size()) {
     blob.clear();
-    close();
     return false;
   }
-  body_remaining_ -= len;
-  --remaining_groups_;
-  if (remaining_groups_ == 0) {
-    // The checksum vouched for the bytes; the lengths must still tile the
-    // body exactly (a hand-built file could checksum fine yet lie).
-    const bool clean = body_remaining_ == 0;
-    close();
-    if (!clean) {
-      blob.clear();
-      return false;
-    }
+  const Entry& e = index_[i];
+  // resize() without a prior clear() only writes bytes beyond the old
+  // size, so a reused buffer is not re-zeroed before every pread.
+  blob.resize(static_cast<std::size_t>(e.length));
+  if (!pread_full(fd_, blob.data(), e.length, e.offset) ||
+      xxh64(blob.data(), blob.size()) != e.checksum) {
+    blob.clear();
+    return false;
   }
   return true;
 }
@@ -414,11 +271,12 @@ void IngestArtifactWriter::abandon() {
 bool IngestArtifactWriter::open(const std::string& path, std::uint64_t key,
                                 std::uint64_t groups) {
   abandon();
-  // Ensure the directory exists (single level is enough for the common
-  // `--cache-dir some/dir` case; deeper prefixes must pre-exist).
+  // Create every missing directory level; a failure (say, a regular file
+  // in the way) surfaces as the fopen below failing.
   const std::size_t slash = path.rfind('/');
   if (slash != std::string::npos && slash > 0) {
-    ::mkdir(path.substr(0, slash).c_str(), 0777);  // EEXIST is fine
+    std::error_code ec;
+    std::filesystem::create_directories(path.substr(0, slash), ec);
   }
 
   // Unique temp name per writer: pid separates racing processes, the
@@ -435,20 +293,17 @@ bool IngestArtifactWriter::open(const std::string& path, std::uint64_t key,
   tmp_ = path + suffix;
   expected_groups_ = groups;
   appended_ = 0;
-  checksum_ = Fnv64{};
   failed_ = false;
 
   file_ = std::fopen(tmp_.c_str(), "wb");
   if (file_ == nullptr) return false;
 
-  ByteWriter header;
-  header.bytes(kMagic, sizeof(kMagic));
-  header.u32(kIngestArtifactEpoch);
-  header.u64(key);
-  header.u64(groups);
-  checksum_.bytes(header.data().data(), header.size());
-  if (std::fwrite(header.data().data(), 1, header.size(), file_) !=
-      header.size()) {
+  meta_.clear();
+  meta_.bytes(kMagic, sizeof(kMagic));
+  meta_.u32(kIngestArtifactEpoch);
+  meta_.u64(key);
+  meta_.u64(groups);
+  if (std::fwrite(meta_.data().data(), 1, meta_.size(), file_) != meta_.size()) {
     abandon();
     return false;
   }
@@ -457,15 +312,12 @@ bool IngestArtifactWriter::open(const std::string& path, std::uint64_t key,
 
 bool IngestArtifactWriter::append(const std::string& blob) {
   if (file_ == nullptr || failed_) return false;
-  ByteWriter len;
-  len.u64(blob.size());
-  checksum_.bytes(len.data().data(), len.size());
-  checksum_.bytes(blob.data(), blob.size());
-  if (std::fwrite(len.data().data(), 1, len.size(), file_) != len.size() ||
-      std::fwrite(blob.data(), 1, blob.size(), file_) != blob.size()) {
+  if (std::fwrite(blob.data(), 1, blob.size(), file_) != blob.size()) {
     failed_ = true;
     return false;
   }
+  meta_.u64(blob.size());
+  meta_.u64(xxh64(blob.data(), blob.size()));
   ++appended_;
   return true;
 }
@@ -475,10 +327,14 @@ bool IngestArtifactWriter::finish() {
     abandon();
     return false;
   }
-  ByteWriter tail;
-  tail.u64(checksum_.value());
+  const std::string& meta = meta_.data();
+  ByteWriter footer;
+  footer.u64(xxh64(meta.data(), meta.size()));
+  const std::size_t index_bytes = meta.size() - kHeaderBytes;
   const bool wrote =
-      std::fwrite(tail.data().data(), 1, tail.size(), file_) == tail.size();
+      std::fwrite(meta.data() + kHeaderBytes, 1, index_bytes, file_) ==
+          index_bytes &&
+      std::fwrite(footer.data().data(), 1, footer.size(), file_) == footer.size();
   const bool closed = std::fclose(file_) == 0;
   file_ = nullptr;
   if (!wrote || !closed) {

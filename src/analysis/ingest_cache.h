@@ -14,7 +14,8 @@
 // Failure policy: the cache can only ever make a run faster, never wrong
 // and never dead. A missing, truncated, checksum-failing, wrong-epoch, or
 // wrong-key artifact reads as a miss and the run falls back to cold
-// ingest; a failed write is reported in counters and otherwise ignored.
+// ingest; a failed write is counted (RunStats::cache_write_failures) and
+// otherwise ignored.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,8 @@ namespace fbedge {
 /// Cache knobs threaded from the CLI (`--cache-dir`, FBEDGE_CACHE_DIR)
 /// into run_edge_analysis. Default (empty dir) disables caching entirely.
 struct IngestCacheOptions {
-  /// Directory holding artifacts; created on first write. Empty = off.
+  /// Directory holding artifacts; created, with any missing parents, on
+  /// first write. Empty = off.
   std::string dir;
 
   bool enabled() const { return !dir.empty(); }
@@ -49,8 +51,8 @@ std::uint64_t ingest_cache_key(const World& world, const DatasetConfig& config,
 /// Artifact file path for a key inside `dir`.
 std::string ingest_artifact_path(const std::string& dir, std::uint64_t key);
 
-/// A loaded artifact: `bytes` owns the file contents, `blobs` holds each
-/// group's serialized GroupSeries as (offset, length) into `bytes`, in
+/// A loaded artifact: `bytes` holds every group's serialized GroupSeries
+/// back to back, and `blobs` each one's (offset, length) into `bytes`, in
 /// group-id order.
 struct IngestArtifact {
   std::string bytes;
@@ -62,44 +64,42 @@ struct IngestArtifact {
 /// artifact itself).
 inline constexpr std::size_t kAnyGroupCount = static_cast<std::size_t>(-1);
 
-/// Loads and validates the artifact at `path`. Returns false — leaving
-/// `artifact` empty — unless the file exists, carries the current format
-/// epoch, matches `key` and `expected_groups` (kAnyGroupCount accepts any
-/// count), and passes its whole-file checksum. Never crashes on corrupt
-/// bytes.
+/// Loads every blob of the artifact at `path` into memory: an
+/// IngestArtifactReader open() followed by read() of each blob, so the
+/// validation is exactly the reader's. Returns false — leaving `artifact`
+/// empty — on any failure. For callers that need all blobs resident at
+/// once (the scenario sweep's splice, tools/fbedge_analyze).
 bool read_ingest_artifact(const std::string& path, std::uint64_t key,
                           std::size_t expected_groups, IngestArtifact& artifact);
 
 /// Atomically writes an artifact (temp file + rename, so readers never see
 /// a partial file) containing one blob per group in group-id order.
-/// Returns false on I/O failure (the run simply stays uncached).
+/// Returns false on I/O failure (the run simply stays uncached; callers
+/// count it in RunStats::cache_write_failures).
 bool write_ingest_artifact(const std::string& path, std::uint64_t key,
                            const std::vector<std::string>& blobs);
 
-/// Streaming reader for the artifact format: open() validates the header
-/// and the whole-file checksum in one bounded-memory pass (no blob is ever
-/// resident), then next() yields each group's blob in group-id order into
-/// a caller-owned buffer. The reduce-side twin of IngestArtifactWriter:
-/// the shard coordinator (src/distrib/) streams artifacts through this so
-/// its peak RSS is bounded by a chunk of blobs, never a whole shard —
-/// read_ingest_artifact would materialize gigabytes for a big shard.
-/// Same failure policy as the bulk reader: anything missing, truncated,
-/// corrupt, wrong-epoch, or wrong-key fails open(); a next() that runs
-/// into structural inconsistency closes the reader and returns false, and
-/// the caller falls back to cold ingest for the groups it didn't get.
+/// The one parser of the artifact format. Layout (DESIGN.md §4e; integers
+/// little-endian):
 ///
-/// Warm-path amortization: a successful open() memoizes the artifact's
-/// validated identity — (device, inode, size, mtime_ns) -> (key, groups) —
-/// in a process-wide table, and a later open() of the same unchanged file
-/// skips the whole-file checksum pass (which dominated warm loads) while
-/// still enforcing the key / group-count checks against the memoized
-/// header. Any change to the file (rewrite, truncation, rename-over — all
-/// of which move size, inode, or mtime) misses the memo and takes the full
-/// validating pass; a failed open is never memoized, so cold and
-/// corruption rejection behave exactly as before. In-place corruption
-/// within the kernel's mtime granularity is outrun by the atomic
-/// temp+rename publish protocol: a published artifact is never modified in
-/// place by any writer in this codebase.
+///   header  "FBECACHE" | u32 epoch | u64 key | u64 group count N
+///   blobs   N serialized GroupSeries, back to back
+///   index   N x (u64 blob length, u64 XXH64 of the blob)
+///   footer  u64 XXH64 of the header and index bytes
+///
+/// open() checks the header, the footer and the index — every length is
+/// bounds-checked before it is summed, and the blobs must tile the space
+/// between header and index exactly — then re-hashes every blob in one
+/// sequential pass through a reused buffer. Anything missing, truncated,
+/// wrong-epoch, wrong-key or with a flipped byte therefore fails open(),
+/// and the caller treats the whole artifact as a miss. Memory stays at the
+/// index plus the largest blob, whatever the artifact's size.
+///
+/// After a successful open(), read(i) may be called from any number of
+/// threads at once, in any order: it preads blob i (no mmap, so a file
+/// truncated underneath fails the read instead of raising SIGBUS) and
+/// checks its XXH64 again, so a byte changed on disk after open() fails
+/// exactly that read and is never served.
 class IngestArtifactReader {
  public:
   IngestArtifactReader() = default;
@@ -109,45 +109,42 @@ class IngestArtifactReader {
   IngestArtifactReader& operator=(const IngestArtifactReader&) = delete;
 
   /// Validates the artifact at `path` (kAnyGroupCount accepts any count).
-  /// On success the reader is positioned at the first blob.
   bool open(const std::string& path, std::uint64_t key,
             std::size_t expected_groups);
 
   /// Blob count from the validated header (0 when not open).
-  std::uint64_t groups() const { return groups_; }
+  std::size_t groups() const { return index_.size(); }
 
-  /// Reads the next blob in group-id order; call at most groups() times.
-  bool next(std::string& blob);
+  /// Copies blob `i` (group-id order) into `blob`, reusing its capacity.
+  /// Returns false, leaving `blob` empty, when the reader is not open,
+  /// `i` is out of range, or the bytes on disk no longer match the index.
+  bool read(std::size_t i, std::string& blob) const;
 
   void close();
 
  private:
-  std::FILE* file_{nullptr};
-  std::uint64_t groups_{0};
-  std::uint64_t remaining_groups_{0};
-  std::uint64_t body_remaining_{0};
+  struct Entry {
+    std::uint64_t offset;
+    std::uint64_t length;
+    std::uint64_t checksum;
+  };
+
+  int fd_{-1};
+  std::vector<Entry> index_;
 };
 
-/// Number of full checksum-validation passes IngestArtifactReader::open()
-/// has run in this process (memo hits don't count). Tests pin the
-/// amortization by diffing this across repeated opens.
-std::uint64_t ingest_reader_checksum_passes();
-
-/// Drops every memoized artifact identity (test isolation hook; also
-/// called internally to bound the table).
-void ingest_reader_memo_clear();
-
 /// Streaming writer for the same artifact format: blobs are appended one at
-/// a time (in group-id order) straight to a temp file, so a writer's memory
-/// stays bounded by one group's blob no matter how many groups the artifact
-/// holds — the property the multi-process shard workers (src/distrib/)
+/// a time (in group-id order) straight to a temp file, so a writer holds
+/// one group's blob plus a 16-byte index entry per group, never the
+/// artifact — the property the multi-process shard workers (src/distrib/)
 /// rely on for flat per-worker RSS. The temp name embeds the pid plus a
 /// process-wide sequence number, so any number of writers racing on the
 /// same destination path each stream into a private file and the winner is
 /// whichever rename lands last — readers only ever observe complete,
-/// checksummed artifacts. finish() publishes atomically; abandoning the
-/// writer (destruction without finish) removes the temp file and leaves the
-/// destination untouched.
+/// checksummed artifacts. open() creates every missing directory level;
+/// finish() writes the index and footer and publishes atomically;
+/// abandoning the writer (destruction without finish) removes the temp
+/// file and leaves the destination untouched.
 class IngestArtifactWriter {
  public:
   IngestArtifactWriter() = default;
@@ -164,7 +161,7 @@ class IngestArtifactWriter {
   /// `groups` times, in group-id order.
   bool append(const std::string& blob);
 
-  /// Writes the trailing checksum, closes, and atomically renames into
+  /// Writes the blob index and footer, closes, and atomically renames into
   /// place. Returns false (removing the temp file) on any failure or if
   /// the number of append() calls does not match open()'s group count.
   bool finish();
@@ -177,7 +174,9 @@ class IngestArtifactWriter {
   std::string tmp_;
   std::uint64_t expected_groups_{0};
   std::uint64_t appended_{0};
-  Fnv64 checksum_;
+  /// Header bytes followed by one index entry per appended blob: the
+  /// footer checksum covers exactly this buffer.
+  ByteWriter meta_;
   bool failed_{false};
 };
 

@@ -91,8 +91,11 @@ SweepOutcome run_scenario_sweep(
     }
     if (cache.enabled() && !warm) {
       const auto t0 = std::chrono::steady_clock::now();
-      write_ingest_artifact(artifact_path, cache_key, blobs);
-      if (stats) stats->cache_save_seconds += seconds_since(t0);
+      const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
+      if (stats) {
+        stats->cache_save_seconds += seconds_since(t0);
+        if (!written) ++stats->cache_write_failures;
+      }
     }
     out.baseline = reducer.finish();
   }

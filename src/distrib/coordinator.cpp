@@ -96,9 +96,9 @@ int run_shard_worker(const World& world, const DatasetConfig& config,
       ingest_artifact_path(spec.cache_dir, want.artifact_key);
 
   // Idempotence: a previous attempt (or a concurrent coordinator over the
-  // same cache dir) already published this shard. The reader's open() is a
-  // full-checksum validation pass in O(chunk) memory — the worker never
-  // materializes the artifact it is vouching for.
+  // same cache dir) already published this shard. The reader's open()
+  // checks every blob's checksum with one blob in memory at a time — the
+  // worker never materializes the artifact it is vouching for.
   if (shard_published(manifest_path, want)) {
     IngestArtifactReader probe;
     if (probe.open(artifact_path, want.artifact_key, range.size())) {
@@ -172,18 +172,16 @@ EdgeAnalysisResult run_scale_analysis(const World& world,
   }
 
   // ---- Reduce phase: shard by shard in shard order (= ascending group
-  // order, since the plan's blocks are contiguous ascending), streaming
-  // each shard's artifact in fixed-size chunks so the coordinator's peak
-  // RSS is bounded by one chunk of blobs — never a whole shard, which at
+  // order, since the plan's blocks are contiguous ascending). Each shard's
+  // artifact is validated once at open(); then every reduce worker reads
+  // and re-checks its own group's blob inside its pool task, so the
+  // coordinator holds one blob per worker — never a whole shard, which at
   // scale is gigabytes. A shard without a valid manifest + artifact —
-  // degraded, raced, or vandalized — serves empty blobs and EdgeReducer
-  // cold-ingests its groups: byte-identical output, honest cache_misses.
-  // Chunking preserves the reduce_range contract (disjoint ascending
-  // sub-ranges), so the fold sequence is unchanged.
-  constexpr std::size_t kReduceChunkGroups = 64;
+  // degraded, raced, or vandalized — leaves the reader closed, and
+  // EdgeReducer cold-ingests its groups: byte-identical output, honest
+  // cache_misses.
   EdgeReducer reducer(world, config, thresholds, comparison, goodput,
                       options.faults);
-  std::vector<std::string> chunk(kReduceChunkGroups);
   for (int s = 0; s < plan.shard_count(); ++s) {
     const ShardRange& range = plan.shard(s);
     if (range.empty()) continue;
@@ -191,38 +189,14 @@ EdgeAnalysisResult run_scale_analysis(const World& world,
         expected_manifest(base_key, s, options.workers, range);
     IngestArtifactReader reader;
     const auto open_start = std::chrono::steady_clock::now();
-    bool warm =
-        shard_published(shard_manifest_path(options.cache_dir, base_key, s,
+    if (shard_published(shard_manifest_path(options.cache_dir, base_key, s,
                                             options.workers),
-                        want) &&
-        reader.open(ingest_artifact_path(options.cache_dir, want.artifact_key),
-                    want.artifact_key, range.size());
-    if (stats) stats->cache_load_seconds += seconds_since(open_start);
-    for (std::size_t begin = range.begin; begin < range.end;
-         begin += kReduceChunkGroups) {
-      const ShardRange sub{begin,
-                           std::min(range.end, begin + kReduceChunkGroups)};
-      std::size_t loaded = 0;
-      if (warm) {
-        const auto load_start = std::chrono::steady_clock::now();
-        for (std::size_t g = sub.begin; g < sub.end; ++g) {
-          if (!reader.next(chunk[g - sub.begin])) {
-            // Validated at open(), so this means the file changed under
-            // us; the groups not yet folded fall back to cold ingest.
-            warm = false;
-            break;
-          }
-          ++loaded;
-        }
-        if (stats) stats->cache_load_seconds += seconds_since(load_start);
-      }
-      const auto blob = [&](std::size_t group) -> GroupBlobRef {
-        const std::size_t i = group - sub.begin;
-        if (i >= loaded) return GroupBlobRef{};
-        return GroupBlobRef{chunk[i].data(), chunk[i].size()};
-      };
-      reducer.reduce_range(sub, blob, options.reduce_runtime, stats);
+                        want)) {
+      reader.open(ingest_artifact_path(options.cache_dir, want.artifact_key),
+                  want.artifact_key, range.size());
     }
+    if (stats) stats->cache_load_seconds += seconds_since(open_start);
+    reducer.reduce_range(range, reader, options.reduce_runtime, stats);
   }
 
   if (stats) {

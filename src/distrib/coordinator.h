@@ -8,9 +8,10 @@
 // at a time, via ingest_range_to_blobs + IngestArtifactWriter), publishes
 // the artifact atomically, and only then writes its shard manifest. The
 // coordinator retries crashed workers up to the fault plan's attempt
-// budget, then reduces shard by shard in shard order: load one shard's
-// artifact, fold its groups through EdgeReducer, drop the artifact, move
-// on. Because shards are ascending blocks and EdgeReducer folds partials
+// budget, then reduces shard by shard in shard order: open (validate) one
+// shard's artifact, fold its groups through EdgeReducer with each reduce
+// worker reading its own group's blob, close the artifact, move on.
+// Because shards are ascending blocks and EdgeReducer folds partials
 // in ascending group order, the finished result is byte-identical to a
 // single-process run_edge_analysis over the same world — for any worker
 // count, any worker thread count, and any reduce thread count.

@@ -156,8 +156,8 @@ SweepOutcome run_sweep_analysis(const World& world, const DatasetConfig& config,
             run_worker_fleet(plan.shard_count(), options.faults, launch);
 
         // Collect slice artifacts in shard order. A shard that never
-        // published — or whose artifact fails validation or streams short —
-        // leaves its blobs empty; those groups cold-ingest in-process.
+        // published — or whose artifact or blobs fail validation — leaves
+        // those blobs empty; their groups cold-ingest in-process.
         blobs.assign(affected.size(), std::string());
         for (int s = 0; s < plan.shard_count(); ++s) {
           const ShardRange& slice = plan.shard(s);
@@ -176,11 +176,9 @@ SweepOutcome run_sweep_analysis(const World& world, const DatasetConfig& config,
                   ingest_artifact_path(options.cache_dir, want.artifact_key),
                   want.artifact_key, slice.size());
           if (warm) {
+            // A failed read leaves that blob empty -> cold ingest.
             for (std::size_t i = slice.begin; i < slice.end; ++i) {
-              if (!reader.next(blobs[i])) {
-                blobs[i].clear();
-                break;  // remaining slice blobs stay empty -> cold ingest
-              }
+              reader.read(i - slice.begin, blobs[i]);
             }
           }
           if (stats) stats->cache_load_seconds += seconds_since(load_start);

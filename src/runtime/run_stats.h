@@ -141,9 +141,14 @@ struct RunStats {
   /// Both stay zero when no cache directory is configured.
   std::uint64_t cache_hits{0};
   std::uint64_t cache_misses{0};
-  /// Wall time spent reading/validating and writing cache artifacts.
+  /// Wall time spent opening (validating) and writing cache artifacts.
+  /// Blob reads happen inside the reduce's pool tasks, so their time is
+  /// part of wall_seconds, not cache_load_seconds.
   double cache_load_seconds{0};
   double cache_save_seconds{0};
+  /// Artifact writes that failed (unwritable or unreachable cache dir):
+  /// the run's output is unaffected, but the next run will be cold again.
+  std::uint64_t cache_write_failures{0};
   /// Multi-process shard-coordinator observability (src/distrib/): worker
   /// subprocesses launched (including re-spawns), worker attempts that
   /// exited nonzero (or were signal-killed), and the largest peak RSS any
@@ -189,6 +194,7 @@ struct RunStats {
     cache_misses += other.cache_misses;
     cache_load_seconds += other.cache_load_seconds;
     cache_save_seconds += other.cache_save_seconds;
+    cache_write_failures += other.cache_write_failures;
     workers_spawned += other.workers_spawned;
     worker_failures += other.worker_failures;
     if (other.worker_rss_peak_bytes > worker_rss_peak_bytes) {
@@ -226,12 +232,14 @@ struct RunStats {
                    static_cast<unsigned long long>(stream_watermark_advances),
                    static_cast<unsigned long long>(stream_open_windows_peak));
     }
-    if (cache_hits > 0 || cache_misses > 0) {
+    if (cache_hits > 0 || cache_misses > 0 || cache_write_failures > 0) {
       std::fprintf(out,
-                   "[runtime]   cache: hits=%llu misses=%llu load=%.3fs save=%.3fs\n",
+                   "[runtime]   cache: hits=%llu misses=%llu load=%.3fs save=%.3fs "
+                   "write_failures=%llu\n",
                    static_cast<unsigned long long>(cache_hits),
                    static_cast<unsigned long long>(cache_misses),
-                   cache_load_seconds, cache_save_seconds);
+                   cache_load_seconds, cache_save_seconds,
+                   static_cast<unsigned long long>(cache_write_failures));
     }
     if (workers_spawned > 0) {
       std::fprintf(out,

@@ -6,7 +6,6 @@
 // artifacts) falling back to cold ingest instead of drifting or dying.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -311,10 +310,10 @@ TEST(IngestArtifactWriter, SameKeyWriteRaceAlwaysYieldsAValidArtifact) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming artifact reader (the coordinator's reduce path).
+// Artifact reader (the coordinator's reduce path).
 // ---------------------------------------------------------------------------
 
-TEST(IngestArtifactReader, StreamsBlobsIdenticalToBulkRead) {
+TEST(IngestArtifactReader, ReadReturnsBlobsIdenticalToBulkRead) {
   const std::string dir = fresh_dir("reader-stream");
   const std::string path = ingest_artifact_path(dir, 21);
   const std::vector<std::string> blobs = {"", "x", std::string(100000, 'q'),
@@ -329,17 +328,25 @@ TEST(IngestArtifactReader, StreamsBlobsIdenticalToBulkRead) {
   EXPECT_EQ(reader.groups(), blobs.size());
   std::string blob;
   for (std::size_t g = 0; g < blobs.size(); ++g) {
-    ASSERT_TRUE(reader.next(blob)) << "blob " << g;
+    ASSERT_TRUE(reader.read(g, blob)) << "blob " << g;
     EXPECT_EQ(blob, blobs[g]) << "blob " << g;
     EXPECT_EQ(blob,
               bulk.bytes.substr(bulk.blobs[g].first, bulk.blobs[g].second))
         << "blob " << g;
   }
-  EXPECT_FALSE(reader.next(blob));  // spent
+  // Random access, repeatable, and out-of-range reads fail cleanly.
+  ASSERT_TRUE(reader.read(2, blob));
+  EXPECT_EQ(blob, blobs[2]);
+  ASSERT_TRUE(reader.read(1, blob));
+  EXPECT_EQ(blob, blobs[1]);
+  EXPECT_FALSE(reader.read(blobs.size(), blob));
+  EXPECT_TRUE(blob.empty());
 
   // Wrong key or wrong count is rejected at open, like the bulk reader;
   // kAnyGroupCount accepts whatever the header says.
   EXPECT_FALSE(reader.open(path, 22, blobs.size()));
+  EXPECT_EQ(reader.groups(), 0u);
+  EXPECT_FALSE(reader.read(0, blob));
   EXPECT_FALSE(reader.open(path, 21, blobs.size() + 1));
   ASSERT_TRUE(reader.open(path, 21, kAnyGroupCount));
   EXPECT_EQ(reader.groups(), blobs.size());
@@ -379,92 +386,6 @@ TEST(IngestArtifactReader, TruncationAndBitFlipsFailOpen) {
     IngestArtifactReader reader;
     EXPECT_FALSE(reader.open(mut, 23, 2)) << "accepted flip at byte " << i;
   }
-}
-
-TEST(IngestArtifactReader, RepeatOpenSkipsChecksumViaMemo) {
-  const std::string dir = fresh_dir("reader-memo");
-  const std::string path = ingest_artifact_path(dir, 31);
-  const std::vector<std::string> blobs = {"alpha", std::string(5000, 'z')};
-  ASSERT_TRUE(write_ingest_artifact(path, 31, blobs));
-  ingest_reader_memo_clear();
-
-  const std::uint64_t cold = ingest_reader_checksum_passes();
-  {
-    IngestArtifactReader reader;
-    ASSERT_TRUE(reader.open(path, 31, blobs.size()));
-  }
-  EXPECT_EQ(ingest_reader_checksum_passes(), cold + 1);
-
-  // Warm opens skip the whole-file checksum but still stream the exact
-  // bytes and still enforce the key / group-count contract.
-  std::string blob;
-  for (int round = 0; round < 3; ++round) {
-    IngestArtifactReader warm;
-    ASSERT_TRUE(warm.open(path, 31, blobs.size()));
-    for (std::size_t g = 0; g < blobs.size(); ++g) {
-      ASSERT_TRUE(warm.next(blob)) << "blob " << g;
-      EXPECT_EQ(blob, blobs[g]) << "blob " << g;
-    }
-    IngestArtifactReader wrong_key, wrong_count;
-    EXPECT_FALSE(wrong_key.open(path, 32, blobs.size()));
-    EXPECT_FALSE(wrong_count.open(path, 31, blobs.size() + 1));
-  }
-  IngestArtifactReader any;
-  ASSERT_TRUE(any.open(path, 31, kAnyGroupCount));
-  EXPECT_EQ(any.groups(), blobs.size());
-  EXPECT_EQ(ingest_reader_checksum_passes(), cold + 1);
-  ingest_reader_memo_clear();
-}
-
-TEST(IngestArtifactReader, ModifiedArtifactIsNeverServedFromMemo) {
-  const std::string dir = fresh_dir("reader-memo-mod");
-  const std::string path = ingest_artifact_path(dir, 33);
-  ASSERT_TRUE(write_ingest_artifact(path, 33, {"alpha", "beta-beta"}));
-  ingest_reader_memo_clear();
-  {
-    IngestArtifactReader reader;
-    ASSERT_TRUE(reader.open(path, 33, 2));  // memoize the valid identity
-  }
-
-  // Flip one byte in place (same size, same inode) and bump the mtime
-  // explicitly — the filesystem's timestamp granularity could otherwise
-  // hide an immediate rewrite, a hazard the real publish protocol avoids
-  // by never modifying a published artifact in place.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, -3, SEEK_END), 0);
-  const int byte = std::fgetc(f);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(f, -3, SEEK_END), 0);
-  ASSERT_NE(std::fputc(byte ^ 0x40, f), EOF);
-  std::fclose(f);
-  struct timespec times[2];
-  times[0].tv_sec = 1000000;
-  times[0].tv_nsec = 0;
-  times[1].tv_sec = 1000000;
-  times[1].tv_nsec = 123456789;
-  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
-  IngestArtifactReader corrupt;
-  EXPECT_FALSE(corrupt.open(path, 33, 2));
-
-  // A failed open is never memoized: republishing a good artifact (new
-  // inode via temp+rename) validates and opens again.
-  ASSERT_TRUE(write_ingest_artifact(path, 33, {"alpha", "beta-beta"}));
-  {
-    IngestArtifactReader fixed;
-    EXPECT_TRUE(fixed.open(path, 33, 2));
-  }
-
-  // Truncation changes the size, so it misses the memo and is rejected
-  // even with the mtime pinned back to the memoized value.
-  struct stat st{};
-  ASSERT_EQ(::stat(path.c_str(), &st), 0);
-  ASSERT_EQ(::truncate(path.c_str(), 12), 0);
-  times[1] = st.st_mtim;
-  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
-  IngestArtifactReader trunc;
-  EXPECT_FALSE(trunc.open(path, 33, 2));
-  ingest_reader_memo_clear();
 }
 
 // ---------------------------------------------------------------------------

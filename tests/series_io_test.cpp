@@ -1,20 +1,26 @@
 // Serialization coverage for the ingest-artifact cache: bitwise round-trip
-// properties for the binio primitives, TDigest, and GroupSeries; rejection
-// of truncated / corrupted / wrong-epoch artifacts (always a clean miss,
-// never a crash); and end-to-end warm == cold equivalence through
-// run_edge_analysis, including the corruption fallback path.
+// properties for the binio primitives, TDigest, and GroupSeries; the XXH64
+// artifact checksum; rejection of truncated / corrupted / wrong-epoch
+// artifacts (always a clean miss, never a crash); concurrent and
+// post-open-corrupted IngestArtifactReader reads; and end-to-end warm ==
+// cold equivalence through run_edge_analysis, including the corruption
+// fallback path and failed artifact writes.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "agg/series_io.h"
 #include "analysis/edge_analysis.h"
+#include "analysis/edge_reduce.h"
 #include "analysis/ingest_cache.h"
 #include "util/binio.h"
 #include "util/rng.h"
@@ -73,6 +79,17 @@ TEST(BinIo, FastAppendsMatchPerByteEncoding) {
     for (int i = 0; i < 8; ++i) ref.push_back(static_cast<char>(v >> (8 * i)));
     ASSERT_EQ(w.data(), ref);
   }
+}
+
+TEST(BinIo, Xxh64MatchesPublishedVectors) {
+  const auto hash = [](const char* text) { return xxh64(text, std::strlen(text)); };
+  EXPECT_EQ(hash(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(hash("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(hash("abc"), 0x44bc2cf5ad770999ULL);
+  // 39 bytes: one 32-byte stripe, then the 4- and 1-byte tails.
+  EXPECT_EQ(hash("Nobody inspects the spammish repetition"), 0xfbcea83c8a378bf1ULL);
+  // 43 bytes: one stripe, then the 8- and 1-byte tails.
+  EXPECT_EQ(hash("The quick brown fox jumps over the lazy dog"), 0x0b242d361fda71bcULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -302,6 +319,18 @@ void spit(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Rewrites the footer of an artifact image with N blobs so that it
+/// vouches for whatever header and index bytes `bytes` now holds.
+void reseal_footer(std::string& bytes, std::size_t blobs) {
+  const std::size_t index_at = bytes.size() - 8 - 16 * blobs;
+  const std::string meta = bytes.substr(0, 28) + bytes.substr(index_at, 16 * blobs);
+  const std::uint64_t footer = xxh64(meta.data(), meta.size());
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+        static_cast<char>(footer >> (8 * i));
+  }
+}
+
 TEST(ArtifactIo, RoundTripAndKeyChecks) {
   const std::string dir = artifact_dir("roundtrip");
   const std::uint64_t key = 0xabcdef0123456789ULL;
@@ -367,18 +396,121 @@ TEST(ArtifactIo, RejectsWrongEpochEvenWithValidChecksum) {
   std::remove(path.c_str());
   ASSERT_TRUE(write_ingest_artifact(path, key, {"blob"}));
   std::string bytes = slurp(path);
-  // Epoch is the u32 at offset 8 (after the 8-byte magic). Bump it and
-  // recompute the trailing checksum so only the epoch test can reject.
+  // Layout: 28-byte header | "blob" | index (u64 length, u64 XXH64) |
+  // footer. Epoch is the u32 at offset 8 (after the 8-byte magic). Bump it
+  // and recompute the footer — XXH64 of header and index — so only the
+  // epoch test can reject.
+  ASSERT_EQ(bytes.size(), 28u + 4 + 16 + 8);
   bytes[8] = static_cast<char>(bytes[8] + 1);
-  Fnv64 sum;
-  sum.bytes(bytes.data(), bytes.size() - 8);
-  for (int i = 0; i < 8; ++i) {
-    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
-        static_cast<char>(sum.value() >> (8 * i));
-  }
+  reseal_footer(bytes, 1);
   spit(path, bytes);
   IngestArtifact artifact;
   EXPECT_FALSE(read_ingest_artifact(path, key, 1, artifact));
+}
+
+TEST(ArtifactIo, RejectsIndexThatDoesNotTileTheFile) {
+  const std::string dir = artifact_dir("tiling");
+  const std::uint64_t key = 48;
+  const std::string path = ingest_artifact_path(dir, key);
+  std::remove(path.c_str());
+  ASSERT_TRUE(write_ingest_artifact(path, key, {"first", "second"}));
+  const std::string good = slurp(path);
+  const std::size_t index_at = good.size() - 8 - 32;
+
+  // A stray byte between the blobs and the index: header, index, footer
+  // and both blob checksums still match, but the file is one byte longer
+  // than the index accounts for.
+  std::string padded = good;
+  padded.insert(index_at, 1, 'x');
+  spit(path, padded);
+  IngestArtifact artifact;
+  EXPECT_FALSE(read_ingest_artifact(path, key, 2, artifact));
+
+  // Lengths whose sum wraps around to exactly the blob region (11 bytes):
+  // each length must be bounded before it is added.
+  std::string wrapped = good;
+  const std::uint64_t lengths[2] = {~std::uint64_t{0} - 4, 11 + 5};
+  for (std::size_t b = 0; b < 2; ++b) {
+    for (int i = 0; i < 8; ++i) {
+      wrapped[index_at + 16 * b + static_cast<std::size_t>(i)] =
+          static_cast<char>(lengths[b] >> (8 * i));
+    }
+  }
+  reseal_footer(wrapped, 2);
+  spit(path, wrapped);
+  EXPECT_FALSE(read_ingest_artifact(path, key, 2, artifact));
+
+  spit(path, good);
+  EXPECT_TRUE(read_ingest_artifact(path, key, 2, artifact));
+}
+
+/// Flips one byte of the file at `offset` in place (same size, same inode).
+void flip_byte_in_place(const std::string& path, std::size_t offset) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_NE(std::fputc(byte ^ 0x40, f), EOF);
+  std::fclose(f);
+}
+
+TEST(ArtifactIo, ConcurrentReadsReturnExactBlobs) {
+  const std::string dir = artifact_dir("concurrent");
+  const std::uint64_t key = 45;
+  const std::string path = ingest_artifact_path(dir, key);
+  std::remove(path.c_str());
+  std::vector<std::string> blobs;
+  for (int g = 0; g < 24; ++g) {
+    blobs.push_back(std::string(static_cast<std::size_t>(g) * 997 % 5003,
+                                static_cast<char>('a' + g)));
+  }
+  ASSERT_TRUE(write_ingest_artifact(path, key, blobs));
+
+  IngestArtifactReader reader;
+  ASSERT_TRUE(reader.open(path, key, blobs.size()));
+  // Four threads, each walking the blobs in its own order, each with its
+  // own buffer: every read returns exactly its blob.
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::string blob;
+      for (int round = 0; round < 8; ++round) {
+        for (std::size_t k = 0; k < blobs.size(); ++k) {
+          const std::size_t g = (k * (2 * t + 1) + round) % blobs.size();
+          if (!reader.read(g, blob) || blob != blobs[g]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+}
+
+TEST(ArtifactIo, ByteFlippedAfterOpenFailsOnlyThatBlob) {
+  const std::string dir = artifact_dir("flip-after-open");
+  const std::uint64_t key = 46;
+  const std::string path = ingest_artifact_path(dir, key);
+  std::remove(path.c_str());
+  const std::vector<std::string> blobs = {"first-blob", "second-blob", "third"};
+  ASSERT_TRUE(write_ingest_artifact(path, key, blobs));
+
+  IngestArtifactReader reader;
+  ASSERT_TRUE(reader.open(path, key, blobs.size()));
+  // Blob 1 starts after the 28-byte header and blob 0.
+  flip_byte_in_place(path, 28 + blobs[0].size() + 3);
+  std::string blob;
+  ASSERT_TRUE(reader.read(0, blob));
+  EXPECT_EQ(blob, blobs[0]);
+  EXPECT_FALSE(reader.read(1, blob));
+  EXPECT_TRUE(blob.empty());
+  ASSERT_TRUE(reader.read(2, blob));
+  EXPECT_EQ(blob, blobs[2]);
+  // A fresh open sees the corruption in its verify pass.
+  IngestArtifactReader again;
+  EXPECT_FALSE(again.open(path, key, blobs.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -500,6 +632,98 @@ TEST_F(IngestCacheEndToEnd, CorruptArtifactFallsBackToColdIngest) {
                                       {}, cache);
   expect_results_eq(cold, warm);
   EXPECT_EQ(warm_stats.cache_hits, w.groups.size());
+}
+
+TEST_F(IngestCacheEndToEnd, ReaderReduceMatchesBlobFnReduce) {
+  const World w = world();
+  const DatasetConfig dc = dataset();
+  const std::size_t n = w.groups.size();
+  std::vector<std::string> blobs(n);
+  ingest_range_to_blobs(w, dc, {}, ShardRange{0, n}, RuntimeOptions::sequential(),
+                        [&](std::size_t g, std::string&& blob) {
+                          blobs[g] = std::move(blob);
+                        });
+  const std::uint64_t key = 47;
+  const std::string path = ingest_artifact_path(artifact_dir("reader-reduce"), key);
+  std::remove(path.c_str());
+  ASSERT_TRUE(write_ingest_artifact(path, key, blobs));
+
+  EdgeReducer from_memory(w, dc, {}, {}, {});
+  from_memory.reduce_range(
+      ShardRange{0, n},
+      [&](std::size_t g) { return GroupBlobRef{blobs[g].data(), blobs[g].size()}; },
+      RuntimeOptions::sequential());
+  ASSERT_EQ(from_memory.blob_groups(), n);
+  const EdgeAnalysisResult want = from_memory.finish();
+
+  IngestArtifactReader reader;
+  ASSERT_TRUE(reader.open(path, key, n));
+  for (const int threads : {1, 3}) {
+    EdgeReducer from_reader(w, dc, {}, {}, {});
+    from_reader.reduce_range(ShardRange{0, n}, reader, RuntimeOptions{threads});
+    EXPECT_EQ(from_reader.blob_groups(), n) << threads;
+    expect_results_eq(want, from_reader.finish());
+  }
+
+  // One blob corrupted on disk after open(): that group alone cold-ingests,
+  // and the result is unchanged.
+  std::size_t blob3_offset = 28;
+  for (std::size_t g = 0; g < 3; ++g) blob3_offset += blobs[g].size();
+  flip_byte_in_place(path, blob3_offset + blobs[3].size() / 2);
+  for (const int threads : {1, 3}) {
+    EdgeReducer degraded(w, dc, {}, {}, {});
+    degraded.reduce_range(ShardRange{0, n}, reader, RuntimeOptions{threads});
+    EXPECT_EQ(degraded.blob_groups(), n - 1) << threads;
+    expect_results_eq(want, degraded.finish());
+  }
+}
+
+TEST_F(IngestCacheEndToEnd, NestedMissingCacheDirIsCreated) {
+  const World w = world();
+  const DatasetConfig dc = dataset();
+  const std::string root = artifact_dir("nested");
+  std::filesystem::remove_all(root);
+  const IngestCacheOptions cache{root + "/x/nested/cache"};
+
+  RunStats cold_stats;
+  const auto cold = run_edge_analysis(w, dc, {}, {}, {},
+                                      RuntimeOptions::sequential(), &cold_stats,
+                                      {}, cache);
+  EXPECT_EQ(cold_stats.cache_misses, w.groups.size());
+  EXPECT_EQ(cold_stats.cache_write_failures, 0u);
+
+  RunStats warm_stats;
+  const auto warm = run_edge_analysis(w, dc, {}, {}, {},
+                                      RuntimeOptions::sequential(), &warm_stats,
+                                      {}, cache);
+  expect_results_eq(cold, warm);
+  EXPECT_EQ(warm_stats.cache_hits, w.groups.size());
+  EXPECT_EQ(warm_stats.cache_misses, 0u);
+}
+
+TEST_F(IngestCacheEndToEnd, UnwritableCacheDirCountsWriteFailure) {
+  const World w = world();
+  const DatasetConfig dc = dataset();
+  // A regular file where a directory level should be: no artifact can be
+  // written beneath it.
+  const std::string blocker = artifact_dir("blocker");
+  std::filesystem::remove_all(blocker);
+  spit(blocker, "not a directory");
+  const IngestCacheOptions cache{blocker + "/cache"};
+
+  const auto uncached =
+      run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential());
+  for (int run = 0; run < 2; ++run) {
+    RunStats stats;
+    const auto out = run_edge_analysis(w, dc, {}, {}, {},
+                                       RuntimeOptions::sequential(), &stats, {},
+                                       cache);
+    expect_results_eq(uncached, out);
+    EXPECT_EQ(stats.cache_write_failures, 1u) << "run " << run;
+    EXPECT_EQ(stats.cache_hits, 0u) << "run " << run;
+    EXPECT_EQ(stats.cache_misses, w.groups.size()) << "run " << run;
+  }
+  std::filesystem::remove(blocker);
 }
 
 TEST_F(IngestCacheEndToEnd, KeySeparatesConfigs) {

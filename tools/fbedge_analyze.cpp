@@ -202,6 +202,7 @@ int main(int argc, char** argv) {
 
   IngestState state;
   bool warm = false;
+  bool write_failed = false;
   if (cache.enabled() && !path.empty()) {
     // Cached mode: the file is the cache identity, so read it whole.
     std::ifstream file(path, std::ios::binary);
@@ -222,7 +223,7 @@ int main(int argc, char** argv) {
       state = IngestState{};  // discard any partial deserialization
       std::istringstream in(data);
       ingest_lines(in, state);
-      write_ingest_artifact(artifact_path, key, serialize_state(state));
+      write_failed = !write_ingest_artifact(artifact_path, key, serialize_state(state));
     }
   } else {
     std::ifstream file;
@@ -289,6 +290,7 @@ int main(int argc, char** argv) {
     stats.cache_hits += state.store.group_count();
   } else if (cache.enabled() && !path.empty()) {
     stats.cache_misses += state.store.group_count();
+    if (write_failed) ++stats.cache_write_failures;
   }
   stats.print("fbedge_analyze");
   return 0;
