@@ -236,9 +236,10 @@ int main(int argc, char** argv) {
   reduce_dc.days = 1;
   reduce_dc.session_scale = 0.1;
   std::vector<std::string> group_blobs(reduce_world.groups.size());
-  ingest_range_to_blobs(
-      reduce_world, reduce_dc, {}, ShardRange{0, reduce_world.groups.size()},
-      RuntimeOptions::sequential(),
+  std::vector<std::size_t> reduce_groups(group_blobs.size());
+  for (std::size_t g = 0; g < reduce_groups.size(); ++g) reduce_groups[g] = g;
+  ingest_groups_to_blobs(
+      reduce_world, reduce_dc, {}, reduce_groups, RuntimeOptions::sequential(),
       [&](std::size_t g, std::string&& blob) { group_blobs[g] = std::move(blob); });
   const double reduce_fold_ns =
       time_per_op(20, [&](int) {

@@ -137,7 +137,7 @@ void make_observations_into(const WindowColumns& cols,
   }
 }
 
-/// Per-worker scratch for analyze_group: every buffer here is cleared (not
+/// Per-worker scratch for reduce_group: every buffer here is cleared (not
 /// shrunk) per group/window, so after each arena reaches its high-water
 /// mark the whole generate -> coalesce -> HD -> aggregate loop runs without
 /// per-session allocations. One instance per pool worker
@@ -524,20 +524,6 @@ void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
   }
 }
 
-EdgePartial analyze_group(EdgeScratch& scratch, const DatasetGenerator& generator,
-                          const UserGroupProfile& group,
-                          const AnalysisThresholds& thresholds,
-                          const ComparisonConfig& comparison,
-                          const GoodputConfig& goodput,
-                          const ClassifierConfig& classifier_config,
-                          const FaultPlan& faults) {
-  EdgePartial part;
-  ingest_group(scratch, generator, group, goodput, faults, part.res.faults);
-  analyze_series_into(scratch, scratch.series, group, thresholds, comparison,
-                      classifier_config, part);
-  return part;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -598,6 +584,54 @@ EdgeAnalysisResult finalize_edge_result(EdgePartial&& total) {
   return out;
 }
 
+/// Everything a reduce task reads besides its world and its group; one
+/// per EdgeReducer, one shared by every world of a sweep pass.
+struct ReduceSettings {
+  AnalysisThresholds thresholds;
+  ComparisonConfig comparison;
+  GoodputConfig goodput;
+  FaultPlan faults;
+  ClassifierConfig classifier_config;
+};
+
+/// The per-task body of every reduce (EdgeReducer and reduce_sweep_pass):
+/// group `g` of the generator's world into `part`, analyzed from `blob`
+/// when it loads, else cold-ingested under that world with the fresh
+/// series serialized into `save` when one is given. Returns whether the
+/// blob served the group.
+bool reduce_group(EdgeScratch& scratch, const DatasetGenerator& generator,
+                  const ReduceSettings& s, std::size_t g, GroupBlobRef blob,
+                  const EdgeReducer::SaveFn* save, EdgePartial& part) {
+  const UserGroupProfile& group = generator.world().groups[g];
+  if (!blob.empty()) {
+    ByteReader r(blob.data, blob.size);
+    if (load_group_series(r, scratch.series, &scratch.pool) && r.remaining() == 0) {
+      analyze_series_into(scratch, scratch.series, group, s.thresholds,
+                          s.comparison, s.classifier_config, part);
+      return true;
+    }
+    // Unusable blob: fall through to cold ingest for this group.
+  }
+  ingest_group(scratch, generator, group, s.goodput, s.faults, part.res.faults);
+  if (save != nullptr && *save) {
+    scratch.writer.clear();
+    save_group_series(scratch.series, scratch.writer);
+    std::string bytes = scratch.writer.data();  // keep writer capacity
+    (*save)(g, std::move(bytes));
+  }
+  analyze_series_into(scratch, scratch.series, group, s.thresholds, s.comparison,
+                      s.classifier_config, part);
+  return false;
+}
+
+/// Blob `i` of `reader` in the worker's own buffer, or an empty ref (cold
+/// ingest) when the reader is not open or the read fails its checksum.
+GroupBlobRef read_blob(const IngestArtifactReader& reader, std::size_t i,
+                       EdgeScratch& scratch) {
+  if (!reader.read(i, scratch.blob)) return GroupBlobRef{};
+  return GroupBlobRef{scratch.blob.data(), scratch.blob.size()};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -606,29 +640,17 @@ EdgeAnalysisResult finalize_edge_result(EdgePartial&& total) {
 // ---------------------------------------------------------------------------
 
 struct EdgeReducer::Impl {
-  const World& world;
-  DatasetConfig config;
-  AnalysisThresholds thresholds;
-  ComparisonConfig comparison;
-  GoodputConfig goodput;
-  FaultPlan faults;
-  ClassifierConfig classifier_config;
+  ReduceSettings settings;
   DatasetGenerator generator;
   EdgePartial total;
   std::uint64_t blob_groups{0};
 
-  Impl(const World& world_in, const DatasetConfig& config_in,
-       const AnalysisThresholds& thresholds_in,
-       const ComparisonConfig& comparison_in, GoodputConfig goodput_in,
-       const FaultPlan& faults_in)
-      : world(world_in),
-        config(config_in),
-        thresholds(thresholds_in),
-        comparison(comparison_in),
-        goodput(goodput_in),
-        faults(faults_in),
-        classifier_config(make_classifier_config(config_in)),
-        generator(world_in, config) {}
+  Impl(const World& world, const DatasetConfig& config,
+       const AnalysisThresholds& thresholds, const ComparisonConfig& comparison,
+       GoodputConfig goodput, const FaultPlan& faults)
+      : settings{thresholds, comparison, goodput, faults,
+                 make_classifier_config(config)},
+        generator(world, config) {}
 
   /// The fold behind both reduce_range overloads. `blob_for(scratch, g, i)`
   /// returns group g's (range offset i) blob, or an empty ref to
@@ -637,7 +659,7 @@ struct EdgeReducer::Impl {
   void reduce(const ShardRange& range, const BlobFor& blob_for,
               const RuntimeOptions& runtime, RunStats* stats,
               const SaveFn* save) {
-    FBEDGE_EXPECT(range.end <= world.groups.size(),
+    FBEDGE_EXPECT(range.end <= generator.world().groups.size(),
                   "reduce range exceeds the world's group count");
     const std::size_t n = range.size();
     if (n == 0) return;
@@ -649,30 +671,9 @@ struct EdgeReducer::Impl {
         n, runtime,
         [&](EdgeScratch& scratch, std::size_t i) {
           const std::size_t g = range.begin + i;
-          const UserGroupProfile& group = world.groups[g];
-          const GroupBlobRef b = blob_for(scratch, g, i);
-          if (!b.empty()) {
-            ByteReader r(b.data, b.size);
-            if (load_group_series(r, scratch.series, &scratch.pool) &&
-                r.remaining() == 0) {
-              from_blob[i] = 1;
-              EdgePartial part;
-              analyze_series_into(scratch, scratch.series, group, thresholds,
-                                  comparison, classifier_config, part);
-              return part;
-            }
-            // Unusable blob: fall through to cold ingest for this group.
-          }
           EdgePartial part;
-          ingest_group(scratch, generator, group, goodput, faults, part.res.faults);
-          if (save != nullptr && *save) {
-            scratch.writer.clear();
-            save_group_series(scratch.series, scratch.writer);
-            std::string bytes = scratch.writer.data();  // keep writer capacity
-            (*save)(g, std::move(bytes));
-          }
-          analyze_series_into(scratch, scratch.series, group, thresholds,
-                              comparison, classifier_config, part);
+          from_blob[i] = reduce_group(scratch, generator, settings, g,
+                                      blob_for(scratch, g, i), save, part);
           return part;
         },
         stats);
@@ -713,8 +714,7 @@ void EdgeReducer::reduce_range(const ShardRange& range,
   impl_->reduce(
       range,
       [&reader](EdgeScratch& scratch, std::size_t, std::size_t i) {
-        if (!reader.read(i, scratch.blob)) return GroupBlobRef{};
-        return GroupBlobRef{scratch.blob.data(), scratch.blob.size()};
+        return read_blob(reader, i, scratch);
       },
       runtime, stats, save);
 }
@@ -725,31 +725,128 @@ EdgeAnalysisResult EdgeReducer::finish() {
   return finalize_edge_result(std::move(impl_->total));
 }
 
-void ingest_range_to_blobs(
-    const World& world, const DatasetConfig& config, GoodputConfig goodput,
-    const ShardRange& range, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t group, std::string&& blob)>& sink,
-    RunStats* stats, std::size_t chunk_groups) {
-  FBEDGE_EXPECT(range.end <= world.groups.size(),
-                "ingest range exceeds the world's group count");
-  FBEDGE_EXPECT(chunk_groups >= 1, "ingest chunk must hold at least one group");
-  DatasetGenerator generator(world, config);
-  const FaultPlan no_faults;
-  for (std::size_t at = range.begin; at < range.end; at += chunk_groups) {
-    const std::size_t n = std::min(chunk_groups, range.end - at);
-    auto blobs = parallel_map_scratch<EdgeScratch>(
-        n, runtime,
-        [&](EdgeScratch& scratch, std::size_t i) {
-          FaultCounters none;
-          ingest_group(scratch, generator, world.groups[at + i], goodput,
-                       no_faults, none);
-          scratch.writer.clear();
-          save_group_series(scratch.series, scratch.writer);
-          return std::string(scratch.writer.data());
-        },
-        stats);
-    for (std::size_t i = 0; i < n; ++i) sink(at + i, std::move(blobs[i]));
+// ---------------------------------------------------------------------------
+// reduce_sweep_pass: a whole scenario sweep in one pool pass.
+// ---------------------------------------------------------------------------
+
+SweepPassResult reduce_sweep_pass(
+    const World& baseline, const std::vector<SweepPassWorld>& scenarios,
+    const DatasetConfig& config, const AnalysisThresholds& thresholds,
+    const ComparisonConfig& comparison, GoodputConfig goodput,
+    const IngestArtifactReader& baseline_blobs, const RuntimeOptions& runtime,
+    RunStats* stats, const EdgeReducer::SaveFn* save) {
+  const std::size_t n = baseline.groups.size();
+  FBEDGE_EXPECT(baseline_blobs.groups() == 0 || baseline_blobs.groups() == n,
+                "artifact blob count differs from the baseline group count");
+  const ReduceSettings settings{thresholds, comparison, goodput, FaultPlan{},
+                                make_classifier_config(config)};
+
+  // World 0 is the baseline, world k + 1 scenario k. Tasks, and the slots
+  // their partials land in, follow the same order: the n baseline groups,
+  // then each scenario's affected groups, so task first_slot[k + 1] + i is
+  // scenario k's i-th affected group.
+  std::vector<DatasetGenerator> generators;
+  generators.reserve(scenarios.size() + 1);
+  generators.emplace_back(baseline, config);
+  std::vector<std::size_t> first_slot{0, n};
+  for (const SweepPassWorld& scen : scenarios) {
+    FBEDGE_EXPECT(scen.world.groups.size() == n,
+                  "a scenario world must keep the baseline's groups");
+    FBEDGE_EXPECT(scen.blobs.empty() || scen.blobs.size() == scen.affected.size(),
+                  "sweep blobs must be one per affected group");
+    for (std::size_t i = 0; i < scen.affected.size(); ++i) {
+      FBEDGE_EXPECT(scen.affected[i] < n &&
+                        (i == 0 || scen.affected[i - 1] < scen.affected[i]),
+                    "affected groups must be ascending ids in range");
+    }
+    generators.emplace_back(scen.world, config);
+    first_slot.push_back(first_slot.back() + scen.affected.size());
   }
+
+  struct Task {
+    std::size_t world;  // 0 = baseline, k + 1 = scenario k
+    std::size_t index;  // group id (baseline) or affected index (scenario)
+    std::size_t group;
+    double weight;      // sessions_per_window of the group in its world
+  };
+  std::vector<Task> tasks;
+  tasks.reserve(first_slot.back());
+  for (std::size_t w = 0; w < generators.size(); ++w) {
+    const World& world = generators[w].world();
+    const std::size_t count = first_slot[w + 1] - first_slot[w];
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t g = w == 0 ? i : scenarios[w - 1].affected[i];
+      tasks.push_back({w, i, g, world.groups[g].sessions_per_window});
+    }
+  }
+
+  // Heaviest first, dealt round-robin: ShardPlan gives worker s a block of
+  // plan indices exactly as long as its deal (positions s, s + W, ...), so
+  // plan index p of block s runs task order[(p - begin_s) * W + s]. Owners
+  // pop their block front to back, heaviest first; thieves take the light
+  // tail. The order changes only the schedule, never a result.
+  std::vector<std::size_t> order(tasks.size());
+  for (std::size_t t = 0; t < order.size(); ++t) order[t] = t;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return tasks[a].weight > tasks[b].weight;
+                   });
+  ThreadPool pool(resolve_threads(runtime.threads));
+  const auto workers = static_cast<std::size_t>(pool.threads());
+  const ShardPlan plan = ShardPlan::make(tasks.size(), pool.threads());
+  std::vector<std::size_t> dealt(tasks.size());
+  for (int s = 0; s < plan.shard_count(); ++s) {
+    const ShardRange block = plan.shard(s);
+    for (std::size_t p = block.begin; p < block.end; ++p) {
+      dealt[p] = order[(p - block.begin) * workers + static_cast<std::size_t>(s)];
+    }
+  }
+
+  // Each task builds its own EdgeScratch and drops it when done. Kept per
+  // worker instead, the arenas of the heaviest groups — which every worker
+  // runs first — stay resident for the whole pass beside every partial: on
+  // the whatif_sweep benchmark (4-core VM) that was 69 instead of 51 MiB
+  // peak RSS for about 3% less wall time.
+  std::vector<EdgePartial> partials(tasks.size());
+  std::vector<std::uint8_t> from_blob(n, 0);  // one slot per baseline task
+  const RunStats rs = pool.parallel_for(plan, [&](std::size_t p) {
+    const Task& task = tasks[dealt[p]];
+    EdgeScratch own;
+    if (task.world == 0) {
+      from_blob[task.index] = reduce_group(
+          own, generators[0], settings, task.group,
+          read_blob(baseline_blobs, task.index, own), save, partials[dealt[p]]);
+      return;
+    }
+    const std::vector<std::string>& blobs = scenarios[task.world - 1].blobs;
+    GroupBlobRef blob;
+    if (!blobs.empty()) {
+      blob = GroupBlobRef{blobs[task.index].data(), blobs[task.index].size()};
+    }
+    reduce_group(own, generators[task.world], settings, task.group, blob, nullptr,
+                 partials[dealt[p]]);
+  });
+  if (stats) stats->accumulate(rs);
+
+  // Group-id order, each affected group's own partial in place of the
+  // baseline's (affected partials start at slot `first`).
+  const auto fold = [&](const std::vector<std::size_t>& affected,
+                        std::size_t first) {
+    EdgePartial total;
+    std::size_t next = 0;
+    for (std::size_t g = 0; g < n; ++g) {
+      const bool own = next < affected.size() && affected[next] == g;
+      total.merge(partials[own ? first + next++ : g]);
+    }
+    return finalize_edge_result(std::move(total));
+  };
+  SweepPassResult out;
+  out.baseline = fold({}, 0);
+  for (std::size_t k = 0; k < scenarios.size(); ++k) {
+    out.scenarios.push_back(fold(scenarios[k].affected, first_slot[k + 1]));
+  }
+  for (const std::uint8_t hit : from_blob) out.baseline_blob_groups += hit;
+  return out;
 }
 
 void ingest_groups_to_blobs(
@@ -865,14 +962,15 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
   // decision is a pure function of (plan, group, attempt), so which
   // groups are lost — and hence the merged result — is identical for any
   // thread count.
-  const ClassifierConfig classifier_config = make_classifier_config(config);
+  const ReduceSettings settings{thresholds, comparison, goodput, faults,
+                                make_classifier_config(config)};
   DatasetGenerator generator(world, config);
   RunStats local;
   EdgePartial total = shard_map_reduce_failable(
       world, runtime,
       RetryPolicy{faults.task_max_attempts, faults.task_backoff_seconds},
       EdgePartial{},
-      [&](const UserGroupProfile& group, std::size_t,
+      [&](const UserGroupProfile& group, std::size_t g,
           int attempt) -> std::optional<EdgePartial> {
         if (task_abort_decision(faults, group_fault_key(group.key), attempt)) {
           return std::nullopt;
@@ -880,8 +978,9 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
         // Fault runs are not perf-critical; a per-attempt scratch keeps
         // the failable path simple.
         EdgeScratch scratch;
-        return analyze_group(scratch, generator, group, thresholds, comparison,
-                             goodput, classifier_config, faults);
+        EdgePartial part;
+        reduce_group(scratch, generator, settings, g, GroupBlobRef{}, nullptr, part);
+        return part;
       },
       [](EdgePartial& acc, EdgePartial&& part, std::size_t) { acc.merge(part); },
       [](EdgePartial&, std::size_t) { /* lost group: contributes nothing */ },

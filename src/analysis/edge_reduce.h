@@ -14,6 +14,10 @@
 // byte-identical to a single-process run_edge_analysis over the same
 // world. run_edge_analysis itself is rebuilt on top of this class (one
 // reduce_range over [0, n)), so the two paths cannot drift.
+//
+// reduce_sweep_pass is the same fold for a scenario sweep: one pool pass
+// over the baseline world and K perturbed copies of it, then K+1 folds.
+// Its tasks run the same per-group body as EdgeReducer's.
 #pragma once
 
 #include <cstddef>
@@ -103,28 +107,63 @@ class EdgeReducer {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The ingest half for one shard: generates sessions for groups
-/// [range.begin, range.end), serializes each group's series, and hands the
-/// blobs to `sink` in ascending group order on the calling thread. Work is
-/// chunked (`chunk_groups` per parallel batch) so at most one chunk of
-/// blobs is in memory at a time — per-process RSS stays flat in the range
-/// size, which is what lets a shard worker process thousands of groups in
-/// a small footprint. Ingest is fault-free (the distributed cache must
-/// never hold faulted series).
-void ingest_range_to_blobs(
-    const World& world, const DatasetConfig& config, GoodputConfig goodput,
-    const ShardRange& range, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t group, std::string&& blob)>& sink,
-    RunStats* stats = nullptr, std::size_t chunk_groups = 64);
+/// One perturbed world of a sweep pass: a scenario applied to the
+/// baseline world, which differs from the baseline only in the groups
+/// listed in `affected` (scenario/sweep.h affected_groups()).
+struct SweepPassWorld {
+  World world;
+  /// Ascending ids of the groups to re-analyze under `world`.
+  std::vector<std::size_t> affected;
+  /// Optional pre-ingested blobs, one per affected group in the same
+  /// order (the distrib fleet hook); empty means none. A group whose blob
+  /// is empty or fails to load cold-ingests under `world`.
+  std::vector<std::string> blobs;
+};
 
-/// Group-list variant of ingest_range_to_blobs for the scenario-sweep
-/// workers: a sweep shard's work is a slice of the (usually
-/// non-contiguous) ascending affected-group list, not a contiguous range.
-/// Ingests exactly `groups` in list order, handing each blob to `sink`
-/// with its global group id; same chunked memory model as the range
-/// variant. Per-group ingest is seeded from the group key alone, so the
-/// blobs are identical to what a whole-world ingest would produce for
-/// those groups.
+/// What reduce_sweep_pass returns: one result per world, each
+/// byte-identical to run_edge_analysis over that world.
+struct SweepPassResult {
+  EdgeAnalysisResult baseline;
+  std::vector<EdgeAnalysisResult> scenarios;  // in `scenarios` order
+  /// Baseline groups analyzed from `baseline_blobs` (the cache-hit count).
+  std::uint64_t baseline_blob_groups{0};
+};
+
+/// The whole of a fault-free scenario sweep's analysis in one pool pass.
+/// Its tasks are every baseline group (blob g of `baseline_blobs` when
+/// that reader is open, else a cold ingest whose blob goes to `save`) and
+/// every (scenario, affected group) pair under the scenario's world. The
+/// tasks run heaviest first — by the task group's sessions_per_window —
+/// dealt round-robin across the pool's workers, so the slow groups start
+/// at once and the light ones fill in behind them.
+///
+/// The baseline folds its n partials in ascending group-id order. Scenario
+/// k folds the same sequence with its affected groups' partials in place
+/// of the baseline's. An unaffected group's baseline partial is exact
+/// there: its profile is bitwise-equal in both worlds (scenario/sweep.h),
+/// and a partial depends only on (series, group profile, config). Every
+/// fold therefore performs the merges an EdgeReducer over that world
+/// would, at any thread count. An open `baseline_blobs` must hold exactly
+/// `baseline.groups.size()` blobs.
+SweepPassResult reduce_sweep_pass(
+    const World& baseline, const std::vector<SweepPassWorld>& scenarios,
+    const DatasetConfig& config, const AnalysisThresholds& thresholds,
+    const ComparisonConfig& comparison, GoodputConfig goodput,
+    const IngestArtifactReader& baseline_blobs, const RuntimeOptions& runtime,
+    RunStats* stats = nullptr, const EdgeReducer::SaveFn* save = nullptr);
+
+/// The ingest half for one shard: generates sessions for `groups` (any
+/// ascending or unordered list of group ids — a scale shard's contiguous
+/// range or a sweep shard's slice of an affected list), serializes each
+/// group's series, and hands the blobs to `sink` in list order, with their
+/// global group ids, on the calling thread. Work is chunked
+/// (`chunk_groups` per parallel batch) so at most one chunk of blobs is in
+/// memory at a time — per-process RSS stays flat in the list size, which
+/// is what lets a shard worker process thousands of groups in a small
+/// footprint. Ingest is fault-free (the distributed cache must never hold
+/// faulted series), and per-group ingest is seeded from the group key
+/// alone, so the blobs are identical to what a whole-world ingest would
+/// produce for those groups.
 void ingest_groups_to_blobs(
     const World& world, const DatasetConfig& config, GoodputConfig goodput,
     const std::vector<std::size_t>& groups, const RuntimeOptions& runtime,

@@ -68,7 +68,7 @@ inline constexpr std::size_t kAnyGroupCount = static_cast<std::size_t>(-1);
 /// IngestArtifactReader open() followed by read() of each blob, so the
 /// validation is exactly the reader's. Returns false — leaving `artifact`
 /// empty — on any failure. For callers that need all blobs resident at
-/// once (the scenario sweep's splice, tools/fbedge_analyze).
+/// once (tools/fbedge_analyze).
 bool read_ingest_artifact(const std::string& path, std::uint64_t key,
                           std::size_t expected_groups, IngestArtifact& artifact);
 

@@ -1,5 +1,6 @@
-// Splice-reduce sweep runner: baseline once, per scenario only the
-// affected groups, spliced through EdgeReducer in group-id order.
+// One-pass sweep runner: the baseline and every scenario's affected groups
+// in one reduce_sweep_pass, each scenario reusing the baseline partials of
+// the groups it does not touch.
 #include "analysis/sweep.h"
 
 #include <chrono>
@@ -51,113 +52,78 @@ SweepOutcome run_scenario_sweep(
 
   const std::size_t n = world.groups.size();
 
-  // ---- baseline: one ingest, blobs retained for splicing -------------------
-  // With a cache dir this is exactly run_edge_analysis's warm/cold logic;
-  // without one the blobs only live in memory for the sweep's duration.
+  // ---- baseline artifact: open and validate; blobs are read in the pass ---
   std::uint64_t cache_key = 0;
   std::string artifact_path;
-  IngestArtifact artifact;
+  IngestArtifactReader artifact;
   bool warm = false;
   if (cache.enabled()) {
     cache_key = ingest_cache_key(world, config, goodput);
     artifact_path = ingest_artifact_path(cache.dir, cache_key);
     const auto t0 = std::chrono::steady_clock::now();
-    warm = read_ingest_artifact(artifact_path, cache_key, n, artifact);
+    warm = artifact.open(artifact_path, cache_key, n);
     if (stats) stats->cache_load_seconds += seconds_since(t0);
   }
-  std::vector<std::string> blobs;
-  {
-    EdgeReducer reducer(world, config, thresholds, comparison, goodput);
-    EdgeReducer::BlobFn blob_fn;
-    if (warm) {
-      blob_fn = [&artifact](std::size_t g) {
-        const auto [offset, length] = artifact.blobs[g];
-        return GroupBlobRef{artifact.bytes.data() + offset, length};
-      };
-    }
-    EdgeReducer::SaveFn save_fn;
-    if (!warm) {
-      blobs.resize(n);
-      save_fn = [&blobs](std::size_t g, std::string&& blob) {
-        blobs[g] = std::move(blob);
-      };
-    }
-    reducer.reduce_range(ShardRange{0, n}, blob_fn, runtime, stats,
-                         save_fn ? &save_fn : nullptr);
-    if (cache.enabled() && stats) {
-      const std::uint64_t hits = reducer.blob_groups();
-      stats->cache_hits += hits;
-      stats->cache_misses += static_cast<std::uint64_t>(n) - hits;
-    }
-    if (cache.enabled() && !warm) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
-      if (stats) {
-        stats->cache_save_seconds += seconds_since(t0);
-        if (!written) ++stats->cache_write_failures;
-      }
-    }
-    out.baseline = reducer.finish();
-  }
-  // Baseline blob for one group, wherever the baseline came from. A blob
-  // that fails structural validation downstream simply cold-ingests —
-  // for an unaffected group the perturbed profile is bitwise-equal to
-  // baseline, so the fallback is byte-identical too.
-  const auto baseline_blob = [&](std::size_t g) -> GroupBlobRef {
-    if (warm) {
-      const auto [offset, length] = artifact.blobs[g];
-      return GroupBlobRef{artifact.bytes.data() + offset, length};
-    }
-    return GroupBlobRef{blobs[g].data(), blobs[g].size()};
-  };
 
-  // ---- per scenario: splice baseline, re-ingest only the footprint ---------
-  std::vector<std::size_t> affected_index(n);
+  // ---- scenarios: perturbed world, footprint, fleet blobs -----------------
+  std::vector<SweepPassWorld> worlds(packs.size());
+  std::vector<FaultCounters> applied(packs.size());
   for (std::size_t k = 0; k < packs.size(); ++k) {
-    const ScenarioPack& pack = packs[k];
-    SweepScenarioResult scen;
-    scen.pack = pack;
-    FaultCounters applied;
-    const World perturbed = apply_scenario(world, pack, &applied);
-    scen.affected = affected_groups(world, pack);
-
-    std::vector<std::string> scen_blobs;
-    bool have_scen_blobs = false;
+    SweepPassWorld& scen = worlds[k];
+    scen.world = apply_scenario(world, packs[k], &applied[k]);
+    scen.affected = affected_groups(world, packs[k]);
     if (affected_blobs && !scen.affected.empty()) {
-      have_scen_blobs =
-          affected_blobs(k, pack, perturbed, scen.affected, scen_blobs);
-      FBEDGE_EXPECT(!have_scen_blobs || scen_blobs.size() == scen.affected.size(),
-                    "sweep blob provider must return one blob per affected group");
-    }
-
-    affected_index.assign(n, static_cast<std::size_t>(-1));
-    for (std::size_t i = 0; i < scen.affected.size(); ++i) {
-      FBEDGE_EXPECT(scen.affected[i] < n, "affected group id out of range");
-      affected_index[scen.affected[i]] = i;
-    }
-
-    EdgeReducer reducer(perturbed, config, thresholds, comparison, goodput);
-    const EdgeReducer::BlobFn blob_fn = [&](std::size_t g) -> GroupBlobRef {
-      const std::size_t ai = affected_index[g];
-      if (ai == static_cast<std::size_t>(-1)) return baseline_blob(g);
-      if (have_scen_blobs) {
-        return GroupBlobRef{scen_blobs[ai].data(), scen_blobs[ai].size()};
+      if (affected_blobs(k, packs[k], scen.world, scen.affected, scen.blobs)) {
+        FBEDGE_EXPECT(scen.blobs.size() == scen.affected.size(),
+                      "sweep blob provider must return one blob per affected group");
+      } else {
+        scen.blobs.clear();
       }
-      return GroupBlobRef{};  // cold-ingest under the perturbed world
-    };
-    reducer.reduce_range(ShardRange{0, n}, blob_fn, runtime, stats, nullptr);
-    scen.result = reducer.finish();
+    }
+  }
 
+  // ---- one pass: every baseline group plus every affected group -----------
+  std::vector<std::string> blobs;
+  EdgeReducer::SaveFn save_fn;
+  if (cache.enabled() && !warm) {
+    blobs.resize(n);
+    save_fn = [&blobs](std::size_t g, std::string&& blob) {
+      blobs[g] = std::move(blob);
+    };
+  }
+  SweepPassResult pass =
+      reduce_sweep_pass(world, worlds, config, thresholds, comparison, goodput,
+                        artifact, runtime, stats, save_fn ? &save_fn : nullptr);
+  if (cache.enabled() && stats) {
+    stats->cache_hits += pass.baseline_blob_groups;
+    stats->cache_misses +=
+        static_cast<std::uint64_t>(n) - pass.baseline_blob_groups;
+  }
+  if (cache.enabled() && !warm) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
+    if (stats) {
+      stats->cache_save_seconds += seconds_since(t0);
+      if (!written) ++stats->cache_write_failures;
+    }
+  }
+
+  out.baseline = std::move(pass.baseline);
+  for (std::size_t k = 0; k < packs.size(); ++k) {
+    SweepScenarioResult scen;
+    scen.pack = packs[k];
+    scen.affected = std::move(worlds[k].affected);
+    scen.result = std::move(pass.scenarios[k]);
     // Count the sweep's decisions, exactly recountable from the footprint:
-    // every group outside it was spliced, every group inside re-ingested
-    // (in-process or by a fleet worker).
+    // every group outside it reused its baseline partial, every group
+    // inside was re-analyzed (ingested in-process or by a fleet worker).
     const auto recomputed = static_cast<std::uint64_t>(scen.affected.size());
     const auto reused = static_cast<std::uint64_t>(n) - recomputed;
-    scen.result.faults.accumulate(applied);
+    scen.result.faults.accumulate(applied[k]);
     scen.result.faults.scenario_groups_reused = reused;
     scen.result.faults.scenario_groups_recomputed = recomputed;
     if (stats) {
-      stats->faults.accumulate(applied);
+      stats->faults.accumulate(applied[k]);
       stats->faults.scenario_groups_reused += reused;
       stats->faults.scenario_groups_recomputed += recomputed;
     }

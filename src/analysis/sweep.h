@@ -9,18 +9,22 @@
 // affected_groups(world, pack) produce bitwise-identical series under the
 // perturbed world. run_scenario_sweep() exploits that:
 //
-//   1. Ingest the baseline once, through the PR 5 ingest-artifact cache
-//      when a cache dir is configured (warm baseline runs skip ingest
-//      entirely), retaining every group's serialized blob.
-//   2. Per scenario: re-ingest only the affected groups under the
-//      perturbed world; every other group is spliced from the baseline
-//      blob. The EdgeReducer folds partials in ascending group-id order
-//      either way, so the spliced result is byte-identical to an
-//      independent run_edge_analysis of the same pack at any --threads —
-//      the sweep-equivalence CI job and the verdict-hash differentials in
-//      tests pin this exactly.
+//   1. Open the baseline's ingest artifact when a cache dir is configured,
+//      apply every pack and resolve its footprint, and ask the fleet hook
+//      (if any) for each scenario's affected blobs.
+//   2. Run one pool pass (analysis/edge_reduce.h reduce_sweep_pass) over
+//      every baseline group — a warm blob read or a cold ingest — plus
+//      every (scenario, affected group) pair under its perturbed world,
+//      heaviest first, so the slow groups of every scenario overlap.
+//   3. Fold the baseline's partials in ascending group-id order, and each
+//      scenario's the same way with its affected partials in place of the
+//      baseline's. An unaffected group's baseline partial is exactly what
+//      an independent run would compute for it, so every scenario's result
+//      is byte-identical to an independent run_edge_analysis of the same
+//      pack at any --threads — the sweep-equivalence CI job and the
+//      verdict-hash differentials in tests pin this exactly.
 //
-// Every splice decision is counted (FaultCounters::scenario_groups_reused
+// Every reuse decision is counted (FaultCounters::scenario_groups_reused
 // / scenario_groups_recomputed, recountable as |groups| - |affected| and
 // |affected|). Faulted plans bypass reuse in both directions: a fault
 // plan with any injection site enabled degrades the sweep to independent
@@ -30,10 +34,11 @@
 //
 // The affected-group ingest can be farmed out to a worker fleet: the
 // distrib coordinator (src/distrib/sweep_fleet.h) passes a
-// SweepAffectedBlobFn that spawns one shard fleet per scenario and feeds
-// the resulting blobs back; a shard that degrades hands back empty blobs
-// and those groups cold-ingest in-process — byte-identical output, just
-// slower, mirroring run_scale_analysis's degrade policy.
+// SweepAffectedBlobFn that spawns one shard fleet per scenario before the
+// pass and feeds the resulting blobs back; a shard that degrades hands
+// back empty blobs and those groups cold-ingest in the pass —
+// byte-identical output, just slower, mirroring run_scale_analysis's
+// degrade policy.
 #pragma once
 
 #include <cstddef>
@@ -65,11 +70,12 @@ struct SweepOutcome {
 };
 
 /// Optional provider of pre-ingested blobs for one scenario's affected
-/// groups (the distrib fleet hook). Called once per scenario with the
+/// groups (the distrib fleet hook). Called once per scenario with a
+/// non-empty footprint, in pack order and before the pass, with the
 /// perturbed world and the ascending affected group ids; on success it
 /// fills `blobs` with one serialized GroupSeries per affected group (same
 /// order) and returns true. An empty string — or returning false — means
-/// "no blob": those groups cold-ingest in-process under the perturbed
+/// "no blob": those groups cold-ingest in the pass under the perturbed
 /// world, so a degraded or absent provider only costs time, never bytes.
 using SweepAffectedBlobFn = std::function<bool(
     std::size_t scenario_index, const ScenarioPack& pack,
@@ -79,10 +85,12 @@ using SweepAffectedBlobFn = std::function<bool(
 /// Runs `packs` as an incremental sweep over `world`. Output contract:
 /// `baseline` is byte-identical to run_edge_analysis without a pack, and
 /// scenarios[k].result to run_edge_analysis with packs[k], for any
-/// --threads — whether the baseline came from a warm artifact, a cold
-/// cache-enabled run, or an in-memory ingest, and whether affected blobs
-/// came from `affected_blobs` or in-process ingest. `faults` enabled
-/// degrades to independent full runs (reuse bypassed, counters zero).
+/// --threads — whether each baseline group came from a warm artifact
+/// blob or a cold ingest, and whether affected blobs came from
+/// `affected_blobs` or in-process ingest. With a cache dir, a cold
+/// baseline writes its artifact and RunStats counts baseline cache hits
+/// and misses. `faults` enabled degrades to independent full runs (reuse
+/// bypassed, counters zero).
 SweepOutcome run_scenario_sweep(
     const World& world, const DatasetConfig& config,
     const AnalysisThresholds& thresholds, const ComparisonConfig& comparison,

@@ -107,11 +107,13 @@ int run_shard_worker(const World& world, const DatasetConfig& config,
     // Manifest without a readable artifact: fall through and rebuild both.
   }
 
+  std::vector<std::size_t> groups(range.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) groups[i] = range.begin + i;
   IngestArtifactWriter writer;
   if (!writer.open(artifact_path, want.artifact_key, range.size())) return 1;
   bool append_ok = true;
-  ingest_range_to_blobs(
-      world, config, goodput, range, runtime,
+  ingest_groups_to_blobs(
+      world, config, goodput, groups, runtime,
       [&](std::size_t /*group*/, std::string&& blob) {
         if (!writer.append(blob)) append_ok = false;
       },

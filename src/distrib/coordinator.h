@@ -5,7 +5,7 @@
 // blocks, one per worker. Each worker — an OS process by default, an
 // in-process call in tests — ingests its block, streams the per-group
 // blobs into a shard ingest artifact (bounded memory: one chunk of groups
-// at a time, via ingest_range_to_blobs + IngestArtifactWriter), publishes
+// at a time, via ingest_groups_to_blobs + IngestArtifactWriter), publishes
 // the artifact atomically, and only then writes its shard manifest. The
 // coordinator retries crashed workers up to the fault plan's attempt
 // budget, then reduces shard by shard in shard order: open (validate) one

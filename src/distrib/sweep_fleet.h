@@ -2,12 +2,12 @@
 // scenario farmed out to shard workers.
 //
 // run_scenario_sweep (analysis/sweep.h) re-ingests only a scenario's
-// affected groups and splices everything else from the baseline artifact.
+// affected groups and reuses the baseline's results for everything else.
 // That affected ingest is the sweep's remaining cost, and it parallelizes
 // exactly like the full-world ingest the scale coordinator distributes —
 // so run_sweep_analysis() wires a SweepAffectedBlobFn that spawns one
-// worker fleet per scenario through the shared run_worker_fleet retry
-// loop (coordinator.h):
+// worker fleet per scenario, before the sweep's pool pass, through the
+// shared run_worker_fleet retry loop (coordinator.h):
 //
 //   * The fleet's base key is the content hash of what the workers will
 //     actually ingest — ingest_cache_key(perturbed world) — combined with
@@ -25,11 +25,11 @@
 //     IngestArtifactWriter and publishes the manifest last.
 //   * A shard that exhausts its attempt budget (or whose artifact fails
 //     validation) hands back empty blobs; run_scenario_sweep cold-ingests
-//     those groups in-process — byte-identical output, counted in
+//     those groups in its pass — byte-identical output, counted in
 //     degraded_shards, never silent.
 //
 // Only worker faults may be injected here (the shared cache must never
-// hold faulted series), and they never bypass splicing: run_sweep_analysis
+// hold faulted series), and they never bypass reuse: run_sweep_analysis
 // passes a clean plan into run_scenario_sweep and keeps the crash plan for
 // the fleet loop alone.
 #pragma once
@@ -79,7 +79,7 @@ struct SweepFleetOptions {
   /// Shared artifact + manifest directory. Required; also used as the
   /// sweep's ingest cache dir for the baseline.
   std::string cache_dir;
-  /// Threads for the splice-reduce (and any cold-ingest fallback).
+  /// Threads for the sweep's pool pass (and any cold-ingest fallback).
   RuntimeOptions reduce_runtime = RuntimeOptions::sequential();
   /// Fault plan for the fleet's spawn-retry loop. Only worker faults may
   /// be set; data faults are rejected (shared cache).

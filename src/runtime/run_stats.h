@@ -61,7 +61,7 @@ struct FaultCounters {
   std::uint64_t scenario_flash_groups{0};      // flash-crowd load multipliers
   std::uint64_t scenario_cable_cut_groups{0};  // continent-pair RTT episodes
   // Incremental sweep decisions (analysis/sweep.h): per scenario of a
-  // sweep, groups spliced from the baseline artifact because they lie
+  // sweep, groups that reuse the baseline's result because they lie
   // outside the scenario's affected_groups() footprint vs. groups
   // re-ingested under the perturbed world. reused + recomputed sums to
   // (scenario count) x (group count); both stay zero outside sweeps and in

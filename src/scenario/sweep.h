@@ -9,7 +9,7 @@
 // alone), so a group outside a pack's footprint produces a bitwise-
 // identical ingest artifact under the perturbed world. That is the fact
 // the incremental sweep engine (analysis/sweep.h) is built on: re-ingest
-// only affected_groups(), splice the baseline artifact for everyone else,
+// only affected_groups(), reuse the baseline's results for everyone else,
 // and the result is byte-identical to an independent full run.
 //
 // The footprint is computed against the *baseline* world. This is exact,

@@ -13,8 +13,10 @@
 //      any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -911,6 +913,242 @@ TEST(ScenarioSweep, SweepVerdictsMatchIndependentRunsAtAnyThreadCount) {
     EXPECT_EQ(
         outcome.scenarios.back().result.faults.scenario_groups_recomputed, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One-pass sweep schedule: every scenario's affected groups run in one pool
+// pass with the baseline, heaviest first, and each result must still be
+// filed under its own (scenario, affected index).
+// ---------------------------------------------------------------------------
+
+// Packs whose footprints overlap, each covering at least two groups of
+// small_world, with the first pack listed twice. A schedule that filed a
+// partial by task order instead of by affected index would swap groups
+// between scenarios or within a multi-group pack.
+std::vector<ScenarioPack> overlapping_packs(const World& world) {
+  std::vector<ScenarioPack> packs;
+  packs.push_back(seeded_pack(world, 9));
+  packs.push_back(seeded_pack(world, 12));
+  // A drain of the first PoP that serves two groups, plus a flash crowd in
+  // the second group's country: the heaviest task of the pass.
+  const std::size_t n = world.groups.size();
+  for (std::size_t a = 0; a < n && packs.size() < 3; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (world.groups[b].key.pop != world.groups[a].key.pop) continue;
+      ScenarioPack drain_flash;
+      drain_flash.seed = 13;
+      DrainDelta drain;
+      drain.pop = pop_name(world, world.groups[a].key.pop);
+      drain.start_window = 8;
+      drain.end_window = 40;
+      drain.reroute_rtt_min = 0.020;
+      drain.reroute_rtt_max = 0.045;
+      drain.reroute_loss = 0.002;
+      drain_flash.drains.push_back(drain);
+      FlashCrowdDelta flash;
+      flash.country = world.groups[b].key.country.value;
+      flash.multiplier = 6.0;
+      flash.jitter = 0.1;
+      drain_flash.flash_crowds.push_back(flash);
+      packs.push_back(drain_flash);
+      break;
+    }
+  }
+  packs.push_back(packs.front());
+  return packs;
+}
+
+std::uint64_t verdict(const EdgeAnalysisResult& r) {
+  return whatif_report(r).verdict_hash;
+}
+
+// Baseline verdict followed by one independent run_edge_analysis verdict
+// per pack: the reference every sweep must reproduce.
+std::vector<std::uint64_t> independent_verdicts(
+    const World& world, const DatasetConfig& dc,
+    const std::vector<ScenarioPack>& packs) {
+  std::vector<std::uint64_t> want{
+      verdict(run_edge_analysis(world, dc, {}, {}, {}, threads(1)))};
+  for (const ScenarioPack& pack : packs) {
+    want.push_back(verdict(run_edge_analysis(world, dc, {}, {}, {}, threads(1),
+                                             nullptr, {}, {}, pack)));
+  }
+  return want;
+}
+
+std::vector<std::uint64_t> sweep_verdicts(const SweepOutcome& outcome) {
+  std::vector<std::uint64_t> got{verdict(outcome.baseline)};
+  for (const SweepScenarioResult& scen : outcome.scenarios) {
+    got.push_back(verdict(scen.result));
+  }
+  return got;
+}
+
+TEST(ScenarioSweep, OnePassFilesOverlappingPacksByScenarioAtAnyThreadCount) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const std::size_t n = world.groups.size();
+  const std::vector<ScenarioPack> packs = overlapping_packs(world);
+
+  std::vector<std::vector<std::size_t>> affected;
+  std::size_t affected_total = 0;
+  for (const ScenarioPack& pack : packs) {
+    affected.push_back(affected_groups(world, pack));
+    ASSERT_GE(affected.back().size(), 2u) << "every pack covers >= 2 groups";
+    affected_total += affected.back().size();
+  }
+  for (std::size_t k = 0; k < packs.size(); ++k) {
+    bool overlaps = false;
+    for (std::size_t j = 0; j < packs.size(); ++j) {
+      if (j == k) continue;
+      for (const std::size_t g : affected[k]) {
+        overlaps = overlaps || std::find(affected[j].begin(), affected[j].end(),
+                                         g) != affected[j].end();
+      }
+    }
+    EXPECT_TRUE(overlaps) << "pack " << k << " overlaps no other pack";
+  }
+
+  const std::vector<std::uint64_t> want =
+      independent_verdicts(world, dc, packs);
+  for (const int t : {1, 2, 3, 4}) {
+    RunStats stats;
+    const SweepOutcome outcome =
+        run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(t), &stats);
+    EXPECT_EQ(sweep_verdicts(outcome), want) << t << " threads";
+    ASSERT_EQ(outcome.scenarios.size(), packs.size());
+    for (std::size_t k = 0; k < packs.size(); ++k) {
+      EXPECT_EQ(outcome.scenarios[k].affected, affected[k]) << k;
+    }
+    // One pool pass: the baseline groups plus every affected pair.
+    EXPECT_EQ(stats.tasks, n + affected_total) << t << " threads";
+  }
+}
+
+TEST(ScenarioSweep, FleetHookIsCalledOncePerNonEmptyScenario) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  std::vector<ScenarioPack> packs = overlapping_packs(world);
+  packs.insert(packs.begin() + 1, ScenarioPack{});  // affects nothing
+
+  // A fake fleet: it serves the blob of every even affected position and
+  // leaves the odd ones empty (cold ingest in the pass).
+  struct Call {
+    std::size_t scenario;
+    std::vector<std::size_t> affected;
+  };
+  std::vector<Call> calls;
+  const SweepAffectedBlobFn hook =
+      [&](std::size_t k, const ScenarioPack& pack, const World& perturbed,
+          const std::vector<std::size_t>& groups,
+          std::vector<std::string>& blobs) {
+        calls.push_back({k, groups});
+        EXPECT_EQ(serialize_scenario(pack), serialize_scenario(packs[k]));
+        blobs.assign(groups.size(), std::string());
+        std::vector<std::size_t> even;
+        for (std::size_t i = 0; i < groups.size(); i += 2) {
+          even.push_back(groups[i]);
+        }
+        std::size_t at = 0;
+        ingest_groups_to_blobs(perturbed, dc, {}, even, threads(1),
+                               [&](std::size_t, std::string&& blob) {
+                                 blobs[2 * at++] = std::move(blob);
+                               });
+        return true;
+      };
+
+  const std::vector<std::uint64_t> want =
+      independent_verdicts(world, dc, packs);
+  const SweepOutcome outcome = run_scenario_sweep(
+      world, dc, {}, {}, {}, packs, threads(3), nullptr, {}, {}, hook);
+  EXPECT_EQ(sweep_verdicts(outcome), want);
+
+  std::vector<std::size_t> non_empty;
+  for (std::size_t k = 0; k < packs.size(); ++k) {
+    if (!affected_groups(world, packs[k]).empty()) non_empty.push_back(k);
+  }
+  ASSERT_EQ(calls.size(), non_empty.size());
+  for (std::size_t c = 0; c < calls.size(); ++c) {
+    EXPECT_EQ(calls[c].scenario, non_empty[c]);
+    EXPECT_EQ(calls[c].affected,
+              affected_groups(world, packs[calls[c].scenario]));
+    EXPECT_TRUE(std::adjacent_find(calls[c].affected.begin(),
+                                   calls[c].affected.end(),
+                                   std::greater_equal<>()) ==
+                calls[c].affected.end())
+        << "affected list not strictly ascending";
+  }
+}
+
+std::string fresh_cache_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "fbedge-scenario-" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// XORs one byte of a file in place (same inode, so an open reader sees it).
+void flip_byte(const std::string& path, std::size_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekg(static_cast<std::streamoff>(offset));
+  char c = 0;
+  f.get(c);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.put(static_cast<char>(c ^ 0x5a));
+  ASSERT_TRUE(f.good());
+}
+
+TEST(ScenarioSweep, WarmBaselineIsReadBlobByBlobFromTheArtifact) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const std::size_t n = world.groups.size();
+  const std::vector<ScenarioPack> packs = overlapping_packs(world);
+  const std::vector<std::uint64_t> cold = sweep_verdicts(
+      run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(2)));
+
+  const IngestCacheOptions cache{fresh_cache_dir("sweep-warm")};
+  run_edge_analysis(world, dc, {}, {}, {}, threads(2), nullptr, {}, cache);
+
+  RunStats warm_stats;
+  const SweepOutcome warm = run_scenario_sweep(
+      world, dc, {}, {}, {}, packs, threads(2), &warm_stats, {}, cache);
+  EXPECT_EQ(sweep_verdicts(warm), cold);
+  EXPECT_EQ(warm_stats.cache_hits, n);
+  EXPECT_EQ(warm_stats.cache_misses, 0u);
+  EXPECT_EQ(warm_stats.cache_write_failures, 0u);
+
+  // open() re-hashes every blob, so a byte flipped before the sweep would
+  // make the whole artifact a miss. The fleet hook runs between open() and
+  // the pass: flip one byte of blob 1 there, and only group 1 cold-ingests.
+  const std::uint64_t key = ingest_cache_key(world, dc, {});
+  const std::string path = ingest_artifact_path(cache.dir, key);
+  std::size_t blob1_offset = 28;  // header: magic, epoch, key, count
+  std::size_t blob1_size = 0;
+  {
+    IngestArtifactReader reader;
+    ASSERT_TRUE(reader.open(path, key, n));
+    std::string blob;
+    ASSERT_TRUE(reader.read(0, blob));
+    blob1_offset += blob.size();
+    ASSERT_TRUE(reader.read(1, blob));
+    blob1_size = blob.size();
+  }
+  bool flipped = false;
+  const SweepAffectedBlobFn flip_once =
+      [&](std::size_t, const ScenarioPack&, const World&,
+          const std::vector<std::size_t>&, std::vector<std::string>&) {
+        if (!flipped) flip_byte(path, blob1_offset + blob1_size / 2);
+        flipped = true;
+        return false;
+      };
+  RunStats flipped_stats;
+  const SweepOutcome degraded =
+      run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(2),
+                         &flipped_stats, {}, cache, flip_once);
+  ASSERT_TRUE(flipped);
+  EXPECT_EQ(sweep_verdicts(degraded), cold);
+  EXPECT_EQ(flipped_stats.cache_hits, n - 1);
+  EXPECT_EQ(flipped_stats.cache_misses, 1u);
 }
 
 }  // namespace

@@ -639,10 +639,12 @@ TEST_F(IngestCacheEndToEnd, ReaderReduceMatchesBlobFnReduce) {
   const DatasetConfig dc = dataset();
   const std::size_t n = w.groups.size();
   std::vector<std::string> blobs(n);
-  ingest_range_to_blobs(w, dc, {}, ShardRange{0, n}, RuntimeOptions::sequential(),
-                        [&](std::size_t g, std::string&& blob) {
-                          blobs[g] = std::move(blob);
-                        });
+  std::vector<std::size_t> groups(n);
+  for (std::size_t g = 0; g < n; ++g) groups[g] = g;
+  ingest_groups_to_blobs(w, dc, {}, groups, RuntimeOptions::sequential(),
+                         [&](std::size_t g, std::string&& blob) {
+                           blobs[g] = std::move(blob);
+                         });
   const std::uint64_t key = 47;
   const std::string path = ingest_artifact_path(artifact_dir("reader-reduce"), key);
   std::remove(path.c_str());

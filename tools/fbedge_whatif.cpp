@@ -16,8 +16,9 @@
 // artifact keys hash the perturbed world contents, so they never collide.
 //
 // --sweep DIR loads every *.conf in DIR (sorted by name) and runs them as
-// one incremental sweep (analysis/sweep.h): baseline ingested once, each
-// scenario re-ingests only its affected groups and splices the rest. The
+// one incremental sweep (analysis/sweep.h): one pool pass analyzes every
+// baseline group plus each scenario's affected groups, and each scenario
+// reuses the baseline's results for the groups it does not touch. The
 // metric blocks are byte-identical to running the same files via
 // --scenario one at a time; each scenario block adds a "sweep:
 // reused/recomputed" line (pure functions of world x pack, so still
@@ -25,9 +26,14 @@
 // scenario's affected ingest across N worker processes through the distrib
 // sweep fleet (requires --cache-dir; workers are this binary re-invoked in
 // the hidden --sweep-worker mode).
+//
+// Numbers are checked whole: groups and --days must be integers >= 1,
+// --threads, --workers and --attempt integers >= 0; anything else exits 2
+// with the usage line.
 #include <dirent.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,13 +52,24 @@ using namespace fbedge;
 
 namespace {
 
-void usage(const char* argv0) {
+[[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [groups] [--days N] [--threads N] [--json PATH] "
                "[--cache-dir DIR] [--scenario FILE]... "
                "[--sweep DIR] [--workers N]\n",
                argv0);
   std::exit(2);
+}
+
+/// The whole of `text` as a decimal int no smaller than `min`; anything
+/// else (empty, a sign or space in front, trailing characters, out of
+/// range) is a usage error.
+int parse_int(const std::string& text, int min, const char* argv0) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min) usage(argv0);
+  return value;
 }
 
 /// Every *.conf in `dir`, sorted by name so the scenario order — and
@@ -143,9 +160,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      rc.runtime.threads = std::atoi(argv[++i]);
+      rc.runtime.threads = parse_int(argv[++i], 0, argv[0]);
     } else if (arg == "--days" && i + 1 < argc) {
-      rc.world.days = std::atoi(argv[++i]);
+      rc.world.days = parse_int(argv[++i], 1, argv[0]);
       rc.dataset.days = rc.world.days;
     } else if (arg == "--json" && i + 1 < argc) {
       rc.json_path = argv[++i];
@@ -156,16 +173,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--sweep" && i + 1 < argc) {
       sweep_dir = argv[++i];
     } else if (arg == "--workers" && i + 1 < argc) {
-      sweep_workers = std::atoi(argv[++i]);
+      sweep_workers = parse_int(argv[++i], 0, argv[0]);
     } else if (arg == "--sweep-worker" && i + 1 < argc) {
       // Hidden worker mode: "--sweep-worker S/N" = shard S of N.
       if (std::sscanf(argv[++i], "%d/%d", &worker_shard, &worker_count) != 2) {
         usage(argv[0]);
       }
     } else if (arg == "--attempt" && i + 1 < argc) {
-      worker_attempt = std::atoi(argv[++i]);
+      worker_attempt = parse_int(argv[++i], 0, argv[0]);
     } else if (!arg.empty() && arg[0] != '-') {
-      rc.world.groups_per_continent = std::atoi(arg.c_str());
+      rc.world.groups_per_continent = parse_int(arg, 1, argv[0]);
     } else {
       usage(argv[0]);
     }
@@ -205,7 +222,7 @@ int main(int argc, char** argv) {
                             rc.runtime);
   }
 
-  // ---- sweep mode: incremental splice-reduce over every pack -------------
+  // ---- sweep mode: one pass over the baseline and every pack's footprint --
   if (!sweep_dir.empty()) {
     SweepOutcome outcome;
     if (sweep_workers > 0) {
