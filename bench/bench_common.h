@@ -160,6 +160,7 @@ inline void add_runtime_json(JsonOutput& json, const RunStats& stats) {
   json.add("runtime_steals", static_cast<double>(stats.steals));
   json.add("runtime_cache_hits", static_cast<double>(stats.cache_hits));
   json.add("runtime_cache_misses", static_cast<double>(stats.cache_misses));
+  json.add("runtime_cache_read_bytes", static_cast<double>(stats.cache_read_bytes));
   json.add("runtime_cache_write_failures",
            static_cast<double>(stats.cache_write_failures));
 }

@@ -196,11 +196,11 @@ int main(int argc, char** argv) {
     g_sink = static_cast<double>(loaded_series.windows.size());
   });
 
-  // ---- artifact reduce path (warm run_edge_analysis, shard coordinator) ---
+  // ---- artifact reduce path (warm run_edge_analysis) ----------------------
   // The two per-group constants of a warm reduce: opening a 64-group
-  // artifact (header, index, every blob's checksum) plus read(i) of every
-  // blob (pread + checksum again), amortized over its groups; and analyzing
-  // one group straight from its serialized blob then folding the partial
+  // artifact's index (header, index, footer) plus read(i) of every blob
+  // (pread + checksum), amortized over its groups; and analyzing one group
+  // straight from its serialized blob then folding the partial
   // (EdgeReducer's whole per-group cost).
   char artifact_path[128];
   std::snprintf(artifact_path, sizeof(artifact_path),
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   std::string micro_blob;
   const double artifact_load_ns =
       time_per_op(20, [&](int) {
-        micro_reader.open(artifact_path, 1234, artifact_groups);
+        micro_reader.open_index(artifact_path, 1234, artifact_groups);
         double bytes = 0;
         for (std::size_t g = 0; g < artifact_groups; ++g) {
           micro_reader.read(g, micro_blob);

@@ -913,7 +913,7 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
     cache_key = ingest_cache_key(world, config, goodput);
     artifact_path = ingest_artifact_path(cache.dir, cache_key);
     const auto t0 = std::chrono::steady_clock::now();
-    warm = artifact.open(artifact_path, cache_key, group_count);
+    warm = artifact.open_index(artifact_path, cache_key, group_count);
     if (stats) stats->cache_load_seconds += seconds_since(t0);
   }
 
@@ -921,35 +921,40 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
     // One EdgeReducer pass over [0, n): per-worker EdgeScratch arenas
     // persist across every group a worker processes, and partials fold in
     // group-id order — the result does not depend on the thread count.
-    //
-    // Cache plumbing rides the same schedule: on a warm run each pool task
-    // reads and checks its group's blob from the validated artifact instead
-    // of ingesting (falling back to cold ingest if the read fails or the
-    // blob is structurally invalid); a reader that never opened serves no
-    // blobs. On a cold cache-enabled run each group additionally
-    // serializes its series into `blobs[g]` (each slot written by exactly
-    // one task). Neither introduces any cross-thread order dependence —
+    const ShardRange all{0, group_count};
+    if (warm) {
+      // Each pool task reads and checks its group's blob, so every blob is
+      // read once, where it is used. The artifact is served whole or not
+      // at all: if any blob failed its checksum or load_group_series (that
+      // group cold-ingested in the pass), the run is redone cold below and
+      // the artifact rewritten.
+      EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
+      reducer.reduce_range(all, artifact, runtime, stats);
+      if (stats) stats->cache_read_bytes += artifact.bytes_read();
+      if (reducer.blob_groups() == group_count) {
+        if (stats) stats->cache_hits += group_count;
+        return reducer.finish();
+      }
+    }
+    // Cold: on a cache-enabled run each group additionally serializes its
+    // series into `blobs[g]` (each slot written by exactly one task), so
     // warm, cold, and uncached runs stay byte-identical.
     EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
     std::vector<std::string> blobs;
     EdgeReducer::SaveFn save_fn;
-    if (use_cache && !warm) {
+    if (use_cache) {
       blobs.resize(group_count);
       save_fn = [&blobs](std::size_t g, std::string&& blob) {
         blobs[g] = std::move(blob);
       };
     }
-    reducer.reduce_range(ShardRange{0, group_count}, artifact, runtime, stats,
-                         save_fn ? &save_fn : nullptr);
-    if (use_cache && stats) {
-      const std::uint64_t hits = reducer.blob_groups();
-      stats->cache_hits += hits;
-      stats->cache_misses += static_cast<std::uint64_t>(group_count) - hits;
-    }
-    if (use_cache && !warm) {
+    reducer.reduce_range(all, EdgeReducer::BlobFn{}, runtime, stats,
+                         use_cache ? &save_fn : nullptr);
+    if (use_cache) {
       const auto t0 = std::chrono::steady_clock::now();
       const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
       if (stats) {
+        stats->cache_misses += group_count;
         stats->cache_save_seconds += seconds_since(t0);
         if (!written) ++stats->cache_write_failures;
       }

@@ -138,7 +138,9 @@ struct EdgeAnalysisResult {
 /// `cache` (analysis/ingest_cache.h) persists the per-group ingest product
 /// so later runs with the same (world, config, goodput) skip session
 /// generation entirely. Warm runs are byte-identical to cold runs at any
-/// thread count; any unusable artifact silently falls back to cold ingest.
+/// thread count. An artifact is served whole or not at all: any unusable
+/// artifact, or one blob that fails its checksum or its load during the
+/// warm pass, silently falls back to a cold run that rewrites it.
 /// Runs with any fault injected bypass the cache completely (no read, no
 /// write) — faulted series must never poison or be served from the cache.
 ///

@@ -88,9 +88,8 @@ class EdgeReducer {
   /// each pool task, group `range.begin + i` reads blob i of `reader` into
   /// the worker's own buffer, so no more than one blob per worker is ever
   /// resident. A reader that is not open serves no blobs, and a blob whose
-  /// read fails (changed on disk since open()) cold-ingests that group —
-  /// output identical either way. An open reader must hold exactly
-  /// range.size() blobs.
+  /// read fails its checksum cold-ingests that group — output identical
+  /// either way. An open reader must hold exactly range.size() blobs.
   void reduce_range(const ShardRange& range, const IngestArtifactReader& reader,
                     const RuntimeOptions& runtime, RunStats* stats = nullptr,
                     const SaveFn* save = nullptr);

@@ -135,7 +135,7 @@ bool read_ingest_artifact(const std::string& path, std::uint64_t key,
   artifact.bytes.clear();
   artifact.blobs.clear();
   IngestArtifactReader reader;
-  if (!reader.open(path, key, expected_groups)) return false;
+  if (!reader.open_index(path, key, expected_groups)) return false;
   artifact.blobs.reserve(reader.groups());
   std::string blob;
   for (std::size_t g = 0; g < reader.groups(); ++g) {
@@ -158,9 +158,11 @@ void IngestArtifactReader::close() {
   index_.clear();
 }
 
-bool IngestArtifactReader::open(const std::string& path, std::uint64_t key,
-                                std::size_t expected_groups) {
+bool IngestArtifactReader::open_index(const std::string& path,
+                                      std::uint64_t key,
+                                      std::size_t expected_groups) {
   close();
+  bytes_read_.store(0);
   fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd_ < 0) return false;
   const auto fail = [this] {
@@ -221,12 +223,20 @@ bool IngestArtifactReader::open(const std::string& path, std::uint64_t key,
     unclaimed -= length;
   }
   if (unclaimed != 0) return fail();
+  return true;
+}
 
+bool IngestArtifactReader::open(const std::string& path, std::uint64_t key,
+                                std::size_t expected_groups) {
+  if (!open_index(path, key, expected_groups)) return false;
   // Verify pass: every blob against its checksum, in file order, through
   // one reused buffer.
   std::string blob;
   for (std::size_t i = 0; i < index_.size(); ++i) {
-    if (!read(i, blob)) return fail();
+    if (!read(i, blob)) {
+      close();
+      return false;
+    }
   }
   return true;
 }
@@ -240,8 +250,9 @@ bool IngestArtifactReader::read(std::size_t i, std::string& blob) const {
   // resize() without a prior clear() only writes bytes beyond the old
   // size, so a reused buffer is not re-zeroed before every pread.
   blob.resize(static_cast<std::size_t>(e.length));
-  if (!pread_full(fd_, blob.data(), e.length, e.offset) ||
-      xxh64(blob.data(), blob.size()) != e.checksum) {
+  const bool got = pread_full(fd_, blob.data(), e.length, e.offset);
+  if (got) bytes_read_ += e.length;
+  if (!got || xxh64(blob.data(), blob.size()) != e.checksum) {
     blob.clear();
     return false;
   }

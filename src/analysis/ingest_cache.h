@@ -14,10 +14,12 @@
 // Failure policy: the cache can only ever make a run faster, never wrong
 // and never dead. A missing, truncated, checksum-failing, wrong-epoch, or
 // wrong-key artifact reads as a miss and the run falls back to cold
-// ingest; a failed write is counted (RunStats::cache_write_failures) and
-// otherwise ignored.
+// ingest (run_edge_analysis decides after its pass: one bad blob makes the
+// whole artifact a miss); a failed write is counted
+// (RunStats::cache_write_failures) and otherwise ignored.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -65,10 +67,11 @@ struct IngestArtifact {
 inline constexpr std::size_t kAnyGroupCount = static_cast<std::size_t>(-1);
 
 /// Loads every blob of the artifact at `path` into memory: an
-/// IngestArtifactReader open() followed by read() of each blob, so the
-/// validation is exactly the reader's. Returns false — leaving `artifact`
-/// empty — on any failure. For callers that need all blobs resident at
-/// once (tools/fbedge_analyze).
+/// IngestArtifactReader open_index() followed by read() of each blob, so
+/// each blob is read and checked exactly once and the validation is
+/// exactly open()'s. Returns false — leaving `artifact` empty — on any
+/// failure. For callers that need all blobs resident at once
+/// (tools/fbedge_analyze).
 bool read_ingest_artifact(const std::string& path, std::uint64_t key,
                           std::size_t expected_groups, IngestArtifact& artifact);
 
@@ -87,19 +90,26 @@ bool write_ingest_artifact(const std::string& path, std::uint64_t key,
 ///   index   N x (u64 blob length, u64 XXH64 of the blob)
 ///   footer  u64 XXH64 of the header and index bytes
 ///
-/// open() checks the header, the footer and the index — every length is
-/// bounds-checked before it is summed, and the blobs must tile the space
-/// between header and index exactly — then re-hashes every blob in one
-/// sequential pass through a reused buffer. Anything missing, truncated,
-/// wrong-epoch, wrong-key or with a flipped byte therefore fails open(),
-/// and the caller treats the whole artifact as a miss. Memory stays at the
-/// index plus the largest blob, whatever the artifact's size.
+/// open_index() checks the header, the footer and the index — every length
+/// is bounds-checked before it is summed, and the blobs must tile the space
+/// between header and index exactly, so the file size is exact — without
+/// reading a blob byte. open() is open_index() plus one sequential pass
+/// that reads and checks every blob through a reused buffer, so anything
+/// missing, truncated, wrong-epoch, wrong-key or with a flipped byte fails
+/// it. Memory stays at the index plus the largest blob, whatever the
+/// artifact's size.
 ///
-/// After a successful open(), read(i) may be called from any number of
-/// threads at once, in any order: it preads blob i (no mmap, so a file
-/// truncated underneath fails the read instead of raising SIGBUS) and
-/// checks its XXH64 again, so a byte changed on disk after open() fails
-/// exactly that read and is never served.
+/// Access paths: the warm run_edge_analysis and read_ingest_artifact use
+/// open_index() and check each blob where they read it, so every blob is
+/// read and hashed once. Callers that must vouch for the whole artifact
+/// before any blob is used — the shard workers' idempotence probes, the
+/// scenario sweep's baseline and the shard coordinator — use open().
+///
+/// After either open, read(i) may be called from any number of threads at
+/// once, in any order: it preads blob i (no mmap, so a file truncated
+/// underneath fails the read instead of raising SIGBUS) and checks its
+/// XXH64, so a blob whose bytes differ from the index fails exactly that
+/// read and is never served.
 class IngestArtifactReader {
  public:
   IngestArtifactReader() = default;
@@ -108,7 +118,12 @@ class IngestArtifactReader {
   IngestArtifactReader(const IngestArtifactReader&) = delete;
   IngestArtifactReader& operator=(const IngestArtifactReader&) = delete;
 
-  /// Validates the artifact at `path` (kAnyGroupCount accepts any count).
+  /// Validates the header, index and footer of the artifact at `path`
+  /// (kAnyGroupCount accepts any count) without reading any blob.
+  bool open_index(const std::string& path, std::uint64_t key,
+                  std::size_t expected_groups);
+
+  /// open_index(), then read() of every blob: false if any blob fails.
   bool open(const std::string& path, std::uint64_t key,
             std::size_t expected_groups);
 
@@ -117,8 +132,12 @@ class IngestArtifactReader {
 
   /// Copies blob `i` (group-id order) into `blob`, reusing its capacity.
   /// Returns false, leaving `blob` empty, when the reader is not open,
-  /// `i` is out of range, or the bytes on disk no longer match the index.
+  /// `i` is out of range, or the bytes on disk do not match the index.
   bool read(std::size_t i, std::string& blob) const;
+
+  /// Blob bytes read() has read and hashed since the last open — open()'s
+  /// own pass included, and a blob that failed its checksum too.
+  std::uint64_t bytes_read() const { return bytes_read_.load(); }
 
   void close();
 
@@ -131,6 +150,7 @@ class IngestArtifactReader {
 
   int fd_{-1};
   std::vector<Entry> index_;
+  mutable std::atomic<std::uint64_t> bytes_read_{0};
 };
 
 /// Streaming writer for the same artifact format: blobs are appended one at

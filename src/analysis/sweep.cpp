@@ -95,6 +95,7 @@ SweepOutcome run_scenario_sweep(
       reduce_sweep_pass(world, worlds, config, thresholds, comparison, goodput,
                         artifact, runtime, stats, save_fn ? &save_fn : nullptr);
   if (cache.enabled() && stats) {
+    stats->cache_read_bytes += artifact.bytes_read();
     stats->cache_hits += pass.baseline_blob_groups;
     stats->cache_misses +=
         static_cast<std::uint64_t>(n) - pass.baseline_blob_groups;

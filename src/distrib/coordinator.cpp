@@ -199,6 +199,7 @@ EdgeAnalysisResult run_scale_analysis(const World& world,
     }
     if (stats) stats->cache_load_seconds += seconds_since(open_start);
     reducer.reduce_range(range, reader, options.reduce_runtime, stats);
+    if (stats) stats->cache_read_bytes += reader.bytes_read();
   }
 
   if (stats) {

@@ -181,7 +181,10 @@ SweepOutcome run_sweep_analysis(const World& world, const DatasetConfig& config,
               reader.read(i - slice.begin, blobs[i]);
             }
           }
-          if (stats) stats->cache_load_seconds += seconds_since(load_start);
+          if (stats) {
+            stats->cache_load_seconds += seconds_since(load_start);
+            stats->cache_read_bytes += reader.bytes_read();
+          }
         }
 
         if (stats) {

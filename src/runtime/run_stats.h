@@ -141,9 +141,14 @@ struct RunStats {
   /// Both stay zero when no cache directory is configured.
   std::uint64_t cache_hits{0};
   std::uint64_t cache_misses{0};
-  /// Wall time spent opening (validating) and writing cache artifacts.
-  /// Blob reads happen inside the reduce's pool tasks, so their time is
-  /// part of wall_seconds, not cache_load_seconds.
+  /// Artifact blob bytes read and checked against their checksums
+  /// (IngestArtifactReader::read(), an eager open() pass included). A warm
+  /// run_edge_analysis reads each blob once: the artifact's blob bytes.
+  std::uint64_t cache_read_bytes{0};
+  /// Wall time spent opening and writing cache artifacts. Blob reads
+  /// happen inside the reduce's pool tasks, so their time is part of
+  /// wall_seconds, not cache_load_seconds; on the warm run_edge_analysis
+  /// path the open reads only the index.
   double cache_load_seconds{0};
   double cache_save_seconds{0};
   /// Artifact writes that failed (unwritable or unreachable cache dir):
@@ -192,6 +197,7 @@ struct RunStats {
     }
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
+    cache_read_bytes += other.cache_read_bytes;
     cache_load_seconds += other.cache_load_seconds;
     cache_save_seconds += other.cache_save_seconds;
     cache_write_failures += other.cache_write_failures;
@@ -234,10 +240,11 @@ struct RunStats {
     }
     if (cache_hits > 0 || cache_misses > 0 || cache_write_failures > 0) {
       std::fprintf(out,
-                   "[runtime]   cache: hits=%llu misses=%llu load=%.3fs save=%.3fs "
-                   "write_failures=%llu\n",
+                   "[runtime]   cache: hits=%llu misses=%llu read_bytes=%llu "
+                   "load=%.3fs save=%.3fs write_failures=%llu\n",
                    static_cast<unsigned long long>(cache_hits),
                    static_cast<unsigned long long>(cache_misses),
+                   static_cast<unsigned long long>(cache_read_bytes),
                    cache_load_seconds, cache_save_seconds,
                    static_cast<unsigned long long>(cache_write_failures));
     }

@@ -1,8 +1,11 @@
 #include "stats/tdigest.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <type_traits>
 
 #include "util/expect.h"
 #include "util/simd.h"
@@ -185,14 +188,16 @@ bool TDigest::load(ByteReader& r) {
   }
   compression_ = compression;
   buffer_limit_ = static_cast<std::size_t>(compression * 4);
-  centroids_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Centroid c;
-    c.mean = r.f64();
-    c.weight = r.f64();
-    centroids_.push_back(c);
-  }
-  if (!r.ok()) {
+  // The centroid array in one bounds-checked copy: on the wire each
+  // centroid is its mean then its weight as little-endian f64s, which is
+  // Centroid's own layout on the little-endian hosts the format targets.
+  static_assert(std::endian::native == std::endian::little &&
+                    sizeof(Centroid) == 16 && offsetof(Centroid, mean) == 0 &&
+                    offsetof(Centroid, weight) == 8 &&
+                    std::is_trivially_copyable_v<Centroid>,
+                "load() copies wire centroids straight into centroids_");
+  centroids_.resize(static_cast<std::size_t>(n));
+  if (!r.bytes(centroids_.data(), centroids_.size() * sizeof(Centroid))) {
     reset();
     return false;
   }

@@ -192,6 +192,19 @@ class ByteReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
 
+  /// Copies the next `n` bytes verbatim into `dst` — the bulk decode of
+  /// an array whose in-memory layout is its little-endian wire layout
+  /// (callers static_assert that): one bounds check and one memcpy where
+  /// the per-field getters take one per field. Returns false, latching
+  /// failure like every getter, when fewer than `n` bytes remain; `dst` is
+  /// then left untouched.
+  bool bytes(void* dst, std::size_t n) {
+    if (!ensure(n)) return false;
+    if (n > 0) std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   /// Advances past `n` bytes (latching failure if fewer remain).
   void skip(std::size_t n) {
     if (ensure(n)) pos_ += n;

@@ -1,10 +1,11 @@
 // Serialization coverage for the ingest-artifact cache: bitwise round-trip
-// properties for the binio primitives, TDigest, and GroupSeries; the XXH64
-// artifact checksum; rejection of truncated / corrupted / wrong-epoch
-// artifacts (always a clean miss, never a crash); concurrent and
-// post-open-corrupted IngestArtifactReader reads; and end-to-end warm ==
-// cold equivalence through run_edge_analysis, including the corruption
-// fallback path and failed artifact writes.
+// properties for the binio primitives, TDigest (its bulk centroid decode at
+// every byte alignment), and GroupSeries; the XXH64 artifact checksum;
+// rejection of truncated / corrupted / wrong-epoch artifacts by both opens
+// (always a clean miss, never a crash); concurrent, post-open-corrupted and
+// index-only IngestArtifactReader reads; and end-to-end warm == cold
+// equivalence through run_edge_analysis, including each blob read once,
+// the whole-or-nothing corruption fallback and failed artifact writes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,10 +13,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "agg/series_io.h"
@@ -61,6 +65,30 @@ TEST(BinIo, ReaderLatchesOnOverrunAndReturnsZeros) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.u32(), 0u);  // latched: everything after reads zero
   EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(BinIo, BulkBytesLatchOnOverrunAndLeaveTheTargetUntouched) {
+  const char src[] = {'a', 'b', 'c', 'd', 'e'};
+  ByteReader r(src, sizeof(src));
+  char got[4] = {'x', 'x', 'x', 'x'};
+  ASSERT_TRUE(r.bytes(got, 3));
+  EXPECT_EQ(std::string(got, 4), "abcx");
+  EXPECT_EQ(r.remaining(), 2u);
+  EXPECT_TRUE(r.bytes(got, 0));
+  EXPECT_FALSE(r.bytes(got, 3));  // overrun: two bytes left
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(std::string(got, 4), "abcx");
+  EXPECT_EQ(r.u8(), 0u);  // latched, like u64()
+  EXPECT_FALSE(r.bytes(got, 0));
+  EXPECT_EQ(r.remaining(), 0u);
+
+  // An exact fit succeeds and leaves nothing.
+  ByteReader exact(src, sizeof(src));
+  char all[5];
+  ASSERT_TRUE(exact.bytes(all, sizeof(all)));
+  EXPECT_EQ(std::string(all, 5), "abcde");
+  EXPECT_TRUE(exact.ok());
+  EXPECT_EQ(exact.remaining(), 0u);
 }
 
 TEST(BinIo, FastAppendsMatchPerByteEncoding) {
@@ -174,6 +202,95 @@ TEST(TDigestIo, GarbageInputFailsCleanly) {
     TDigest target;
     ByteReader r(junk.data(), junk.size());
     target.load(r);  // must not crash; success is allowed only if ok()
+  }
+}
+
+/// A saved digest of real data whose first centroids are overwritten with
+/// IEEE-754 edge patterns: load() must carry every bit of the centroid
+/// array, whatever the values mean.
+std::string digest_bytes_with_edge_centroids() {
+  TDigest d;
+  Rng rng(31);
+  for (int i = 0; i < 3000; ++i) d.add(rng.lognormal(0, 1.0), rng.uniform(0.5, 2));
+  std::string bytes = digest_bytes(d);
+  const std::uint64_t patterns[] = {
+      0x7ff8000000000000ULL,  // quiet NaN
+      0x7ff4deadbeef1234ULL,  // signaling NaN with payload bits
+      0xfff8000000000abcULL,  // negative NaN with payload bits
+      0x7ff0000000000000ULL,  // +inf
+      0xfff0000000000000ULL,  // -inf
+      0x0000000000000000ULL,  // +0.0
+      0x8000000000000000ULL,  // -0.0
+      0x0000000000000001ULL,  // smallest subnormal
+      0x800fffffffffffffULL,  // largest negative subnormal
+      0x000ffffffffffff0ULL,  // subnormal
+  };
+  constexpr std::size_t kHeader = 6 * 8;
+  const std::size_t fields = (bytes.size() - kHeader) / 8;
+  EXPECT_GE(fields, 2 * std::size(patterns));
+  // Means (even fields) and weights (odd fields) both get every pattern.
+  for (std::size_t i = 0; i < std::size(patterns); ++i) {
+    for (const std::size_t field : {2 * i, 2 * (std::size(patterns) - 1 - i) + 1}) {
+      for (int b = 0; b < 8; ++b) {
+        bytes[kHeader + 8 * field + static_cast<std::size_t>(b)] =
+            static_cast<char>(patterns[i] >> (8 * b));
+      }
+    }
+  }
+  return bytes;
+}
+
+TEST(TDigestIo, BulkDecodeIsBitwiseAtEveryByteAlignment) {
+  const std::string bytes = digest_bytes_with_edge_centroids();
+  // Backing store of 8-byte words, so offset 0 is 8-aligned and offsets
+  // 1..7 cover every misalignment of the centroid array.
+  std::vector<std::uint64_t> words(bytes.size() / 8 + 2);
+  char* base = reinterpret_cast<char*>(words.data());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::memcpy(base + offset, bytes.data(), bytes.size());
+    TDigest loaded(50.0);
+    ByteReader r(base + offset, bytes.size());
+    ASSERT_TRUE(loaded.load(r)) << "offset " << offset;
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(digest_bytes(loaded), bytes) << "offset " << offset;
+    // The centroid fields themselves, bit for bit, as read from the wire.
+    const auto& cs = loaded.centroids();
+    ASSERT_EQ(cs.size(), (bytes.size() - 48) / 16);
+    for (std::size_t i = 0; i < cs.size(); ++i) {
+      std::uint64_t mean_bits = 0;
+      std::uint64_t weight_bits = 0;
+      for (int b = 7; b >= 0; --b) {
+        mean_bits = mean_bits << 8 |
+                    static_cast<unsigned char>(bytes[48 + 16 * i + static_cast<std::size_t>(b)]);
+        weight_bits = weight_bits << 8 |
+                      static_cast<unsigned char>(
+                          bytes[48 + 16 * i + 8 + static_cast<std::size_t>(b)]);
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(cs[i].mean), mean_bits)
+          << "offset " << offset << " centroid " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(cs[i].weight), weight_bits)
+          << "offset " << offset << " centroid " << i;
+    }
+  }
+}
+
+TEST(TDigestIo, TruncatedCentroidArrayResetsTheDigest) {
+  const std::string bytes = digest_bytes_with_edge_centroids();
+  // Every length that cuts into the centroid array (the header is intact,
+  // so only the bounds checks on the array can reject), loaded into a
+  // digest that already holds data: each load fails and leaves it
+  // reset-empty.
+  for (std::size_t len = 48; len < bytes.size(); ++len) {
+    TDigest target;
+    for (int i = 0; i < 100; ++i) target.add(i);
+    ByteReader r(bytes.data(), len);
+    ASSERT_FALSE(target.load(r)) << "prefix of " << len << " bytes";
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(target.empty());
+    EXPECT_EQ(target.count(), 0u);
+    EXPECT_TRUE(target.centroids().empty());
+    EXPECT_EQ(target.min(), std::numeric_limits<double>::infinity());
+    EXPECT_EQ(target.max(), -std::numeric_limits<double>::infinity());
   }
 }
 
@@ -513,6 +630,86 @@ TEST(ArtifactIo, ByteFlippedAfterOpenFailsOnlyThatBlob) {
   EXPECT_FALSE(again.open(path, key, blobs.size()));
 }
 
+TEST(ArtifactIo, IndexOnlyOpenDefersBlobChecksToRead) {
+  const std::string dir = artifact_dir("index-only");
+  const std::uint64_t key = 49;
+  const std::string path = ingest_artifact_path(dir, key);
+  std::remove(path.c_str());
+  const std::vector<std::string> blobs = {"first-blob", "second-blob", "third"};
+  ASSERT_TRUE(write_ingest_artifact(path, key, blobs));
+  const std::size_t blob_bytes = blobs[0].size() + blobs[1].size() + blobs[2].size();
+
+  IngestArtifactReader clean;
+  ASSERT_TRUE(clean.open(path, key, blobs.size()));
+  EXPECT_EQ(clean.bytes_read(), blob_bytes);  // the eager pass
+
+  // Blob 1 corrupted at rest, before any open.
+  flip_byte_in_place(path, 28 + blobs[0].size() + 3);
+  IngestArtifactReader reader;
+  ASSERT_TRUE(reader.open_index(path, key, blobs.size()));
+  EXPECT_EQ(reader.groups(), blobs.size());
+  EXPECT_EQ(reader.bytes_read(), 0u);  // no blob byte read yet
+  std::string blob;
+  ASSERT_TRUE(reader.read(0, blob));
+  EXPECT_EQ(blob, blobs[0]);
+  EXPECT_FALSE(reader.read(1, blob));
+  EXPECT_TRUE(blob.empty());
+  ASSERT_TRUE(reader.read(2, blob));
+  EXPECT_EQ(blob, blobs[2]);
+  EXPECT_EQ(reader.bytes_read(), blob_bytes);  // the failed blob counts too
+  // open()'s pass finds the corruption.
+  IngestArtifactReader eager;
+  EXPECT_FALSE(eager.open(path, key, blobs.size()));
+  EXPECT_EQ(eager.groups(), 0u);
+}
+
+TEST(ArtifactIo, IndexOnlyOpenRejectsBadFraming) {
+  const std::string dir = artifact_dir("index-framing");
+  const std::uint64_t key = 50;
+  const std::string path = ingest_artifact_path(dir, key);
+  const auto both_opens_fail = [&](const std::string& image, const char* what) {
+    spit(path, image);
+    IngestArtifactReader reader;
+    EXPECT_FALSE(reader.open_index(path, key, 2)) << what;
+    EXPECT_EQ(reader.groups(), 0u) << what;
+    EXPECT_FALSE(reader.open(path, key, 2)) << what;
+  };
+  std::remove(path.c_str());
+  ASSERT_TRUE(write_ingest_artifact(path, key, {"first", "second"}));
+  const std::string good = slurp(path);
+  const std::size_t index_at = good.size() - 8 - 32;
+
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    both_opens_fail(good.substr(0, len), "truncated");
+  }
+
+  std::string epoch = good;
+  epoch[8] = static_cast<char>(epoch[8] + 1);
+  reseal_footer(epoch, 2);
+  both_opens_fail(epoch, "wrong epoch, resealed footer");
+
+  std::string padded = good;
+  padded.insert(index_at, 1, 'x');
+  both_opens_fail(padded, "stray byte before the index");
+
+  std::string wrapped = good;
+  const std::uint64_t lengths[2] = {~std::uint64_t{0} - 4, 11 + 5};
+  for (std::size_t b = 0; b < 2; ++b) {
+    for (int i = 0; i < 8; ++i) {
+      wrapped[index_at + 16 * b + static_cast<std::size_t>(i)] =
+          static_cast<char>(lengths[b] >> (8 * i));
+    }
+  }
+  reseal_footer(wrapped, 2);
+  both_opens_fail(wrapped, "lengths that wrap to the blob region");
+
+  spit(path, good);
+  IngestArtifactReader reader;
+  EXPECT_TRUE(reader.open_index(path, key, 2));
+  EXPECT_FALSE(reader.open_index(path, key, 3));  // wrong count
+  EXPECT_FALSE(reader.open_index(path, key ^ 1, 2));  // wrong key
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: warm == cold through run_edge_analysis, plus fallback.
 // ---------------------------------------------------------------------------
@@ -632,6 +829,87 @@ TEST_F(IngestCacheEndToEnd, CorruptArtifactFallsBackToColdIngest) {
                                       {}, cache);
   expect_results_eq(cold, warm);
   EXPECT_EQ(warm_stats.cache_hits, w.groups.size());
+}
+
+/// (offset, length) of blob `i` in an artifact image with `n` blobs, from
+/// its index.
+std::pair<std::size_t, std::size_t> blob_span(const std::string& image,
+                                              std::size_t n, std::size_t i) {
+  const std::size_t index_at = image.size() - 8 - 16 * n;
+  std::size_t offset = 28;
+  std::size_t length = 0;
+  for (std::size_t b = 0; b <= i; ++b) {
+    offset += length;
+    ByteReader r(image.data() + index_at + 16 * b, 8);
+    length = static_cast<std::size_t>(r.u64());
+  }
+  return {offset, length};
+}
+
+TEST_F(IngestCacheEndToEnd, WarmRunReadsEachBlobOnce) {
+  const World w = world();
+  const DatasetConfig dc = dataset();
+  const std::size_t n = w.groups.size();
+  const IngestCacheOptions cache{artifact_dir("read-once")};
+  const std::string path =
+      ingest_artifact_path(cache.dir, ingest_cache_key(w, dc, {}));
+  std::remove(path.c_str());
+  RunStats cold_stats;
+  run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential(), &cold_stats,
+                    {}, cache);
+  EXPECT_EQ(cold_stats.cache_read_bytes, 0u);  // nothing to read yet
+  const std::size_t file_size = slurp(path).size();
+  for (const int threads : {1, 3}) {
+    RunStats stats;
+    run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions{threads}, &stats, {},
+                      cache);
+    EXPECT_EQ(stats.cache_hits, n) << threads;
+    EXPECT_EQ(stats.cache_read_bytes, file_size - 28 - 16 * n - 8) << threads;
+  }
+}
+
+TEST_F(IngestCacheEndToEnd, BlobCorruptAtRestRerunsColdAndRewrites) {
+  const World w = world();
+  const DatasetConfig dc = dataset();
+  const std::size_t n = w.groups.size();
+  const IngestCacheOptions cache{artifact_dir("blob-at-rest")};
+  const std::string path =
+      ingest_artifact_path(cache.dir, ingest_cache_key(w, dc, {}));
+  const auto cold_run = [&] {
+    std::remove(path.c_str());
+    return run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential(),
+                             nullptr, {}, cache);
+  };
+  const EdgeAnalysisResult cold = cold_run();
+
+  // The header, index and footer stay intact, so the index-only open
+  // succeeds and the bad blob is found only when its task reads it.
+  for (const std::size_t victim : {std::size_t{0}, n - 1}) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(::testing::Message() << "blob " << victim << " threads " << threads);
+      cold_run();
+      const auto [offset, length] = blob_span(slurp(path), n, victim);
+      ASSERT_GT(length, 0u);
+      flip_byte_in_place(path, offset + length / 2);
+
+      RunStats stats;
+      const auto out = run_edge_analysis(w, dc, {}, {}, {},
+                                         RuntimeOptions{threads}, &stats, {},
+                                         cache);
+      expect_results_eq(cold, out);
+      EXPECT_EQ(stats.cache_hits, 0u);
+      EXPECT_EQ(stats.cache_misses, n);
+      EXPECT_EQ(stats.cache_write_failures, 0u);
+
+      // The same run rewrote the artifact: the next one is served whole.
+      RunStats again;
+      expect_results_eq(cold, run_edge_analysis(w, dc, {}, {}, {},
+                                                RuntimeOptions{threads}, &again,
+                                                {}, cache));
+      EXPECT_EQ(again.cache_hits, n);
+      EXPECT_EQ(again.cache_misses, 0u);
+    }
+  }
 }
 
 TEST_F(IngestCacheEndToEnd, ReaderReduceMatchesBlobFnReduce) {

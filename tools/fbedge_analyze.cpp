@@ -4,7 +4,8 @@
 // Figure 6-style summary plus a per-group opportunity scan.
 //
 // Usage: fbedge_analyze [--threads T] [--cache-dir DIR] [--verbose] [FILE]
-//        (reads stdin if no file)
+//        (reads stdin if no file; T must be a whole integer >= 0, else the
+//        tool exits 2 with the usage line)
 //
 // --verbose reports (on stderr, so measurement output stays byte-identical)
 // which columnar-kernel path the run dispatched to and why — the guard
@@ -27,6 +28,7 @@
 #include "agg/series_io.h"
 #include "analysis/ingest_cache.h"
 #include "fbedge/fbedge.h"
+#include "int_flags.h"
 #include "util/simd.h"
 
 using namespace fbedge;
@@ -167,6 +169,13 @@ void ingest_lines(std::istream& in, IngestState& state) {
   }
 }
 
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--threads T] [--cache-dir DIR] [--verbose] [FILE]\n",
+               argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -178,7 +187,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      runtime.threads = std::atoi(argv[++i]);
+      runtime.threads = flags::parse_int(argv[++i], 0, usage, argv[0]);
     } else if (arg == "--cache-dir" && i + 1 < argc) {
       cache.dir = argv[++i];
     } else if (arg == "--verbose") {
@@ -186,10 +195,7 @@ int main(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] != '-') {
       path = arg;
     } else {
-      std::fprintf(stderr,
-                   "usage: fbedge_analyze [--threads T] [--cache-dir DIR] "
-                   "[--verbose] [FILE]\n");
-      return 2;
+      usage(argv[0]);
     }
   }
   if (verbose) {
@@ -203,6 +209,7 @@ int main(int argc, char** argv) {
   IngestState state;
   bool warm = false;
   bool write_failed = false;
+  std::uint64_t read_bytes = 0;
   if (cache.enabled() && !path.empty()) {
     // Cached mode: the file is the cache identity, so read it whole.
     std::ifstream file(path, std::ios::binary);
@@ -219,6 +226,7 @@ int main(int argc, char** argv) {
     if (read_ingest_artifact(artifact_path, key, kAnyGroupCount, artifact) &&
         deserialize_state(artifact, state)) {
       warm = true;
+      read_bytes = artifact.bytes.size();
     } else {
       state = IngestState{};  // discard any partial deserialization
       std::istringstream in(data);
@@ -288,6 +296,7 @@ int main(int argc, char** argv) {
               windows_with_opportunity);
   if (warm) {
     stats.cache_hits += state.store.group_count();
+    stats.cache_read_bytes += read_bytes;
   } else if (cache.enabled() && !path.empty()) {
     stats.cache_misses += state.store.group_count();
     if (write_failed) ++stats.cache_write_failures;

@@ -26,6 +26,10 @@
 //
 // Worker mode (spawned by the coordinator, not for direct use):
 //   fbedge_scale --shard-worker S/N --attempt A ... --cache-dir DIR
+//
+// Counts are checked whole: groups, --days and --max-attempts must be
+// integers >= 1, --workers, --threads, --worker-threads and --attempt
+// integers >= 0; anything else exits 2 with the usage line.
 #include <sys/stat.h>
 
 #include <chrono>
@@ -41,6 +45,7 @@
 #include "distrib/coordinator.h"
 #include "distrib/shard_manifest.h"
 #include "distrib/subprocess.h"
+#include "int_flags.h"
 #include "util/binio.h"
 
 using namespace fbedge;
@@ -89,15 +94,15 @@ ScaleCli parse_cli(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--days") {
-      cli.days = std::atoi(next());
+      cli.days = flags::parse_int(next(), 1, usage, argv[0]);
     } else if (arg == "--workers") {
-      cli.workers = std::atoi(next());
+      cli.workers = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (arg == "--threads") {
-      cli.threads = std::atoi(next());
+      cli.threads = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (arg == "--worker-threads") {
-      cli.worker_threads = std::atoi(next());
+      cli.worker_threads = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (arg == "--max-attempts") {
-      cli.max_attempts = std::atoi(next());
+      cli.max_attempts = flags::parse_int(next(), 1, usage, argv[0]);
     } else if (arg == "--worker-crash-rate") {
       cli.worker_crash_rate = std::atof(next());
     } else if (arg == "--fault-seed") {
@@ -132,9 +137,9 @@ ScaleCli parse_cli(int argc, char** argv) {
       }
       cli.worker_mode = true;
     } else if (arg == "--attempt") {
-      cli.worker_attempt = std::atoi(next());
+      cli.worker_attempt = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (!arg.empty() && arg[0] != '-') {
-      cli.groups_per_continent = std::atoi(arg.c_str());
+      cli.groups_per_continent = flags::parse_int(arg, 1, usage, argv[0]);
     } else {
       usage(argv[0]);
     }

@@ -33,7 +33,6 @@
 #include <dirent.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,6 +45,7 @@
 #include "bench_common.h"
 #include "distrib/sweep_fleet.h"
 #include "fbedge/fbedge.h"
+#include "int_flags.h"
 #include "scenario/scenario.h"
 
 using namespace fbedge;
@@ -59,17 +59,6 @@ namespace {
                "[--sweep DIR] [--workers N]\n",
                argv0);
   std::exit(2);
-}
-
-/// The whole of `text` as a decimal int no smaller than `min`; anything
-/// else (empty, a sign or space in front, trailing characters, out of
-/// range) is a usage error.
-int parse_int(const std::string& text, int min, const char* argv0) {
-  int value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < min) usage(argv0);
-  return value;
 }
 
 /// Every *.conf in `dir`, sorted by name so the scenario order — and
@@ -160,9 +149,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      rc.runtime.threads = parse_int(argv[++i], 0, argv[0]);
+      rc.runtime.threads = flags::parse_int(argv[++i], 0, usage, argv[0]);
     } else if (arg == "--days" && i + 1 < argc) {
-      rc.world.days = parse_int(argv[++i], 1, argv[0]);
+      rc.world.days = flags::parse_int(argv[++i], 1, usage, argv[0]);
       rc.dataset.days = rc.world.days;
     } else if (arg == "--json" && i + 1 < argc) {
       rc.json_path = argv[++i];
@@ -173,16 +162,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--sweep" && i + 1 < argc) {
       sweep_dir = argv[++i];
     } else if (arg == "--workers" && i + 1 < argc) {
-      sweep_workers = parse_int(argv[++i], 0, argv[0]);
+      sweep_workers = flags::parse_int(argv[++i], 0, usage, argv[0]);
     } else if (arg == "--sweep-worker" && i + 1 < argc) {
       // Hidden worker mode: "--sweep-worker S/N" = shard S of N.
       if (std::sscanf(argv[++i], "%d/%d", &worker_shard, &worker_count) != 2) {
         usage(argv[0]);
       }
     } else if (arg == "--attempt" && i + 1 < argc) {
-      worker_attempt = parse_int(argv[++i], 0, argv[0]);
+      worker_attempt = flags::parse_int(argv[++i], 0, usage, argv[0]);
     } else if (!arg.empty() && arg[0] != '-') {
-      rc.world.groups_per_continent = parse_int(arg, 1, argv[0]);
+      rc.world.groups_per_continent = flags::parse_int(arg, 1, usage, argv[0]);
     } else {
       usage(argv[0]);
     }
