@@ -25,6 +25,7 @@
 
 #include "analysis/ingest_cache.h"
 #include "runtime/pipeline.h"
+#include "util/int_flags.h"
 #include "workload/generator.h"
 #include "workload/world.h"
 
@@ -76,29 +77,39 @@ struct RunConfig {
   IngestCacheOptions cache;
 };
 
+/// Prints the shared usage line and exits 2.
+[[noreturn]] inline void common_usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [groups] [--threads N] [--json PATH] "
+               "[--cache-dir DIR]\n",
+               argv0);
+  std::exit(2);
+}
+
 /// Parses the shared command line: an optional positional integer (user
-/// groups per continent) plus --threads/--json. Exits on unknown flags.
+/// groups per continent, >= 1) plus --threads (>= 0), --json and
+/// --cache-dir. Counts are whole-string integers (util/int_flags.h); a bad
+/// count, a flag without its value or an unknown flag exits 2 with usage.
 inline void parse_common_args(int argc, char** argv, RunConfig& rc,
                               int default_groups) {
   rc.world.groups_per_continent = default_groups;
   if (const char* env = std::getenv("FBEDGE_CACHE_DIR")) rc.cache.dir = env;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) common_usage(argv[0]);
+      return argv[++i];
+    };
     if (arg == "--threads") {
-      if (const char* v = next()) rc.runtime.threads = std::atoi(v);
+      rc.runtime.threads = flags::parse_int(next(), 0, common_usage, argv[0]);
     } else if (arg == "--json") {
-      if (const char* v = next()) rc.json_path = v;
+      rc.json_path = next();
     } else if (arg == "--cache-dir") {
-      if (const char* v = next()) rc.cache.dir = v;
+      rc.cache.dir = next();
     } else if (!arg.empty() && arg[0] != '-') {
-      rc.world.groups_per_continent = std::atoi(arg.c_str());
+      rc.world.groups_per_continent = flags::parse_int(arg, 1, common_usage, argv[0]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [groups] [--threads N] [--json PATH] "
-                   "[--cache-dir DIR]\n",
-                   argv[0]);
-      std::exit(2);
+      common_usage(argv[0]);
     }
   }
 }

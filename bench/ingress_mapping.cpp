@@ -7,15 +7,20 @@
 // traffic) and Africa (2.1%)."
 #include <cstdio>
 
+#include "bench_common.h"
 #include "stats/cdf.h"
 #include "workload/world.h"
 
 using namespace fbedge;
 
 int main(int argc, char** argv) {
+  // Only the world is built, so the shared flags other than the group
+  // count have nothing to act on.
+  bench::RunConfig rc;
+  bench::parse_common_args(argc, argv, rc, 200);
   WorldConfig wc;
   wc.seed = 2019;
-  wc.groups_per_continent = argc > 1 ? std::atoi(argv[1]) : 200;
+  wc.groups_per_continent = rc.world.groups_per_continent;
   const World world = build_world(wc);
 
   WeightedCdf distance_km;

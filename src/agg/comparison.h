@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "agg/aggregation.h"
+#include "agg/cell_summary.h"
 #include "stats/median_ci.h"
 
 namespace fbedge {
@@ -45,10 +46,17 @@ struct Comparison {
 };
 
 /// MinRTT_P50 difference a - b (positive = a has higher/worse MinRTT).
-Comparison compare_minrtt(const RouteWindowAgg& a, const RouteWindowAgg& b,
+/// Both summaries must be taken at confidence_z(config.alpha).
+Comparison compare_minrtt(const CellSummary& a, const CellSummary& b,
                           const ComparisonConfig& config);
 
 /// HDratio_P50 difference a - b (positive = a has higher/better HDratio).
+Comparison compare_hdratio(const CellSummary& a, const CellSummary& b,
+                           const ComparisonConfig& config);
+
+/// The same comparisons on two cells, summarized at config.alpha first.
+Comparison compare_minrtt(const RouteWindowAgg& a, const RouteWindowAgg& b,
+                          const ComparisonConfig& config);
 Comparison compare_hdratio(const RouteWindowAgg& a, const RouteWindowAgg& b,
                            const ComparisonConfig& config);
 

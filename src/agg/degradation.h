@@ -39,6 +39,8 @@ struct DegradationResult {
 struct DegradationScratch {
   /// Baseline-candidate (metric, window) pairs.
   std::vector<std::pair<double, int>> values;
+  /// The series' cell summaries, for the GroupSeries overloads.
+  SeriesSummary summary;
 };
 
 /// Analyzes the preferred route (index 0) of one group's series.
@@ -49,9 +51,14 @@ DegradationResult analyze_degradation(const GroupSeries& series,
                                       const ComparisonConfig& config);
 
 /// As analyze_degradation, but reusing `scratch` and overwriting `out`
-/// in place (out.windows is cleared, not reallocated). Produces bitwise
-/// identical results to the allocating overload.
+/// in place (out.windows is cleared, not reallocated). Summarizes the
+/// series at config.alpha into scratch.summary and runs the overload below.
 void analyze_degradation_into(const GroupSeries& series, const ComparisonConfig& config,
+                              DegradationScratch& scratch, DegradationResult& out);
+
+/// The degradation pass over a series' summaries, taken at
+/// confidence_z(config.alpha).
+void analyze_degradation_into(const SeriesSummary& series, const ComparisonConfig& config,
                               DegradationScratch& scratch, DegradationResult& out);
 
 /// The per-window degradation comparison: `pref` (the preferred-route cell
@@ -60,9 +67,9 @@ void analyze_degradation_into(const GroupSeries& series, const ComparisonConfig&
 /// the retrospective analyzer above, the online DegradationMonitor, and the
 /// streaming verdict path (agg/window_verdict.h) — one implementation, so
 /// batch and stream verdicts cannot drift.
-void evaluate_degradation_window(int window, const RouteWindowAgg& pref,
-                                 const RouteWindowAgg* base_rtt,
-                                 const RouteWindowAgg* base_hd,
+void evaluate_degradation_window(int window, const CellSummary& pref,
+                                 const CellSummary* base_rtt,
+                                 const CellSummary* base_hd,
                                  const ComparisonConfig& config,
                                  DegradationWindow& out);
 

@@ -5,13 +5,13 @@
 namespace fbedge {
 
 std::optional<Duration> DegradationMonitor::baseline_minrtt() const {
-  const RouteWindowAgg* base = baseline_.baseline_rtt();
+  const CellSummary* base = baseline_.baseline_rtt();
   if (!base) return std::nullopt;
   return base->minrtt_p50();
 }
 
 std::optional<double> DegradationMonitor::baseline_hdratio() const {
-  const RouteWindowAgg* base = baseline_.baseline_hd();
+  const CellSummary* base = baseline_.baseline_hd();
   if (!base) return std::nullopt;
   return base->hdratio_p50();
 }
@@ -24,8 +24,9 @@ void DegradationMonitor::on_window_closed(int window, const RouteWindowAgg& agg)
     ++skipped_empty_;
     return;
   }
+  const CellSummary cell = summarize_cell(agg, confidence_z(config_.comparison.alpha));
   DegradationWindow dw;
-  evaluate_degradation_window(window, agg, baseline_.baseline_rtt(),
+  evaluate_degradation_window(window, cell, baseline_.baseline_rtt(),
                               baseline_.baseline_hd(), config_.comparison, dw);
   DegradationEvent event;
   event.window = window;
@@ -44,7 +45,7 @@ void DegradationMonitor::on_window_closed(int window, const RouteWindowAgg& agg)
   // baseline quantile keeps selecting healthy windows, and a persistent
   // shift eventually *becomes* the baseline (matching §3.4's per-group
   // baseline semantics).
-  baseline_.push(window, agg);
+  baseline_.push(window, cell);
 }
 
 }  // namespace fbedge

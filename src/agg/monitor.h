@@ -55,10 +55,11 @@ class DegradationMonitor {
                                           config.comparison.min_samples}) {}
 
   /// Processes a completed (user group x window) aggregation for the
-  /// monitored route. The aggregation is copied into the rolling history.
-  /// The comparison itself is the shared evaluate_degradation_window, so a
-  /// monitor alert and a streaming-pipeline verdict for the same window are
-  /// the same computation.
+  /// monitored route. The cell is summarized once, and its summary joins
+  /// the rolling history. The comparison itself is the shared
+  /// evaluate_degradation_window, so a monitor alert and a
+  /// streaming-pipeline verdict for the same window are the same
+  /// computation.
   void on_window_closed(int window, const RouteWindowAgg& agg);
 
   /// Windows currently in the baseline history.

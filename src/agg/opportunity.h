@@ -8,6 +8,7 @@
 // than the preferred route's.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "agg/comparison.h"
@@ -58,13 +59,18 @@ std::vector<OpportunityWindow> analyze_opportunity(const GroupSeries& series,
 void analyze_opportunity_into(const GroupSeries& series, const ComparisonConfig& config,
                               std::vector<OpportunityWindow>& out);
 
+/// The opportunity pass over a series' summaries, taken at
+/// confidence_z(config.alpha). Both overloads above summarize and call it.
+void analyze_opportunity_into(const SeriesSummary& series, const ComparisonConfig& config,
+                              std::vector<OpportunityWindow>& out);
+
 /// The per-window comparison body: preferred (route 0) vs the best-ranked
-/// alternates of one window's aggregation. Returns false (leaving `out`
-/// untouched) when the window has no preferred route or fewer than two
-/// measured routes. Shared by the batch analyzer above and the streaming
-/// verdict path (agg/window_verdict.h) — one implementation, so batch and
-/// stream verdicts cannot drift.
-bool evaluate_opportunity_window(int window, const WindowAgg& agg,
+/// alternates among one window's route summaries. Returns false (leaving
+/// `out` untouched) when the window has fewer than two measured routes.
+/// Shared by the batch analyzer above and the streaming verdict path
+/// (agg/window_verdict.h) — one implementation, so batch and stream
+/// verdicts cannot drift.
+bool evaluate_opportunity_window(int window, std::span<const CellSummary> routes,
                                  const ComparisonConfig& config,
                                  OpportunityWindow& out);
 

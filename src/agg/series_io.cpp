@@ -1,5 +1,7 @@
 #include "agg/series_io.h"
 
+#include <algorithm>
+
 namespace fbedge {
 namespace {
 
@@ -36,20 +38,25 @@ void save_group_series(const GroupSeries& series, ByteWriter& w) {
   }
 }
 
-bool load_group_series(ByteReader& r, GroupSeries& series, RouteAggPool* pool) {
-  if (pool != nullptr) {
-    pool->recycle(series);
-  } else {
-    series.windows.clear();
-  }
-  const std::uint8_t continent = r.u8();
-  const std::uint64_t window_count = r.u64();
-  if (!r.ok() || continent >= static_cast<std::uint8_t>(kNumContinents) ||
+namespace {
+
+/// The one reader of the series framing: continent, window count, then per
+/// window its id, route count and cells. `on_window(id, routes)` opens a
+/// window and `on_cell(r)` reads its next cell, returning false when the
+/// cell is invalid. Returns true when every announced window was read,
+/// which is all the framing checks; a consumer additionally requires the
+/// window ids to be distinct after truncation to int (see below).
+template <typename WindowFn, typename CellFn>
+bool parse_group_series(ByteReader& r, Continent& continent, std::uint64_t& window_count,
+                        WindowFn&& on_window, CellFn&& on_cell) {
+  const std::uint8_t tag = r.u8();
+  window_count = r.u64();
+  if (!r.ok() || tag >= static_cast<std::uint8_t>(kNumContinents) ||
       window_count > r.remaining() / kMinWindowBytes + 1) {
     r.fail();
     return false;
   }
-  series.continent = static_cast<Continent>(continent);
+  continent = static_cast<Continent>(tag);
   int prev_window = 0;
   for (std::uint64_t wi = 0; wi < window_count; ++wi) {
     const std::int64_t window = r.i64();
@@ -58,29 +65,87 @@ bool load_group_series(ByteReader& r, GroupSeries& series, RouteAggPool* pool) {
         (wi > 0 && window <= prev_window)) {
       // Windows must arrive strictly ascending — that is what keeps
       // WindowMap's in-order append path O(1) and iteration sorted.
-      break;
+      r.fail();
+      return false;
     }
     prev_window = static_cast<int>(window);
-    WindowAgg& agg = series.windows[static_cast<int>(window)];
-    bool cells_ok = true;
+    on_window(prev_window, route_count);
     for (std::uint32_t ri = 0; ri < route_count; ++ri) {
-      RouteWindowAgg& cell = pool != nullptr
-                                 ? agg.route_pooled(static_cast<int>(ri), *pool)
-                                 : agg.route(static_cast<int>(ri));
-      if (!cell.load(r)) {
-        cells_ok = false;
-        break;
+      if (!on_cell(r)) {
+        r.fail();
+        return false;
       }
     }
-    if (!cells_ok) break;
   }
-  if (!r.ok() || series.windows.size() != window_count) {
+  return r.ok();
+}
+
+}  // namespace
+
+bool load_group_series(ByteReader& r, GroupSeries& series, RouteAggPool* pool) {
+  if (pool != nullptr) {
+    pool->recycle(series);
+  } else {
+    series.windows.clear();
+  }
+  WindowAgg* agg = nullptr;
+  std::uint32_t next_route = 0;
+  std::uint64_t window_count = 0;
+  const bool parsed = parse_group_series(
+      r, series.continent, window_count,
+      [&](int window, std::uint32_t) {
+        agg = &series.windows[window];
+        next_route = 0;
+      },
+      [&](ByteReader& in) {
+        const int ri = static_cast<int>(next_route++);
+        RouteWindowAgg& cell =
+            pool != nullptr ? agg->route_pooled(ri, *pool) : agg->route(ri);
+        return cell.load(in);
+      });
+  // An id that truncates onto an earlier window's reopens that window, so
+  // the series ends up with fewer windows than announced.
+  if (!parsed || series.windows.size() != window_count) {
     r.fail();
     if (pool != nullptr) {
       pool->recycle(series);
     } else {
       series.windows.clear();
     }
+    return false;
+  }
+  return true;
+}
+
+bool summarize_group_series(ByteReader& r, double z, RouteWindowAgg& cell,
+                            SeriesSummary& out) {
+  out.clear();
+  std::uint64_t window_count = 0;
+  const bool parsed = parse_group_series(
+      r, out.continent, window_count,
+      [&](int window, std::uint32_t) { out.begin_window(window); },
+      [&](ByteReader& in) {
+        if (!cell.load(in)) return false;
+        out.add_cell(summarize_cell(cell, z));
+        return true;
+      });
+  // Ids ascend as 64-bit values, so they ascend as ints unless one lies
+  // outside int range. load_group_series files such a window under its
+  // truncated id, in order, and rejects the series when two ids collide;
+  // sorting the windows here does the same.
+  const auto by_id = [](const WindowSummary& a, const WindowSummary& b) {
+    return a.window < b.window;
+  };
+  bool distinct = parsed;
+  if (parsed && !std::is_sorted(out.windows.begin(), out.windows.end(), by_id)) {
+    std::sort(out.windows.begin(), out.windows.end(), by_id);
+  }
+  for (std::size_t i = 1; distinct && i < out.windows.size(); ++i) {
+    distinct = out.windows[i - 1].window < out.windows[i].window;
+  }
+  if (!distinct) {
+    r.fail();
+    out.clear();
     return false;
   }
   return true;

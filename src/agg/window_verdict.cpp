@@ -5,22 +5,22 @@
 
 namespace fbedge {
 
-void RollingBaseline::push(int window, const RouteWindowAgg& agg) {
-  history_.push_back({window, agg});
+void RollingBaseline::push(int window, const CellSummary& cell) {
+  history_.push_back({window, cell});
   while (static_cast<int>(history_.size()) > config_.history_windows) {
     history_.pop_front();
   }
 }
 
-const RouteWindowAgg* RollingBaseline::baseline_entry(bool use_hd) const {
+const CellSummary* RollingBaseline::baseline_entry(bool use_hd) const {
   values_.clear();
   for (const auto& entry : history_) {
     if (use_hd) {
-      if (entry.agg.hd_sessions() < config_.min_samples) continue;
-      values_.emplace_back(-entry.agg.hdratio_p50(), entry.window);  // p90 via negation
+      if (entry.cell.hd_sessions() < config_.min_samples) continue;
+      values_.emplace_back(-entry.cell.hdratio_p50(), entry.window);  // p90 via negation
     } else {
-      if (entry.agg.sessions() < config_.min_samples) continue;
-      values_.emplace_back(entry.agg.minrtt_p50(), entry.window);
+      if (entry.cell.sessions < config_.min_samples) continue;
+      values_.emplace_back(entry.cell.minrtt_p50(), entry.window);
     }
   }
   if (static_cast<int>(values_.size()) < config_.min_history) return nullptr;
@@ -29,19 +29,18 @@ const RouteWindowAgg* RollingBaseline::baseline_entry(bool use_hd) const {
       config_.baseline_quantile * static_cast<double>(values_.size() - 1)));
   const int picked = values_[pos].second;
   for (const auto& entry : history_) {
-    if (entry.window == picked) return &entry.agg;
+    if (entry.window == picked) return &entry.cell;
   }
   return nullptr;  // unreachable: picked came from the history
 }
 
-void evaluate_window_verdict(int window, const WindowAgg& agg,
+void evaluate_window_verdict(int window, std::span<const CellSummary> routes,
                              RollingBaseline& baseline,
                              const ComparisonConfig& config, WindowVerdict& out) {
   out.window = window;
-  const RouteWindowAgg* pref = agg.route(0);
-  const bool has_pref = pref != nullptr && pref->sessions() > 0;
+  const bool has_pref = !routes.empty() && routes[0].sessions > 0;
   if (has_pref) {
-    evaluate_degradation_window(window, *pref, baseline.baseline_rtt(),
+    evaluate_degradation_window(window, routes[0], baseline.baseline_rtt(),
                                 baseline.baseline_hd(), config, out.degr);
   } else {
     // No preferred-route signal: the monitor skips the window (it would
@@ -50,12 +49,20 @@ void evaluate_window_verdict(int window, const WindowAgg& agg,
     out.degr = DegradationWindow{};
     out.degr.window = window;
   }
-  out.has_opp = evaluate_opportunity_window(window, agg, config, out.opp);
+  out.has_opp = evaluate_opportunity_window(window, routes, config, out.opp);
   if (!out.has_opp) {
     out.opp = OpportunityWindow{};
     out.opp.window = window;
   }
-  if (has_pref) baseline.push(window, *pref);
+  if (has_pref) baseline.push(window, routes[0]);
+}
+
+void evaluate_window_verdict(int window, const WindowAgg& agg,
+                             RollingBaseline& baseline,
+                             const ComparisonConfig& config, WindowVerdict& out) {
+  std::vector<CellSummary> routes;
+  summarize_window(agg, confidence_z(config.alpha), routes);
+  evaluate_window_verdict(window, routes, baseline, config, out);
 }
 
 namespace {

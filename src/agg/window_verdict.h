@@ -15,6 +15,7 @@
 #pragma once
 
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "agg/degradation.h"
@@ -37,22 +38,24 @@ struct RollingBaselineConfig {
 };
 
 /// Rolling per-group baseline over recently closed windows. Push every
-/// non-empty preferred-route cell as its window seals (in window order);
-/// the baseline accessors return the quantile pick, or nullptr during
-/// warm-up. Reusable across groups via clear().
+/// non-empty preferred-route cell's summary as its window seals (in window
+/// order); the baseline accessors return the quantile pick, or nullptr
+/// during warm-up. An entry is a fixed-size CellSummary, so the history
+/// holds no t-digest. Reusable across groups via clear().
 class RollingBaseline {
  public:
   using Config = RollingBaselineConfig;
 
   explicit RollingBaseline(Config config = {}) : config_(config) {}
 
-  /// Appends one closed window's preferred-route cell (copied) and evicts
+  /// Appends one closed window's preferred-route summary and evicts
   /// beyond the history horizon. Call in ascending window order.
-  void push(int window, const RouteWindowAgg& agg);
+  void push(int window, const CellSummary& cell);
 
-  /// The current baseline cells; nullptr until enough qualifying history.
-  const RouteWindowAgg* baseline_rtt() const { return baseline_entry(false); }
-  const RouteWindowAgg* baseline_hd() const { return baseline_entry(true); }
+  /// The current baseline summaries; nullptr until enough qualifying
+  /// history.
+  const CellSummary* baseline_rtt() const { return baseline_entry(false); }
+  const CellSummary* baseline_hd() const { return baseline_entry(true); }
 
   int history_size() const { return static_cast<int>(history_.size()); }
   const Config& config() const { return config_; }
@@ -64,10 +67,10 @@ class RollingBaseline {
  private:
   struct HistoryEntry {
     int window;
-    RouteWindowAgg agg;
+    CellSummary cell;
   };
 
-  const RouteWindowAgg* baseline_entry(bool use_hd) const;
+  const CellSummary* baseline_entry(bool use_hd) const;
 
   Config config_;
   std::deque<HistoryEntry> history_;
@@ -99,10 +102,16 @@ struct WindowVerdict {
   bool has_opp{false};
 };
 
-/// Evaluates one sealed window against `baseline` and its own alternates,
-/// then folds the preferred cell into the baseline history. This is THE
-/// shared verdict step: DegradationMonitor, the batch replay and the
+/// Evaluates one sealed window — its route summaries, taken at
+/// confidence_z(config.alpha) — against `baseline` and its own alternates,
+/// then folds the preferred summary into the baseline history. This is
+/// THE shared verdict step: DegradationMonitor, the batch replay and the
 /// streaming window machine all converge here.
+void evaluate_window_verdict(int window, std::span<const CellSummary> routes,
+                             RollingBaseline& baseline,
+                             const ComparisonConfig& config, WindowVerdict& out);
+
+/// The same step on a window's cells, summarized at config.alpha first.
 void evaluate_window_verdict(int window, const WindowAgg& agg,
                              RollingBaseline& baseline,
                              const ComparisonConfig& config, WindowVerdict& out);

@@ -9,7 +9,6 @@
 #include "analysis/edge_reduce.h"
 
 #include "agg/series_io.h"
-#include "agg/window_columns.h"
 #include "faultsim/fault_injector.h"
 #include "routing/policy.h"
 #include "sampler/session_batch.h"
@@ -115,24 +114,23 @@ struct Table1Accumulator {
 
 /// Refills `obs` with classifier inputs for one group + one predicate over
 /// windows. The buffer is reused across the 11 per-group classifications,
-/// which all stream the same precomputed WindowColumns (window id,
-/// has-traffic flag, total traffic) instead of re-walking the WindowAgg
-/// cells per pass. `traffic(w, total)` receives the window's total traffic
-/// for the opportunity passes' fallback.
+/// which all stream the same window summaries (window id, total traffic).
+/// `traffic(w, total)` receives the window's total traffic for the
+/// opportunity passes' fallback.
 template <typename EventFn, typename ValidFn, typename TrafficFn>
-void make_observations_into(const WindowColumns& cols,
+void make_observations_into(const SeriesSummary& series,
                             std::vector<WindowObservation>& obs, EventFn event,
                             ValidFn valid, TrafficFn traffic) {
   obs.clear();
-  obs.reserve(cols.size());
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    const int w = cols.window[i];
+  obs.reserve(series.windows.size());
+  for (const WindowSummary& ws : series.windows) {
+    const int w = ws.window;
     WindowObservation o;
     o.window = w;
-    o.has_traffic = cols.has_traffic[i] != 0;
+    o.has_traffic = ws.traffic > 0;
     o.valid = valid(w);
     o.event = o.valid && event(w);
-    o.traffic = traffic(w, cols.total_traffic[i]);
+    o.traffic = traffic(w, ws.traffic);
     obs.push_back(o);
   }
 }
@@ -149,17 +147,22 @@ struct EdgeScratch {
   std::vector<SessionHd> hd;
   CoalescedSession coalesce_scratch;  // legacy scalar path (fault runs)
   std::vector<WindowObservation> obs;
-  WindowColumns cols;
-  /// The group's aggregation series, recycled (not reallocated) between
-  /// groups: route cells return to `pool` with their t-digest buffers
-  /// intact, so steady-state ingest of a new group allocates almost
-  /// nothing. A recycled series is behaviorally identical to a fresh one.
+  /// The group's aggregation series on the cold path, recycled (not
+  /// reallocated) between groups: route cells return to `pool` with their
+  /// t-digest buffers intact, so steady-state ingest of a new group
+  /// allocates almost nothing. A recycled series is behaviorally identical
+  /// to a fresh one.
   GroupSeries series;
   RouteAggPool pool;
   /// Serialization buffer for the ingest-artifact cache's cold path.
   ByteWriter writer;
   /// One group's artifact blob on the warm path (IngestArtifactReader::read).
   std::string blob;
+  /// The warm path's one cell: each cell of a blob is loaded here,
+  /// summarized and dropped (summarize_group_series).
+  RouteWindowAgg cell;
+  /// The group's cell summaries: what every analysis pass reads.
+  SeriesSummary summary;
   /// Analysis-pass buffers, cleared per group.
   DegradationScratch degr_scratch;
   DegradationResult degr;
@@ -307,25 +310,28 @@ void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
 
 /// The analysis half: everything downstream of the per-group series —
 /// degradation, opportunity, temporal classification, Tables 1-2, Fig. 10.
-/// Consumes `series` read-only, so it runs identically on a freshly
-/// ingested series and on one deserialized from the artifact cache.
-void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
-                         const UserGroupProfile& group,
-                         const AnalysisThresholds& thresholds,
-                         const ComparisonConfig& comparison,
-                         const ClassifierConfig& classifier_config,
-                         EdgePartial& part) {
+/// Reads only the series' cell summaries, so it runs identically on a
+/// freshly ingested series and on a blob from the artifact cache.
+void analyze_summary_into(EdgeScratch& scratch, const SeriesSummary& series,
+                          const UserGroupProfile& group,
+                          const AnalysisThresholds& thresholds,
+                          const ComparisonConfig& comparison,
+                          const ClassifierConfig& classifier_config,
+                          EdgePartial& part) {
   EdgeAnalysisResult& out = part.res;
   if (series.windows.empty()) return;
-  out.total_traffic += static_cast<double>(series.total_traffic());
-  for (const auto& [w, agg] : series.windows) {
-    if (const RouteWindowAgg* pref = agg.route(0)) {
-      part.preferred_traffic_total += static_cast<double>(pref->traffic());
-    }
-    for (const RouteWindowAgg& cell : agg.routes) {
-      out.sessions_analyzed += static_cast<std::uint64_t>(cell.sessions());
+  Bytes total_traffic = 0;
+  for (const WindowSummary& ws : series.windows) {
+    total_traffic += ws.traffic;
+    if (ws.routes > 0) {
+      part.preferred_traffic_total +=
+          static_cast<double>(series.cells[ws.first].traffic);
     }
   }
+  for (const CellSummary& cell : series.cells) {
+    out.sessions_analyzed += static_cast<std::uint64_t>(cell.sessions);
+  }
+  out.total_traffic += static_cast<double>(total_traffic);
   ++out.groups_analyzed;
   const int continent = static_cast<int>(group.continent);
 
@@ -404,11 +410,10 @@ void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
   }
 
   // ---- Table 1: temporal classification at every threshold ---------------
-  scratch.cols.build(series);  // streamed by all 11 classifications
   for (std::size_t t = 0; t < thresholds.degradation_rtt.size(); ++t) {
     const Duration th = thresholds.degradation_rtt[t];
     make_observations_into(
-        scratch.cols, scratch.obs,
+        series, scratch.obs,
         [&](int w) { return window_at(degr_by_window, w)->rtt.exceeds(th); },
         [&](int w) {
           const DegradationWindow* dw = window_at(degr_by_window, w);
@@ -424,7 +429,7 @@ void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
   for (std::size_t t = 0; t < thresholds.degradation_hd.size(); ++t) {
     const double th = thresholds.degradation_hd[t];
     make_observations_into(
-        scratch.cols, scratch.obs,
+        series, scratch.obs,
         [&](int w) { return window_at(degr_by_window, w)->hd.exceeds(th); },
         [&](int w) {
           const DegradationWindow* dw = window_at(degr_by_window, w);
@@ -440,7 +445,7 @@ void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
   for (std::size_t t = 0; t < thresholds.opportunity_rtt.size(); ++t) {
     const Duration th = thresholds.opportunity_rtt[t];
     make_observations_into(
-        scratch.cols, scratch.obs,
+        series, scratch.obs,
         [&](int w) { return window_at(opp_by_window, w)->rtt_opportunity(th); },
         [&](int w) {
           const OpportunityWindow* ow = window_at(opp_by_window, w);
@@ -456,7 +461,7 @@ void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
   for (std::size_t t = 0; t < thresholds.opportunity_hd.size(); ++t) {
     const double th = thresholds.opportunity_hd[t];
     make_observations_into(
-        scratch.cols, scratch.obs,
+        series, scratch.obs,
         [&](int w) { return window_at(opp_by_window, w)->hd_opportunity(th); },
         [&](int w) {
           const OpportunityWindow* ow = window_at(opp_by_window, w);
@@ -512,14 +517,14 @@ void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
   };
   for (const auto& rc : comparisons) {
     if (!rc.applies) continue;
-    for (const auto& [w, agg] : series.windows) {
-      const RouteWindowAgg* pref = agg.route(0);
-      const RouteWindowAgg* alt = agg.route(rc.alt_index);
-      if (!pref || !alt) continue;
-      const Comparison cmp = compare_minrtt(*pref, *alt, comparison);
+    for (const WindowSummary& ws : series.windows) {
+      if (static_cast<int>(ws.routes) <= rc.alt_index) continue;
+      const std::span<const CellSummary> routes = series.routes(ws);
+      const Comparison cmp = compare_minrtt(
+          routes[0], routes[static_cast<std::size_t>(rc.alt_index)], comparison);
       if (!cmp.valid()) continue;
       rc.cdf->add(cmp.diff.estimate,
-                  std::max<double>(1, static_cast<double>(agg.total_traffic())));
+                  std::max<double>(1, static_cast<double>(ws.traffic)));
     }
   }
 }
@@ -596,18 +601,22 @@ struct ReduceSettings {
 
 /// The per-task body of every reduce (EdgeReducer and reduce_sweep_pass):
 /// group `g` of the generator's world into `part`, analyzed from `blob`
-/// when it loads, else cold-ingested under that world with the fresh
-/// series serialized into `save` when one is given. Returns whether the
+/// when it summarizes, else cold-ingested under that world with the fresh
+/// series serialized into `save` when one is given. Either way the
+/// analysis reads the group's cell summaries; a blob is summarized straight
+/// from its bytes, without building a GroupSeries. Returns whether the
 /// blob served the group.
 bool reduce_group(EdgeScratch& scratch, const DatasetGenerator& generator,
                   const ReduceSettings& s, std::size_t g, GroupBlobRef blob,
                   const EdgeReducer::SaveFn* save, EdgePartial& part) {
   const UserGroupProfile& group = generator.world().groups[g];
+  const double z = confidence_z(s.comparison.alpha);
   if (!blob.empty()) {
     ByteReader r(blob.data, blob.size);
-    if (load_group_series(r, scratch.series, &scratch.pool) && r.remaining() == 0) {
-      analyze_series_into(scratch, scratch.series, group, s.thresholds,
-                          s.comparison, s.classifier_config, part);
+    if (summarize_group_series(r, z, scratch.cell, scratch.summary) &&
+        r.remaining() == 0) {
+      analyze_summary_into(scratch, scratch.summary, group, s.thresholds,
+                           s.comparison, s.classifier_config, part);
       return true;
     }
     // Unusable blob: fall through to cold ingest for this group.
@@ -619,8 +628,9 @@ bool reduce_group(EdgeScratch& scratch, const DatasetGenerator& generator,
     std::string bytes = scratch.writer.data();  // keep writer capacity
     (*save)(g, std::move(bytes));
   }
-  analyze_series_into(scratch, scratch.series, group, s.thresholds, s.comparison,
-                      s.classifier_config, part);
+  summarize_series(scratch.series, z, scratch.summary);
+  analyze_summary_into(scratch, scratch.summary, group, s.thresholds, s.comparison,
+                       s.classifier_config, part);
   return false;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/expect.h"
 
@@ -39,17 +40,20 @@ double normal_quantile(double p) {
          ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
 }
 
+double confidence_z(double alpha) { return normal_quantile(0.5 + alpha / 2.0); }
+
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 // Fractional "ranks" (0-based positions into the sorted sample) bracketing
-// the median at confidence alpha, from the binomial/normal approximation.
+// the median at confidence z, from the binomial/normal approximation.
 struct MedianBracket {
   double lo_pos;  // 0-based position, may be fractional
   double hi_pos;
 };
 
-MedianBracket median_bracket(double n, double alpha) {
-  const double z = normal_quantile(0.5 + alpha / 2.0);
+MedianBracket median_bracket(double n, double z) {
   const double half_width = z * std::sqrt(n) / 2.0;
   double lo = n / 2.0 - half_width;   // 1-based fractional rank
   double hi = n / 2.0 + half_width + 1.0;
@@ -58,10 +62,18 @@ MedianBracket median_bracket(double n, double alpha) {
   return {lo - 1.0, hi - 1.0};  // convert to 0-based
 }
 
-// Standard error of the median recovered from its order-statistic interval.
-double median_se(const ConfidenceInterval& ci, double alpha) {
-  const double z = normal_quantile(0.5 + alpha / 2.0);
-  return ci.width() / (2.0 * z);
+// Price-Bonett: the standard error of each median is recovered from its
+// order-statistic interval, se = width / (2 z).
+ConfidenceInterval combine_difference(const ConfidenceInterval& ca,
+                                      const ConfidenceInterval& cb, double z) {
+  const double se_a = ca.width() / (2.0 * z);
+  const double se_b = cb.width() / (2.0 * z);
+  const double se = std::sqrt(se_a * se_a + se_b * se_b);
+  ConfidenceInterval out;
+  out.estimate = ca.estimate - cb.estimate;
+  out.lower = out.estimate - z * se;
+  out.upper = out.estimate + z * se;
+  return out;
 }
 
 // The interval needs the sample values at three fractional positions
@@ -110,9 +122,9 @@ class OrderStatSelector {
   std::vector<std::size_t> placed_;
 };
 
-ConfidenceInterval ci_from_scratch(std::vector<double>& scratch, double alpha) {
+ConfidenceInterval ci_from_scratch(std::vector<double>& scratch, double z) {
   FBEDGE_EXPECT(scratch.size() >= 5, "median CI needs >= 5 samples");
-  const auto bracket = median_bracket(static_cast<double>(scratch.size()), alpha);
+  const auto bracket = median_bracket(static_cast<double>(scratch.size()), z);
   const double median_pos = 0.5 * static_cast<double>(scratch.size() - 1);
   OrderStatSelector sel(scratch);
   ConfidenceInterval ci;
@@ -128,37 +140,13 @@ ConfidenceInterval median_confidence_interval(std::span<const double> values,
                                               std::vector<double>& scratch,
                                               double alpha) {
   scratch.assign(values.begin(), values.end());
-  return ci_from_scratch(scratch, alpha);
+  return ci_from_scratch(scratch, confidence_z(alpha));
 }
 
 ConfidenceInterval median_confidence_interval(const TDigest& digest, double alpha) {
-  const double n = static_cast<double>(digest.count());
-  FBEDGE_EXPECT(n >= 5, "median CI needs >= 5 samples");
-  const auto bracket = median_bracket(n, alpha);
-  ConfidenceInterval ci;
-  ci.estimate = digest.quantile(0.5);
-  // Convert bracket positions to quantiles of the sketch.
-  ci.lower = digest.quantile(bracket.lo_pos / (n - 1.0));
-  ci.upper = digest.quantile(bracket.hi_pos / (n - 1.0));
-  return ci;
+  FBEDGE_EXPECT(digest.count() >= 5, "median CI needs >= 5 samples");
+  return summarize_median(digest, confidence_z(alpha)).ci;
 }
-
-namespace {
-
-ConfidenceInterval combine_difference(const ConfidenceInterval& ca,
-                                      const ConfidenceInterval& cb, double alpha) {
-  const double z = normal_quantile(0.5 + alpha / 2.0);
-  const double se_a = median_se(ca, alpha);
-  const double se_b = median_se(cb, alpha);
-  const double se = std::sqrt(se_a * se_a + se_b * se_b);
-  ConfidenceInterval out;
-  out.estimate = ca.estimate - cb.estimate;
-  out.lower = out.estimate - z * se;
-  out.upper = out.estimate + z * se;
-  return out;
-}
-
-}  // namespace
 
 ConfidenceInterval median_difference_interval(std::span<const double> a,
                                               std::span<const double> b,
@@ -166,14 +154,35 @@ ConfidenceInterval median_difference_interval(std::span<const double> a,
                                               double alpha) {
   const auto ca = median_confidence_interval(a, scratch, alpha);
   const auto cb = median_confidence_interval(b, scratch, alpha);
-  return combine_difference(ca, cb, alpha);
+  return combine_difference(ca, cb, confidence_z(alpha));
 }
 
-ConfidenceInterval median_difference_interval(const TDigest& a, const TDigest& b,
-                                              double alpha) {
-  const auto ca = median_confidence_interval(a, alpha);
-  const auto cb = median_confidence_interval(b, alpha);
-  return combine_difference(ca, cb, alpha);
+MedianSummary::MedianSummary(const TDigest& digest, double alpha)
+    : MedianSummary(summarize_median(digest, confidence_z(alpha))) {}
+
+MedianSummary summarize_median(const TDigest& digest, double z) {
+  MedianSummary s;
+  s.count = digest.count();
+  s.z = z;
+  if (s.count < 5) {
+    s.ci = {digest.quantile(0.5), kNaN, kNaN};
+    return s;
+  }
+  // The bracket's positions as quantiles of the sketch: lo < 0.5 < hi.
+  const double n = static_cast<double>(s.count);
+  const auto bracket = median_bracket(n, z);
+  const double qs[3] = {bracket.lo_pos / (n - 1.0), 0.5, bracket.hi_pos / (n - 1.0)};
+  double at[3];
+  digest.quantiles(qs, at);
+  s.ci = {at[1], at[0], at[2]};
+  return s;
+}
+
+ConfidenceInterval median_difference_interval(const MedianSummary& a,
+                                              const MedianSummary& b) {
+  FBEDGE_EXPECT(a.count >= 5 && b.count >= 5, "median CI needs >= 5 samples");
+  FBEDGE_EXPECT(a.z == b.z, "median summaries taken at different confidence");
+  return combine_difference(a.ci, b.ci, a.z);
 }
 
 }  // namespace fbedge

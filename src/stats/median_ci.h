@@ -9,6 +9,7 @@
 // bound of the interval against a threshold.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -43,8 +44,8 @@ ConfidenceInterval median_confidence_interval(std::span<const double> values,
                                               double alpha = 0.95);
 
 /// Same interval computed from a t-digest sketch instead of raw samples,
-/// as a streaming system would (paper footnote 11). `n` defaults to the
-/// digest's point count.
+/// as a streaming system would (paper footnote 11), with n the digest's
+/// point count: summarize_median(digest, confidence_z(alpha)).ci.
 ConfidenceInterval median_confidence_interval(const TDigest& digest, double alpha = 0.95);
 
 /// Price-Bonett confidence interval for the difference of medians
@@ -59,9 +60,39 @@ ConfidenceInterval median_difference_interval(std::span<const double> a,
                                               std::vector<double>& scratch,
                                               double alpha = 0.95);
 
-/// Sketch-based version of the above.
-ConfidenceInterval median_difference_interval(const TDigest& a, const TDigest& b,
-                                              double alpha = 0.95);
+/// The z of a two-sided interval at confidence alpha:
+/// normal_quantile(0.5 + alpha / 2). An analysis takes it once and hands it
+/// to every summary it builds.
+double confidence_z(double alpha);
+
+/// Everything a sketch-based difference of medians reads from one side:
+/// the point count, the z the interval was taken at, and the median CI
+/// (estimate = p50). A summary is fixed-size, so comparing a window
+/// against a baseline, or keeping a baseline history, copies five
+/// numbers instead of a t-digest.
+struct MedianSummary {
+  std::uint64_t count{0};
+  double z{0};
+  /// lower/upper are NaN below 5 points, where no interval exists; the
+  /// estimate is quantile(0.5) at any count (NaN when empty).
+  ConfidenceInterval ci;
+
+  MedianSummary() = default;
+  /// summarize_median(digest, confidence_z(alpha)). Implicit, so a digest
+  /// can be passed wherever one side of a comparison is expected.
+  MedianSummary(const TDigest& digest, double alpha = 0.95);
+};
+
+/// The count and median CI of `digest` at z, from one TDigest::quantiles
+/// walk over the interval's three ascending quantiles: bitwise what three
+/// quantile() calls give.
+MedianSummary summarize_median(const TDigest& digest, double z);
+
+/// Price-Bonett difference-of-medians interval median(a) - median(b), as
+/// for samples above, from two summaries taken at the same z. Both sides
+/// need at least 5 points.
+ConfidenceInterval median_difference_interval(const MedianSummary& a,
+                                              const MedianSummary& b);
 
 /// Inverse standard normal CDF (Acklam's rational approximation, |err|<1e-9).
 double normal_quantile(double p);

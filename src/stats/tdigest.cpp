@@ -209,17 +209,41 @@ bool TDigest::load(ByteReader& r) {
 }
 
 double TDigest::quantile(double q) const {
-  compress();
-  if (centroids_.empty()) return kNaN;
-  q = std::clamp(q, 0.0, 1.0);
-  if (centroids_.size() == 1) return centroids_[0].mean;
+  double value = 0;
+  quantiles({&q, 1}, {&value, 1});
+  return value;
+}
 
-  const double target = q * total_weight_;
+void TDigest::quantiles(std::span<const double> qs, std::span<double> out) const {
+  FBEDGE_EXPECT(out.size() == qs.size(), "one output per quantile");
+  compress();
+  if (centroids_.size() <= 1) {
+    std::fill(out.begin(), out.end(), centroids_.empty() ? kNaN : centroids_[0].mean);
+    return;
+  }
   // Walk centroids, interpolating between midpoints (standard t-digest
   // quantile estimation: each centroid's weight is split half before /
-  // half after its mean).
+  // half after its mean). A target stops at the first centroid i with
+  // target < mid_i. Every centroid it passed has mid <= target, so for a
+  // target at least as large, that centroid fails the test too: the walk
+  // resumes at i with the same `cum`, summed in the same order, and gives
+  // what a walk from the front gives.
+  std::size_t i = 0;
   double cum = 0;
-  for (std::size_t i = 0; i < centroids_.size(); ++i) {
+  double prev_target = kNaN;
+  for (std::size_t k = 0; k < qs.size(); ++k) {
+    const double target = std::clamp(qs[k], 0.0, 1.0) * total_weight_;
+    if (!(target >= prev_target)) {
+      i = 0;
+      cum = 0;
+    }
+    prev_target = target;
+    out[k] = walk_to(target, i, cum);
+  }
+}
+
+double TDigest::walk_to(double target, std::size_t& i, double& cum) const {
+  for (; i < centroids_.size(); ++i) {
     const double mid = cum + centroids_[i].weight / 2.0;
     if (target < mid) {
       if (i == 0) {

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/binio.h"
@@ -76,8 +77,15 @@ class TDigest {
   void merge(const TDigest& other);
 
   /// Returns the estimated value at quantile q in [0, 1].
-  /// Returns NaN for an empty digest.
+  /// Returns NaN for an empty digest. The batch of one: quantiles({q}).
   double quantile(double q) const;
+
+  /// out[k] = quantile(qs[k]) for every k, bitwise, in one walk of the
+  /// centroids when `qs` is ascending: each target resumes where the one
+  /// before it stopped. A target below its predecessor (or NaN) walks
+  /// from the front again, so any order gives the same answers.
+  /// `out` must hold qs.size() values.
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
 
   /// Returns the estimated fraction of weight <= x. Returns NaN if empty.
   double cdf(double x) const;
@@ -128,6 +136,11 @@ class TDigest {
   /// Merges the sorted `run` with the sorted `centroids_` and rebuilds the
   /// centroid set under the k1 size limit. `run` must not alias members.
   void absorb_sorted_run(const Centroid* run, std::size_t n) const;
+
+  /// The quantiles() walk for one target: advances centroid index `i` and
+  /// the weight `cum` before it until target < mid_i, and returns the
+  /// interpolated value there (or toward max_ past the last midpoint).
+  double walk_to(double target, std::size_t& i, double& cum) const;
 
   double compression_;
   /// Buffered points before an automatic compress; cached from the ctor so

@@ -16,6 +16,8 @@ struct MonitorScratch {
   StreamSourceScratch source;
   WindowMachine machine;
   RollingBaseline baseline;
+  /// The sealed window's route summaries.
+  std::vector<CellSummary> routes;
   WindowVerdict verdict;
 };
 
@@ -60,6 +62,7 @@ MonitorResult run_stream_monitor(const World& world, const DatasetConfig& config
   const int lateness = mode == MonitorMode::kBatch
                            ? kStreamNeverSeal
                            : options.allowed_lateness_windows;
+  const double z = confidence_z(options.comparison.alpha);
 
   auto partials = parallel_map_scratch<MonitorScratch>(
       world.groups.size(), runtime,
@@ -70,7 +73,8 @@ MonitorResult run_stream_monitor(const World& world, const DatasetConfig& config
         Fnv64 hash;
         std::uint64_t seals = 0;
         const auto seal = [&](int window, WindowAgg& agg) {
-          evaluate_window_verdict(window, agg, s.baseline, options.comparison,
+          summarize_window(agg, z, s.routes);
+          evaluate_window_verdict(window, s.routes, s.baseline, options.comparison,
                                   s.verdict);
           hash_window_verdict(s.verdict, hash);
           const WindowVerdict& v = s.verdict;

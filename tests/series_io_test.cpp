@@ -8,7 +8,9 @@
 // the whole-or-nothing corruption fallback and failed artifact writes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -414,6 +416,169 @@ TEST(SeriesIo, RejectsBadContinent) {
   GroupSeries target;
   ByteReader r(bytes.data(), bytes.size());
   EXPECT_FALSE(load_group_series(r, target, nullptr));
+}
+
+// ---------------------------------------------------------------------------
+// Blob summaries: summarize_group_series against load_group_series.
+// ---------------------------------------------------------------------------
+
+const double kZ = confidence_z(0.95);
+
+/// Expects two summaries to match window by window, and cell by cell
+/// bytewise (so NaN medians of empty digests compare too).
+void expect_summaries_eq(const SeriesSummary& a, const SeriesSummary& b) {
+  EXPECT_EQ(a.continent, b.continent);
+  ASSERT_EQ(a.windows.size(), b.windows.size());
+  for (std::size_t i = 0; i < a.windows.size(); ++i) {
+    const WindowSummary& wa = a.windows[i];
+    const WindowSummary& wb = b.windows[i];
+    EXPECT_EQ(wa.window, wb.window) << i;
+    EXPECT_EQ(wa.traffic, wb.traffic) << i;
+    ASSERT_EQ(wa.routes, wb.routes) << i;
+    EXPECT_EQ(std::memcmp(a.routes(wa).data(), b.routes(wb).data(),
+                          wa.routes * sizeof(CellSummary)),
+              0)
+        << "window " << wa.window;
+  }
+}
+
+/// The blob summarizer's answer for `bytes`: whether it accepted them, and
+/// the summary when it did.
+bool summarize_blob(const std::string& bytes, SeriesSummary& out,
+                    std::size_t len = std::string::npos) {
+  ByteReader r(bytes.data(), std::min(len, bytes.size()));
+  RouteWindowAgg cell;
+  return summarize_group_series(r, kZ, cell, out);
+}
+
+bool load_and_summarize(const std::string& bytes, SeriesSummary& out,
+                        std::size_t len = std::string::npos) {
+  ByteReader r(bytes.data(), std::min(len, bytes.size()));
+  GroupSeries series;
+  if (!load_group_series(r, series, nullptr)) return false;
+  summarize_series(series, kZ, out);
+  return true;
+}
+
+TEST(SeriesSummary, BlobSummaryEqualsSummaryOfTheLoadedSeries) {
+  GroupSeries empty;
+  empty.continent = Continent::kOceania;
+  std::vector<std::string> blobs = {series_bytes(empty)};
+  for (const std::uint64_t seed : {55u, 56u, 57u, 58u, 59u}) {
+    blobs.push_back(series_bytes(make_series(seed)));
+  }
+  bool saw_nan_p50 = false;
+  for (const std::string& bytes : blobs) {
+    SeriesSummary direct, loaded;
+    ByteReader r(bytes.data(), bytes.size());
+    RouteWindowAgg cell;
+    cell.add_session(0.5, 0.5, 1);  // stale scratch state must not leak
+    ASSERT_TRUE(summarize_group_series(r, kZ, cell, direct));
+    EXPECT_EQ(r.remaining(), 0u);
+    ASSERT_TRUE(load_and_summarize(bytes, loaded));
+    expect_summaries_eq(direct, loaded);
+    for (const CellSummary& c : direct.cells) {
+      saw_nan_p50 = saw_nan_p50 || std::isnan(c.hdratio_p50());
+    }
+  }
+  EXPECT_TRUE(saw_nan_p50) << "fixtures should include a cell without HDratio";
+}
+
+TEST(SeriesSummary, SummaryIsTheCellsOwnAnswers) {
+  const GroupSeries series = make_series(61);
+  SeriesSummary summary;
+  summarize_series(series, kZ, summary);
+  std::size_t i = 0;
+  for (const auto& [w, agg] : series.windows) {
+    const WindowSummary& ws = summary.windows[i++];
+    EXPECT_EQ(ws.window, w);
+    EXPECT_EQ(ws.traffic, agg.total_traffic());
+    ASSERT_EQ(ws.routes, agg.routes.size());
+    for (std::size_t r = 0; r < agg.routes.size(); ++r) {
+      const RouteWindowAgg& cell = agg.routes[r];
+      const CellSummary& s = summary.routes(ws)[r];
+      EXPECT_EQ(s.sessions, cell.sessions());
+      EXPECT_EQ(s.traffic, cell.traffic());
+      EXPECT_EQ(s.hd_sessions(), cell.hd_sessions());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.minrtt_p50()),
+                std::bit_cast<std::uint64_t>(cell.minrtt_p50()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.hdratio_p50()),
+                std::bit_cast<std::uint64_t>(cell.hdratio_p50()));
+    }
+  }
+}
+
+TEST(SeriesSummary, RejectsExactlyWhatLoadRejects) {
+  const std::string bytes = series_bytes(make_series(60));
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    SeriesSummary direct, loaded;
+    const bool ok = summarize_blob(bytes, direct, len);
+    ASSERT_EQ(ok, load_and_summarize(bytes, loaded, len)) << "prefix " << len;
+    EXPECT_EQ(ok, len == bytes.size()) << "prefix " << len;
+    if (!ok) EXPECT_TRUE(direct.windows.empty() && direct.cells.empty());
+  }
+  Rng rng(2000);
+  int rejected = 0;
+  for (int flip = 0; flip < 2000; ++flip) {
+    std::string bad = bytes;
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    bad[at] = static_cast<char>(bad[at] ^ static_cast<char>(rng.uniform_int(1, 255)));
+    SeriesSummary direct, loaded;
+    const bool ok = summarize_blob(bad, direct);
+    ASSERT_EQ(ok, load_and_summarize(bad, loaded))
+        << "flip " << flip << " at byte " << at;
+    if (ok) {
+      expect_summaries_eq(direct, loaded);
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+}
+
+/// A two-window series (ids 10 and 20) whose second id is overwritten with
+/// `id` as a raw 64-bit value.
+std::string two_windows_with_second_id(std::int64_t id) {
+  GroupSeries series;
+  series.continent = Continent::kEurope;
+  for (int i = 0; i < 40; ++i) {
+    series.windows[10].route(0).add_session(0.05 + i * 1e-4, 0.5, 1000);
+    series.windows[20].route(0).add_session(0.07 + i * 1e-4, 0.4, 2000);
+    series.windows[20].route(1).add_session(0.03 + i * 1e-4, 0.9, 3000);
+  }
+  std::string bytes = series_bytes(series);
+  // Layout: u8 continent, u64 window count, then per window an i64 id, a
+  // u32 route count and the cells.
+  const std::size_t first_window_size =
+      8 + 4 + series.windows.at(10).routes[0].saved_size();
+  const std::size_t second_id_at = 1 + 8 + first_window_size;
+  for (int b = 0; b < 8; ++b) {
+    bytes[second_id_at + static_cast<std::size_t>(b)] =
+        static_cast<char>(static_cast<std::uint64_t>(id) >> (8 * b));
+  }
+  return bytes;
+}
+
+TEST(SeriesSummary, WindowIdsOrderAndCollideAsInLoad) {
+  // 5 (non-ascending) is rejected by the shared parser.
+  SeriesSummary direct, loaded;
+  EXPECT_FALSE(summarize_blob(two_windows_with_second_id(5), direct));
+  EXPECT_FALSE(load_and_summarize(two_windows_with_second_id(5), loaded));
+  // 2^32 + 5 ascends as a 64-bit id but files under int id 5, before
+  // window 10: both readers accept, with the windows in int order.
+  const std::string below = two_windows_with_second_id((std::int64_t{1} << 32) + 5);
+  ASSERT_TRUE(summarize_blob(below, direct));
+  ASSERT_TRUE(load_and_summarize(below, loaded));
+  expect_summaries_eq(direct, loaded);
+  ASSERT_EQ(direct.windows.size(), 2u);
+  EXPECT_EQ(direct.windows[0].window, 5);
+  EXPECT_EQ(direct.windows[0].routes, 2u);
+  // 2^32 + 10 files under id 10, which is taken: both readers reject.
+  const std::string collide = two_windows_with_second_id((std::int64_t{1} << 32) + 10);
+  EXPECT_FALSE(summarize_blob(collide, direct));
+  EXPECT_FALSE(load_and_summarize(collide, loaded));
+  EXPECT_TRUE(direct.windows.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,6 +1169,47 @@ TEST_F(IngestCacheEndToEnd, UnwritableCacheDirCountsWriteFailure) {
     EXPECT_EQ(stats.cache_misses, w.groups.size()) << "run " << run;
   }
   std::filesystem::remove(blocker);
+}
+
+TEST_F(IngestCacheEndToEnd, WarmRunBuildsNoPerCellState) {
+  // Two days, so the classifier's diurnal pass sees more than one day.
+  WorldConfig wc;
+  wc.seed = 2019;
+  wc.groups_per_continent = 2;
+  wc.days = 2;
+  const World w = build_world(wc);
+  DatasetConfig dc = dataset();
+  dc.days = 2;
+  const std::size_t n = w.groups.size();
+  const IngestCacheOptions cache{artifact_dir("no-cell-state")};
+  const std::uint64_t key = ingest_cache_key(w, dc, {});
+  const std::string path = ingest_artifact_path(cache.dir, key);
+  std::remove(path.c_str());
+  const auto cold = run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential(),
+                                      nullptr, {}, cache);
+
+  // The artifact's (window, route) cells.
+  IngestArtifact artifact;
+  ASSERT_TRUE(read_ingest_artifact(path, key, n, artifact));
+  std::uint64_t cells = 0;
+  for (const auto& [offset, length] : artifact.blobs) {
+    ByteReader r(artifact.bytes.data() + offset, length);
+    GroupSeries series;
+    ASSERT_TRUE(load_group_series(r, series, nullptr));
+    for (const auto& [window, agg] : series.windows) cells += agg.routes.size();
+  }
+  ASSERT_GT(cells, 1000u);
+
+  for (const int threads : {1, 3}) {
+    RunStats stats;
+    const auto warm = run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions{threads},
+                                        &stats, {}, cache);
+    expect_results_eq(cold, warm);
+    EXPECT_EQ(stats.cache_hits, n) << threads;
+    // Each cell is read into one per-worker scratch cell and summarized:
+    // the warm pass allocates per worker and per group, never per cell.
+    EXPECT_LT(stats.alloc_count, cells) << threads << " threads";
+  }
 }
 
 TEST_F(IngestCacheEndToEnd, KeySeparatesConfigs) {

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "stats/quantiles.h"
 #include "stats/tdigest.h"
 #include "stats/welford.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace fbedge {
@@ -528,6 +531,196 @@ TEST(TDigest, ManyPartMergeOrderKeepsRankErrorUnderTies) {
   for (double q : {0.05, 0.25, 0.5, 0.75, 0.95}) {
     EXPECT_NEAR(fwd.quantile(q), rev.quantile(q), 0.25) << "q=" << q;
     EXPECT_NEAR(fwd.quantile(q), interleaved.quantile(q), 0.25) << "q=" << q;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batched quantile walk: TDigest::quantiles answers each q of a batch with
+// exactly quantile(q)'s bits.
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Asserts quantiles(qs) == {quantile(q) for q in qs}, bitwise.
+void expect_batch_matches_single_calls(const TDigest& d, const std::vector<double>& qs,
+                                       const char* what) {
+  std::vector<double> batch(qs.size(), -1.0);
+  d.quantiles(qs, batch);
+  for (std::size_t k = 0; k < qs.size(); ++k) {
+    EXPECT_EQ(bits(batch[k]), bits(d.quantile(qs[k])))
+        << what << ": q[" << k << "]=" << qs[k] << " batch=" << batch[k]
+        << " single=" << d.quantile(qs[k]);
+  }
+}
+
+/// A digest loaded from a hand-written state: exactly these centroids.
+TDigest digest_from_centroids(const std::vector<TDigest::Centroid>& centroids,
+                              double min, double max) {
+  double total = 0;
+  for (const auto& c : centroids) total += c.weight;
+  ByteWriter w;
+  w.f64(100.0);  // compression
+  w.u64(static_cast<std::uint64_t>(total));
+  w.f64(total);
+  w.f64(min);
+  w.f64(max);
+  w.u64(centroids.size());
+  for (const auto& c : centroids) {
+    w.f64(c.mean);
+    w.f64(c.weight);
+  }
+  const std::string bytes = w.take();
+  ByteReader r(bytes.data(), bytes.size());
+  TDigest d;
+  EXPECT_TRUE(d.load(r));
+  return d;
+}
+
+const std::vector<double> kEdgeBatch = {-0.5, 0.0, 0.0, 1e-12, 0.1, 0.25, 0.5,
+                                        0.5,  0.75, 0.9, 0.999, 1.0, 1.0, 1.5};
+
+TEST(TDigestBatch, EmptyOneAndTwoCentroidDigests) {
+  const TDigest empty;
+  std::vector<double> out(kEdgeBatch.size(), 0.0);
+  empty.quantiles(kEdgeBatch, out);
+  for (const double v : out) EXPECT_TRUE(std::isnan(v));
+  expect_batch_matches_single_calls(empty, kEdgeBatch, "empty");
+  empty.quantiles({}, {});  // an empty batch is a no-op
+
+  TDigest one;
+  one.add(42.0);
+  expect_batch_matches_single_calls(one, kEdgeBatch, "one centroid");
+  one.quantiles(kEdgeBatch, out);
+  for (const double v : out) EXPECT_EQ(v, 42.0);
+
+  const TDigest two = digest_from_centroids({{1.0, 3.0}, {5.0, 1.0}}, 0.5, 7.0);
+  expect_batch_matches_single_calls(two, kEdgeBatch, "two centroids");
+  const TDigest two_heavy = digest_from_centroids({{1.0, 1.0}, {2.0, 9.0}}, 1.0, 2.0);
+  expect_batch_matches_single_calls(two_heavy, kEdgeBatch, "two, heavy tail");
+}
+
+TEST(TDigestBatch, RepeatedAndSignedZeroAndSubnormalMeansLoadedFromBytes) {
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const TDigest repeated = digest_from_centroids(
+      {{2.0, 1.0}, {2.0, 1.0}, {2.0, 4.0}, {3.0, 2.0}, {3.0, 2.0}}, 2.0, 3.0);
+  expect_batch_matches_single_calls(repeated, kEdgeBatch, "repeated means");
+  const TDigest zeros = digest_from_centroids(
+      {{-0.0, 1.0}, {0.0, 2.0}, {-0.0, 3.0}, {sub, 1.0}, {4 * sub, 2.0}}, -0.0, 4 * sub);
+  expect_batch_matches_single_calls(zeros, kEdgeBatch, "signed zeros and subnormals");
+  // Subnormal weights make midpoints collide with their neighbours.
+  const TDigest tiny = digest_from_centroids(
+      {{1.0, sub}, {2.0, sub}, {3.0, 1.0}, {4.0, sub}}, 0.0, 5.0);
+  expect_batch_matches_single_calls(tiny, kEdgeBatch, "subnormal weights");
+  std::vector<double> fine;
+  for (int i = 0; i <= 64; ++i) fine.push_back(i / 64.0);
+  expect_batch_matches_single_calls(zeros, fine, "signed zeros, fine grid");
+  expect_batch_matches_single_calls(repeated, fine, "repeated means, fine grid");
+}
+
+TEST(TDigestBatch, EndpointsAndTargetsPastTheLastMidpoint) {
+  // Last centroid's midpoint at 9.5 of 10: every q above 0.95 interpolates
+  // toward max, and q = 1 lands on max itself.
+  const TDigest d =
+      digest_from_centroids({{1.0, 2.0}, {4.0, 3.0}, {6.0, 4.0}, {8.0, 1.0}}, 0.0, 10.0);
+  const std::vector<double> tail = {0.0, 0.94, 0.95, 0.951, 0.97, 0.99, 1.0, 1.0, 2.0};
+  expect_batch_matches_single_calls(d, tail, "tail");
+  std::vector<double> out(tail.size());
+  d.quantiles(tail, out);
+  EXPECT_EQ(out.front(), 0.0);  // q = 0 is min
+  EXPECT_EQ(out[6], 10.0);      // q = 1 is max
+  // A batch entirely past the last midpoint, and one entirely before the
+  // first.
+  expect_batch_matches_single_calls(d, {0.96, 0.98, 1.0}, "all past the last mid");
+  expect_batch_matches_single_calls(d, {0.0, 0.01, 0.05}, "all before the first mid");
+}
+
+TEST(TDigestBatch, AnyOrderMatchesSingleCalls) {
+  // Ascending is the one-walk case; a smaller target, or NaN, restarts the
+  // walk from the front and still answers exactly.
+  Rng rng(4242);
+  TDigest d;
+  for (int i = 0; i < 3000; ++i) d.add(rng.lognormal(1.0, 0.7));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_batch_matches_single_calls(d, {0.9, 0.1, 0.5, 0.5, 0.2, 0.95}, "descending");
+  expect_batch_matches_single_calls(d, {0.3, nan, 0.4, nan, 0.1}, "NaN");
+}
+
+TEST(TDigestBatch, RandomDigestsMatchSingleCalls) {
+  Rng rng(20191016);
+  for (int trial = 0; trial < 1000; ++trial) {
+    TDigest d(rng.uniform(20.0, 200.0));
+    const auto n = rng.uniform_int(1, 3000);
+    const bool atoms = rng.bernoulli(0.3);  // duplicate-heavy values
+    for (std::int64_t i = 0; i < n; ++i) {
+      double v = rng.lognormal(2.0, 1.0);
+      if (atoms) v = std::floor(v);
+      d.add(v, rng.bernoulli(0.2) ? rng.uniform(0.1, 5.0) : 1.0);
+    }
+    std::vector<double> qs;
+    const auto k = rng.uniform_int(1, 8);
+    for (std::int64_t i = 0; i < k; ++i) qs.push_back(rng.uniform(-0.05, 1.05));
+    qs.push_back(0.5);
+    qs.push_back(qs.front());  // a repeated target
+    std::sort(qs.begin(), qs.end());
+    expect_batch_matches_single_calls(d, qs, "random");
+    if (HasFailure()) {
+      ADD_FAILURE() << "trial " << trial;
+      return;
+    }
+  }
+}
+
+TEST(MedianSummary, EqualsTheSingleQuantileCalls) {
+  Rng rng(77);
+  for (const int n : {0, 1, 4, 5, 6, 30, 31, 500, 20000}) {
+    TDigest d;
+    for (int i = 0; i < n; ++i) d.add(rng.normal(0.05, 0.01));
+    const double z = confidence_z(0.95);
+    const MedianSummary s = summarize_median(d, z);
+    EXPECT_EQ(s.count, static_cast<std::uint64_t>(n));
+    EXPECT_EQ(bits(s.z), bits(normal_quantile(0.975)));
+    EXPECT_EQ(bits(s.ci.estimate), bits(d.quantile(0.5))) << n;
+    if (n < 5) {
+      EXPECT_TRUE(std::isnan(s.ci.lower) && std::isnan(s.ci.upper)) << n;
+      continue;
+    }
+    // The order-statistic bracket, converted to quantiles of the sketch.
+    const double nd = n;
+    const double half = z * std::sqrt(nd) / 2.0;
+    const double lo_q = (std::max(1.0, nd / 2.0 - half) - 1.0) / (nd - 1.0);
+    const double hi_q = (std::min(nd, nd / 2.0 + half + 1.0) - 1.0) / (nd - 1.0);
+    EXPECT_EQ(bits(s.ci.lower), bits(d.quantile(lo_q))) << n;
+    EXPECT_EQ(bits(s.ci.upper), bits(d.quantile(hi_q))) << n;
+    const ConfidenceInterval ci = median_confidence_interval(d);
+    EXPECT_EQ(bits(ci.estimate), bits(s.ci.estimate));
+    EXPECT_EQ(bits(ci.lower), bits(s.ci.lower));
+    EXPECT_EQ(bits(ci.upper), bits(s.ci.upper));
+    // A digest converts to its summary at alpha 0.95.
+    const MedianSummary implicit = d;
+    EXPECT_EQ(std::memcmp(&implicit, &s, sizeof s), 0);
+  }
+}
+
+TEST(MedianSummary, DifferenceIsPriceBonettOverTheSummaries) {
+  Rng rng(53);
+  TDigest a, b;
+  for (int i = 0; i < 800; ++i) {
+    a.add(rng.normal(0.060, 0.004));
+    b.add(rng.normal(0.052, 0.006));
+  }
+  for (const double alpha : {0.9, 0.95, 0.99}) {
+    const double z = normal_quantile(0.5 + alpha / 2.0);
+    const MedianSummary sa = summarize_median(a, confidence_z(alpha));
+    const MedianSummary sb = summarize_median(b, confidence_z(alpha));
+    const ConfidenceInterval ca = median_confidence_interval(a, alpha);
+    const ConfidenceInterval cb = median_confidence_interval(b, alpha);
+    const double se_a = ca.width() / (2.0 * z);
+    const double se_b = cb.width() / (2.0 * z);
+    const double se = std::sqrt(se_a * se_a + se_b * se_b);
+    const ConfidenceInterval diff = median_difference_interval(sa, sb);
+    EXPECT_EQ(bits(diff.estimate), bits(ca.estimate - cb.estimate)) << alpha;
+    EXPECT_EQ(bits(diff.lower), bits(diff.estimate - z * se)) << alpha;
+    EXPECT_EQ(bits(diff.upper), bits(diff.estimate + z * se)) << alpha;
   }
 }
 

@@ -28,7 +28,7 @@
 #include "agg/series_io.h"
 #include "analysis/ingest_cache.h"
 #include "fbedge/fbedge.h"
-#include "int_flags.h"
+#include "util/int_flags.h"
 #include "util/simd.h"
 
 using namespace fbedge;

@@ -45,8 +45,8 @@
 #include "distrib/coordinator.h"
 #include "distrib/shard_manifest.h"
 #include "distrib/subprocess.h"
-#include "int_flags.h"
 #include "util/binio.h"
+#include "util/int_flags.h"
 
 using namespace fbedge;
 

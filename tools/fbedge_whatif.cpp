@@ -45,8 +45,8 @@
 #include "bench_common.h"
 #include "distrib/sweep_fleet.h"
 #include "fbedge/fbedge.h"
-#include "int_flags.h"
 #include "scenario/scenario.h"
+#include "util/int_flags.h"
 
 using namespace fbedge;
 
