@@ -262,11 +262,11 @@ int main(int argc, char** argv) {
     g_sink = static_cast<double>(scratch.txns.size());
   });
 
-  // ---- SIMD kernel variants ----------------------------------------------
+  // ---- SIMD kernel variant ------------------------------------------------
   // The unsuffixed entries above follow runtime dispatch (FBEDGE_SIMD); the
-  // _simd entries force the AVX2 path so the committed JSON always carries
+  // _simd entry forces the AVX2 path so the committed JSON always carries
   // an explicit vectorized number, falling back to scalar only when the
-  // build or CPU lacks AVX2 (the values then simply repeat the scalar cost).
+  // build or CPU lacks AVX2 (the value then simply repeats the scalar cost).
   const bool have_avx2 = simd::compiled_avx2() && simd::cpu_supports_avx2();
   const simd::Path dispatched = simd::active_path();
   simd::force_path(have_avx2 ? simd::Path::kAvx2 : simd::Path::kScalar);
@@ -278,33 +278,6 @@ int main(int argc, char** argv) {
   const double hd_batch_simd_per_session_ns =
       hd_batch_simd_call_ns / static_cast<double>(hd_rows);
   g_sink = static_cast<double>(hd_out[0].tested);
-
-  // Batched coalesce over 64 sessions of 64 writes each, reported per
-  // session so it lines up with coalesce_session above.
-  SessionBatch coalesce_batch_input;
-  const std::size_t coalesce_rows = 64;
-  for (std::size_t row = 0; row < coalesce_rows; ++row) {
-    coalesce_batch_input.begin_row(
-        SessionId{row}, /*at=*/0.001 * static_cast<double>(row), /*route=*/0,
-        /*ip=*/0x0a000000u, /*hosting_provider=*/false, HttpVersion::kHttp2,
-        EndpointClass::kDynamic, /*num_txns=*/4);
-    for (const auto& w : writes) coalesce_batch_input.add_write(w);
-    coalesce_batch_input.finish_row(/*dur=*/1.0, /*busy=*/0.3, /*rtt=*/0.040);
-  }
-  CoalescedBatch coalesced_out;
-  const double coalesce_simd_ns =
-      time_per_op(2000, [&](int) {
-        coalesce_batch(coalesce_batch_input, nullptr, coalesced_out);
-        g_sink = static_cast<double>(coalesced_out.txns.size());
-      }) /
-      static_cast<double>(coalesce_rows);
-
-  TDigest simd_digest(100);
-  const double tdigest_add_simd_ns =
-      time_per_op(static_cast<int>(values.size()), [&](int i) {
-        simd_digest.add(values[static_cast<std::size_t>(i)]);
-      });
-  g_sink = simd_digest.quantile(0.5);
 
   simd::force_path(dispatched);
 
@@ -328,10 +301,6 @@ int main(int argc, char** argv) {
   std::printf("  batch_append          %10.1f  (row + 4 writes)\n", batch_append_ns);
   std::printf("  hd_batch_simd         %10.1f  (forced %s)\n",
               hd_batch_simd_per_session_ns, have_avx2 ? "avx2" : "scalar");
-  std::printf("  coalesce_simd         %10.1f  (batched, per 64-write session)\n",
-              coalesce_simd_ns);
-  std::printf("  tdigest_add_simd      %10.1f  (amortized compress)\n",
-              tdigest_add_simd_ns);
 
   bench::JsonOutput json(rc.json_path);
   json.add("tmodel_solve_closed_ns", closed_ns);
@@ -348,8 +317,6 @@ int main(int argc, char** argv) {
   json.add("hd_batch_per_session_ns", hd_batch_per_session_ns);
   json.add("batch_append_ns", batch_append_ns);
   json.add("hd_batch_simd_per_session_ns", hd_batch_simd_per_session_ns);
-  json.add("coalesce_simd_ns", coalesce_simd_ns);
-  json.add("tdigest_add_simd_ns", tdigest_add_simd_ns);
   json.add("runtime_simd_avx2", simd::avx2_active() ? 1 : 0);
   return json.write() ? 0 : 1;
 }

@@ -64,9 +64,9 @@ void analyze_degradation_into(const SeriesSummary& series, const ComparisonConfi
 /// The per-window degradation comparison: `pref` (the preferred-route cell
 /// of one window) against the chosen baseline cells. Overwrites `out`; a
 /// null baseline leaves the corresponding Comparison kMissing. Shared by
-/// the retrospective analyzer above, the online DegradationMonitor, and the
-/// streaming verdict path (agg/window_verdict.h) — one implementation, so
-/// batch and stream verdicts cannot drift.
+/// the retrospective analyzer above and the streaming verdict path
+/// (agg/window_verdict.h) — one implementation, so batch and stream
+/// verdicts cannot drift.
 void evaluate_degradation_window(int window, const CellSummary& pref,
                                  const CellSummary* base_rtt,
                                  const CellSummary* base_hd,

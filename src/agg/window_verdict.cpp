@@ -43,9 +43,9 @@ void evaluate_window_verdict(int window, std::span<const CellSummary> routes,
     evaluate_degradation_window(window, routes[0], baseline.baseline_rtt(),
                                 baseline.baseline_hd(), config, out.degr);
   } else {
-    // No preferred-route signal: the monitor skips the window (it would
-    // dilute the baseline pool), but alternates can still carry opportunity
-    // data below.
+    // No preferred-route signal: the window stays out of the baseline
+    // history (it would dilute the baseline pool), but alternates can still
+    // carry opportunity data below.
     out.degr = DegradationWindow{};
     out.degr.window = window;
   }

@@ -1,12 +1,10 @@
 // The shared per-window §3.4 verdict step.
 //
 // Degradation and opportunity verdicts for one sealed (user group, window)
-// aggregation used to live twice: once in the batch analyzers
+// aggregation have one implementation each: the batch analyzers
 // (degradation.cpp / opportunity.cpp walking a finished GroupSeries) and
-// once, re-derived, in the online DegradationMonitor. This header factors
-// the per-window logic into single implementations — the batch analyzers,
-// the monitor, and the streaming pipeline (src/stream/) all call the same
-// functions, so batch/stream equivalence is structural, not coincidental.
+// the streaming pipeline (src/stream/) call the same per-window functions,
+// so batch/stream equivalence is structural, not coincidental.
 //
 // RollingBaseline is the streaming counterpart of the retrospective
 // full-series baseline pick: the window at the configured quantile of the
@@ -80,7 +78,7 @@ class RollingBaseline {
 };
 
 /// Alert thresholds for flagging a verdict (defaults match the paper's
-/// headline 5 ms / 0.05 event definitions and MonitorConfig).
+/// headline 5 ms / 0.05 event definitions).
 struct VerdictPolicy {
   Duration degradation_rtt{0.005};
   double degradation_hd{0.05};
@@ -105,8 +103,8 @@ struct WindowVerdict {
 /// Evaluates one sealed window — its route summaries, taken at
 /// confidence_z(config.alpha) — against `baseline` and its own alternates,
 /// then folds the preferred summary into the baseline history. This is
-/// THE shared verdict step: DegradationMonitor, the batch replay and the
-/// streaming window machine all converge here.
+/// THE shared verdict step: the batch replay and the streaming window
+/// machine both converge here.
 void evaluate_window_verdict(int window, std::span<const CellSummary> routes,
                              RollingBaseline& baseline,
                              const ComparisonConfig& config, WindowVerdict& out);

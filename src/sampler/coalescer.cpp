@@ -83,37 +83,4 @@ void coalesce_writes_append(const ResponseWrite* writes, std::size_t n, Duration
   close_group(current_eligible);
 }
 
-void coalesce_writes_append_masked(const ResponseWrite* writes, const std::uint8_t* joins,
-                                   std::size_t n, Duration min_rtt,
-                                   std::vector<TxnTiming>& txns, int& ineligible_groups,
-                                   int& coalesced_writes) {
-  if (n == 0) return;
-
-  Group group{0, 0, writes[0].bytes};
-  Duration prev_group_last_ack = -1;
-
-  auto close_group = [&](bool eligible) {
-    if (eligible) {
-      txns.push_back(finalize(writes, group, min_rtt));
-    } else {
-      ++ineligible_groups;
-    }
-    prev_group_last_ack = writes[group.last].last_ack;
-  };
-
-  bool current_eligible = true;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (joins[i] != 0) {
-      group.last = i;
-      group.bytes += writes[i].bytes;
-      ++coalesced_writes;
-      continue;
-    }
-    close_group(current_eligible);
-    current_eligible = writes[i].first_byte_nic >= prev_group_last_ack;
-    group = Group{i, i, writes[i].bytes};
-  }
-  close_group(current_eligible);
-}
-
 }  // namespace fbedge

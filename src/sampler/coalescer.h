@@ -55,16 +55,4 @@ void coalesce_writes_append(const ResponseWrite* writes, std::size_t n, Duration
                             std::vector<TxnTiming>& txns, int& ineligible_groups,
                             int& coalesced_writes, CoalescerConfig config = {});
 
-/// As coalesce_writes_append, but the per-pair join decision is read from a
-/// precomputed mask instead of being evaluated inline: joins[i] != 0 iff
-/// write i joins write i-1's group (joins[0] is never read). The AVX2
-/// batch path (session_batch_avx2.cpp) computes the mask for a whole flat
-/// write buffer in one vectorized pass — legal because the scan always
-/// compares write i against write i-1, never against an older group member
-/// — and this scan then only does integer group bookkeeping.
-void coalesce_writes_append_masked(const ResponseWrite* writes, const std::uint8_t* joins,
-                                   std::size_t n, Duration min_rtt,
-                                   std::vector<TxnTiming>& txns, int& ineligible_groups,
-                                   int& coalesced_writes);
-
 }  // namespace fbedge

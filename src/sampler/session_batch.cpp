@@ -1,7 +1,5 @@
 #include "sampler/session_batch.h"
 
-#include "util/simd.h"
-
 namespace fbedge {
 
 void SessionBatch::clear() {
@@ -49,20 +47,6 @@ void SessionBatch::begin_row(SessionId sid, SimTime at, int route, std::uint32_t
 
 void coalesce_batch(const SessionBatch& batch, const std::uint8_t* skip,
                     CoalescedBatch& out, CoalescerConfig config) {
-#if FBEDGE_HAVE_AVX2
-  // The AVX2 coalesce kernel loses to scalar at every measured batch size
-  // (see kCoalesceAvx2MinWrites), so `auto` dispatch never takes it here;
-  // forced dispatch still does.
-  if (simd::avx2_batch_active(batch.writes.size(), simd::kCoalesceAvx2MinWrites)) {
-    coalesce_batch_avx2(batch, skip, out, config);
-    return;
-  }
-#endif
-  coalesce_batch_scalar(batch, skip, out, config);
-}
-
-void coalesce_batch_scalar(const SessionBatch& batch, const std::uint8_t* skip,
-                           CoalescedBatch& out, CoalescerConfig config) {
   out.clear();
   const std::size_t rows = batch.size();
   out.offset.reserve(rows);

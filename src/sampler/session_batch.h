@@ -93,12 +93,6 @@ struct CoalescedBatch {
   int ineligible_groups{0};
   int coalesced_writes{0};
 
-  /// Scratch for the AVX2 path's precomputed join mask (one byte per write
-  /// in the source batch); kept here so its capacity is reused across
-  /// windows like every other column. Contents are meaningless between
-  /// calls and never part of the result.
-  std::vector<std::uint8_t> join_scratch;
-
   void clear() {
     txns.clear();
     offset.clear();
@@ -115,21 +109,5 @@ struct CoalescedBatch {
 /// are filtered before, not after, the goodput work.
 void coalesce_batch(const SessionBatch& batch, const std::uint8_t* skip,
                     CoalescedBatch& out, CoalescerConfig config = {});
-
-/// The always-built scalar reference for coalesce_batch (the pinned
-/// definition of the output); coalesce_batch() dispatches here unless the
-/// AVX2 path is active (util/simd.h).
-void coalesce_batch_scalar(const SessionBatch& batch, const std::uint8_t* skip,
-                           CoalescedBatch& out, CoalescerConfig config = {});
-
-/// AVX2 variant (defined only when FBEDGE_HAVE_AVX2; guard call sites with
-/// simd::compiled_avx2()): the gap/merge join predicate for the whole flat
-/// write buffer is evaluated four pairs at a time into join_scratch, then
-/// each row runs the integer-only masked merge scan. The join decision is
-/// one IEEE add + ordered compare per pair, so the mask — and therefore
-/// every group boundary, byte total, and eligibility verdict — is bitwise
-/// identical to the scalar scan.
-void coalesce_batch_avx2(const SessionBatch& batch, const std::uint8_t* skip,
-                         CoalescedBatch& out, CoalescerConfig config = {});
 
 }  // namespace fbedge

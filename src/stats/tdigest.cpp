@@ -8,7 +8,6 @@
 #include <type_traits>
 
 #include "util/expect.h"
-#include "util/simd.h"
 
 namespace fbedge {
 namespace {
@@ -73,18 +72,8 @@ void TDigest::merge(const TDigest& other) {
 
 void TDigest::compress() const {
   if (buffer_.empty()) return;
-  // Only the buffer is unsorted; centroids_ is an already-sorted run. The
-  // AVX2 key sort produces exactly the comparator's order (equivalent
-  // elements are byte-identical 16-byte pairs, so unstable placement cannot
-  // change the output run); it declines buffers containing -0.0/NaN, which
-  // then take the comparator sort like everything else.
-  bool sorted = false;
-#if FBEDGE_HAVE_AVX2
-  if (simd::avx2_active() && buffer_.size() >= 8) {
-    sorted = detail::tdigest_sort_avx2(buffer_, key_scratch_);
-  }
-#endif
-  if (!sorted) std::sort(buffer_.begin(), buffer_.end(), centroid_less);
+  // Only the buffer is unsorted; centroids_ is an already-sorted run.
+  std::sort(buffer_.begin(), buffer_.end(), centroid_less);
   absorb_sorted_run(buffer_.data(), buffer_.size());
   buffer_.clear();
   unmerged_weight_ = 0;

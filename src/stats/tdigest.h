@@ -26,16 +26,6 @@
 
 namespace fbedge {
 
-namespace detail {
-/// 16-byte integer sort key whose lexicographic (mean, weight) order equals
-/// the centroid comparator's order for every input without a -0.0 or NaN
-/// field (see tdigest_avx2.cpp).
-struct CentroidKey {
-  std::uint64_t mean{0};
-  std::uint64_t weight{0};
-};
-}  // namespace detail
-
 /// A mergeable quantile sketch.
 ///
 /// Usage:
@@ -154,26 +144,11 @@ class TDigest {
   /// here, then rebuilds centroids_ from it. Reused across compressions so
   /// the steady state allocates nothing.
   mutable std::vector<Centroid> scratch_;
-  /// Key scratch for the AVX2 sort path in compress(); capacity persists
-  /// like the other pools. Contents are meaningless between calls.
-  mutable std::vector<detail::CentroidKey> key_scratch_;
   mutable double total_weight_{0};
   mutable double unmerged_weight_{0};
   std::size_t count_{0};
   double min_;
   double max_;
 };
-
-namespace detail {
-/// AVX2 sort of a centroid buffer into exactly the comparator order
-/// (defined only when FBEDGE_HAVE_AVX2; guard call sites with
-/// simd::compiled_avx2()): centroids are encoded four doubles at a time
-/// into order-preserving integer keys, sorted branchlessly as integers, and
-/// decoded back bit-exactly. Returns false — leaving `buffer` untouched —
-/// when any field is -0.0 or NaN (the two cases where integer order and
-/// IEEE compare order disagree); the caller then runs the comparator sort.
-bool tdigest_sort_avx2(std::vector<TDigest::Centroid>& buffer,
-                       std::vector<CentroidKey>& scratch);
-}  // namespace detail
 
 }  // namespace fbedge

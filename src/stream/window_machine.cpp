@@ -3,13 +3,8 @@
 #include <utility>
 
 #include "util/expect.h"
-#include "util/simd.h"
 
 namespace fbedge {
-
-void bucket_window_keys_scalar(const StreamRow* rows, std::size_t n, std::int32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = window_index(rows[i].at);
-}
 
 void WindowMachine::start_group(int allowed_lateness_windows, SealFn seal) {
   FBEDGE_EXPECT(allowed_lateness_windows >= 0,
@@ -42,23 +37,10 @@ void WindowMachine::on_delivery(int nominal_window, const StreamRow* rows,
     // rather than wrap.
     seal_below(watermark_ - static_cast<long long>(lateness_));
   }
-  // Bucketing pass first (vectorizable), then the grouping scan consumes
-  // the precomputed keys.
-  key_scratch_.resize(count);
-  if (count > 0) {
-#if FBEDGE_HAVE_AVX2
-    if (simd::avx2_active()) {
-      bucket_window_keys_avx2(rows, count, key_scratch_.data());
-    } else
-#endif
-    {
-      bucket_window_keys_scalar(rows, count, key_scratch_.data());
-    }
-  }
   std::uint64_t dropped = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const StreamRow& row = rows[i];
-    const int w = key_scratch_[i];
+    const int w = window_index(row.at);
     if (w < sealed_below_) {
       ++dropped;
       continue;

@@ -29,7 +29,6 @@
 #include <functional>
 #include <limits>
 #include <optional>
-#include <vector>
 
 #include "agg/aggregation.h"
 #include "agg/user_group.h"
@@ -58,18 +57,6 @@ struct StreamRow {
 /// Lateness sentinel: never seal on the watermark, only at flush() — the
 /// batch-replay mode of the monitor pipeline.
 constexpr int kStreamNeverSeal = std::numeric_limits<int>::max();
-
-/// Computes window_index(rows[i].at) for every row of a delivery into
-/// out[0..n) — the window-key bucketing pass of the streaming classifier,
-/// split out so it can run vectorized. The scalar variant is the pinned
-/// reference; on_delivery dispatches via util/simd.h.
-void bucket_window_keys_scalar(const StreamRow* rows, std::size_t n, std::int32_t* out);
-
-/// AVX2 variant (defined only when FBEDGE_HAVE_AVX2; guard call sites with
-/// simd::compiled_avx2()): four timestamps per divide, truncated with the
-/// same toward-zero semantics (including the 0x80000000 out-of-range/NaN
-/// result) as the scalar cast, so keys are bitwise identical.
-void bucket_window_keys_avx2(const StreamRow* rows, std::size_t n, std::int32_t* out);
 
 class WindowMachine {
  public:
@@ -112,9 +99,6 @@ class WindowMachine {
 
   WindowMap open_;
   RouteAggPool pool_;
-  /// Per-delivery window keys from the bucketing pass; capacity persists
-  /// across deliveries and groups.
-  std::vector<std::int32_t> key_scratch_;
   SealFn seal_;
   int lateness_{0};
   /// Highest nominal window delivered; windows below `sealed_below_` are

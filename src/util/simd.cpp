@@ -77,15 +77,6 @@ void force_path(Path path) {
   g_source.store("forced", std::memory_order_relaxed);
 }
 
-bool avx2_batch_active(std::size_t work_items, std::size_t min_items) {
-  if (!avx2_active()) return false;
-  // Only the heuristic `auto` mode respects the size gate; an explicit
-  // FBEDGE_SIMD=avx2 or a forced test path means "run the AVX2 kernel,
-  // period" — the differential tests and the CI rot guard depend on it.
-  if (std::strcmp(dispatch_source(), "auto") == 0) return work_items >= min_items;
-  return true;
-}
-
 const char* path_name(Path path) {
   return path == Path::kAvx2 ? "avx2" : "scalar";
 }

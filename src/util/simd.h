@@ -1,11 +1,12 @@
-// Runtime SIMD dispatch for the columnar hot kernels.
+// Runtime SIMD dispatch for the HD batch kernel.
 //
-// The pipeline's hot kernels (goodput/hdratio batched evaluation, sampler
-// coalescing, stats/tdigest compress, stream window bucketing) each exist
-// in two implementations: a scalar reference — the always-built, pinned
+// goodput/hdratio's batched HD evaluation (evaluate_hd_batch) exists in
+// two implementations: a scalar reference — the always-built, pinned
 // definition of the output — and an AVX2 variant compiled in a separate
-// translation unit with `-mavx2 -ffp-contract=off`. Which one runs is a
-// pure process-wide decision made here, once:
+// translation unit with `-mavx2 -ffp-contract=off`. It is the one kernel
+// whose AVX2 variant pays for itself (DESIGN.md §4g); every other stage has
+// only its scalar body. Which one runs is a pure process-wide decision
+// made here, once:
 //
 //   FBEDGE_SIMD=auto   (default) AVX2 iff the build has it and the CPU
 //                      reports it; scalar otherwise.
@@ -14,24 +15,22 @@
 //                      forced path silently falling back to scalar is
 //                      exactly the rot the CI matrix exists to prevent.
 //
-// The bitwise contract (see DESIGN.md "SIMD layer"): a vectorized kernel
+// The bitwise contract (see DESIGN.md "SIMD layer"): the vectorized kernel
 // must produce byte-identical output to its scalar reference for every
-// input. Lanes hold *independent* work items (rows/sessions); doubles are
-// only ever combined in the same fixed order as the scalar code, divergent
-// lanes are masked or compacted rather than reordered, and the AVX2 TUs
-// are compiled with FP contraction off so no FMA changes a rounding. Tests
-// (tests/simd_kernels_test.cpp) pin scalar vs AVX2 bitwise-equal per
-// kernel; CI pins whole-bench byte identity between FBEDGE_SIMD=off and
-// FBEDGE_SIMD=avx2.
+// input. Lanes hold *independent* sessions; doubles are only ever combined
+// in the same fixed order as the scalar code, divergent lanes are masked or
+// compacted rather than reordered, and the AVX2 TU is compiled with FP
+// contraction off so no FMA changes a rounding. Tests
+// (tests/simd_kernels_test.cpp) pin scalar vs AVX2 bitwise-equal; the
+// simd_identity ctest and CI pin whole-bench byte identity between
+// FBEDGE_SIMD=off and FBEDGE_SIMD=avx2.
 #pragma once
-
-#include <cstddef>
 
 namespace fbedge::simd {
 
 enum class Path { kScalar = 0, kAvx2 = 1 };
 
-/// True when this binary contains the AVX2 kernel TUs (x86-64 build with a
+/// True when this binary contains the AVX2 kernel (x86-64 build with a
 /// compiler that accepts -mavx2).
 bool compiled_avx2();
 
@@ -44,21 +43,6 @@ bool cpu_supports_avx2();
 Path active_path();
 
 inline bool avx2_active() { return active_path() == Path::kAvx2; }
-
-/// Per-call batch-size gate for kernels whose AVX2 setup cost can exceed
-/// the lane win. Under `auto` dispatch the AVX2 variant is taken only when
-/// the call carries at least `min_items` work items; an explicit
-/// FBEDGE_SIMD=avx2 or force_path(kAvx2) always takes it (the CI rot guard
-/// and the differential tests must still reach the kernel regardless of
-/// batch size). Always false when AVX2 is inactive.
-bool avx2_batch_active(std::size_t work_items, std::size_t min_items);
-
-/// Coalesce threshold: benchmarked on micro_hotpath, the AVX2 coalesce
-/// kernel trails scalar at every measured batch size (1-256 rows x 1-64
-/// writes; gather/mask setup dominates the short per-row write lists), so
-/// `auto` never selects it. Forced dispatch still exercises the kernel.
-inline constexpr std::size_t kCoalesceAvx2MinWrites =
-    static_cast<std::size_t>(-1);
 
 /// Test hook: overrides the resolved path for the rest of the process (the
 /// differential tests run both kernels side by side through the public

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "agg/classifier.h"
-#include "agg/monitor.h"
 #include "agg/rollup.h"
+#include "agg/window_verdict.h"
 #include "analysis/edge_analysis.h"
 #include "analysis/sweep.h"
 #include "distrib/coordinator.h"
@@ -527,21 +527,37 @@ TEST(WindowRollup, ValidityGateKeepsThinCellsOutOfRollups) {
   EXPECT_EQ(legacy.windows().at(0).route(0)->sessions(), 55);
 }
 
-TEST(DegradationMonitor, EmptyWindowsAreSkippedAndCounted) {
-  int alerts = 0;
-  DegradationMonitor monitor({}, [&](const DegradationEvent&) { ++alerts; });
+TEST(RollingBaseline, EmptyWindowsNeverEnterTheHistory) {
+  // A PoP outage or a dropped window leaves a preferred-route cell with no
+  // sessions: it carries no signal and must not dilute the baseline pool.
+  RollingBaselineConfig baseline_config;
+  const ComparisonConfig comparison;
+  const VerdictPolicy policy;
+  baseline_config.min_samples = comparison.min_samples;
+  RollingBaseline baseline(baseline_config);
+  const double z = confidence_z(comparison.alpha);
+  int flags = 0;
+  auto close = [&](int w, const RouteWindowAgg& cell) {
+    const CellSummary summary = summarize_cell(cell, z);
+    WindowVerdict v;
+    evaluate_window_verdict(w, std::span<const CellSummary>(&summary, 1), baseline,
+                            comparison, v);
+    flags += v.degr.rtt.exceeds(policy.degradation_rtt) ||
+                     v.degr.hd.exceeds(policy.degradation_hd)
+                 ? 1
+                 : 0;
+  };
   const RouteWindowAgg empty;
-  monitor.on_window_closed(0, empty);
-  monitor.on_window_closed(1, empty);
-  EXPECT_EQ(monitor.skipped_empty(), 2u);
-  EXPECT_EQ(monitor.history_size(), 0);
+  close(0, empty);
+  EXPECT_EQ(baseline.history_size(), 0);
+  close(1, empty);
+  EXPECT_EQ(baseline.history_size(), 0);
 
   RouteWindowAgg filled;
   filled.add_session(0.05, 1.0, 1000);
-  monitor.on_window_closed(2, filled);
-  EXPECT_EQ(monitor.history_size(), 1);
-  EXPECT_EQ(monitor.skipped_empty(), 2u);
-  EXPECT_EQ(alerts, 0);
+  close(2, filled);
+  EXPECT_EQ(baseline.history_size(), 1);
+  EXPECT_EQ(flags, 0);
 }
 
 TEST(Classifier, DegenerateInputsAreExcludedNotDivided) {

@@ -1,9 +1,10 @@
-// Tests for the online degradation monitor and sample serialization.
+// Tests for the stream monitor's rolling baseline and sample serialization.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "agg/monitor.h"
+#include "agg/cell_summary.h"
+#include "agg/window_verdict.h"
 #include "sampler/io.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -11,89 +12,126 @@
 namespace fbedge {
 namespace {
 
-RouteWindowAgg make_window(Duration rtt, double hd, std::uint64_t seed, int n = 80) {
+const ComparisonConfig kComparison{};
+const VerdictPolicy kPolicy{};
+
+/// One window's preferred-route cell: `n` sessions around `rtt` and `hd`,
+/// summarized at the comparison's confidence level.
+CellSummary make_window(Duration rtt, double hd, std::uint64_t seed, int n = 80) {
   RouteWindowAgg agg;
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
     agg.add_session(std::max(0.001, rtt + rng.normal(0, 0.002)),
                     std::clamp(hd + rng.normal(0, 0.05), 0.0, 1.0), 1000);
   }
-  return agg;
+  return summarize_cell(agg, confidence_z(kComparison.alpha));
 }
 
+/// The stream monitor's baseline shape: its sample floor comes from the
+/// comparison config.
+RollingBaseline make_baseline(int history_windows = RollingBaselineConfig{}.history_windows) {
+  RollingBaselineConfig config;
+  config.history_windows = history_windows;
+  config.min_samples = kComparison.min_samples;
+  return RollingBaseline(config);
+}
+
+/// Seals window `w` whose only route is `cell` through the shared verdict
+/// step, which also folds the cell into `baseline`.
+WindowVerdict close_window(RollingBaseline& baseline, int w, const CellSummary& cell) {
+  WindowVerdict verdict;
+  evaluate_window_verdict(w, std::span<const CellSummary>(&cell, 1), baseline,
+                          kComparison, verdict);
+  return verdict;
+}
+
+bool rtt_flagged(const WindowVerdict& v) {
+  return v.degr.rtt.exceeds(kPolicy.degradation_rtt);
+}
+bool hd_flagged(const WindowVerdict& v) { return v.degr.hd.exceeds(kPolicy.degradation_hd); }
+bool flagged(const WindowVerdict& v) { return rtt_flagged(v) || hd_flagged(v); }
+
 // ---------------------------------------------------------------------------
-// DegradationMonitor.
+// Rolling baseline behind the stream verdicts.
 // ---------------------------------------------------------------------------
 
-TEST(Monitor, NoAlertsDuringWarmup) {
-  int alerts = 0;
-  DegradationMonitor monitor({}, [&](const DegradationEvent&) { ++alerts; });
+TEST(RollingBaseline, NoVerdictDuringWarmup) {
+  RollingBaseline baseline = make_baseline();
+  int flags = 0;
   for (int w = 0; w < 5; ++w) {
-    monitor.on_window_closed(w, make_window(0.040, 0.9, w));
+    const WindowVerdict v = close_window(baseline, w, make_window(0.040, 0.9, w));
+    EXPECT_EQ(v.degr.rtt.validity, Validity::kMissing) << w;
+    EXPECT_EQ(v.degr.hd.validity, Validity::kMissing) << w;
+    flags += flagged(v) ? 1 : 0;
   }
-  EXPECT_EQ(alerts, 0);
-  EXPECT_FALSE(monitor.baseline_minrtt().has_value());
+  EXPECT_EQ(flags, 0);
+  EXPECT_EQ(baseline.baseline_rtt(), nullptr);
 }
 
-TEST(Monitor, AlertsOnRttJumpAfterWarmup) {
-  std::vector<DegradationEvent> events;
-  DegradationMonitor monitor({}, [&](const DegradationEvent& e) { events.push_back(e); });
+TEST(RollingBaseline, RttStepFlagsRttOnly) {
+  RollingBaseline baseline = make_baseline();
+  int flags = 0;
   for (int w = 0; w < 20; ++w) {
-    monitor.on_window_closed(w, make_window(0.040, 0.9, w));
+    flags += flagged(close_window(baseline, w, make_window(0.040, 0.9, w))) ? 1 : 0;
   }
-  ASSERT_TRUE(monitor.baseline_minrtt().has_value());
-  EXPECT_NEAR(*monitor.baseline_minrtt(), 0.040, 0.003);
-  EXPECT_TRUE(events.empty()) << "steady state must be quiet";
+  ASSERT_NE(baseline.baseline_rtt(), nullptr);
+  EXPECT_NEAR(baseline.baseline_rtt()->minrtt_p50(), 0.040, 0.003);
+  EXPECT_EQ(flags, 0) << "steady state must be quiet";
 
-  monitor.on_window_closed(20, make_window(0.060, 0.9, 20));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].window, 20);
-  ASSERT_TRUE(events[0].rtt.has_value());
-  EXPECT_GT(events[0].rtt->lower, 0.005);
-  EXPECT_FALSE(events[0].hd.has_value());
+  const WindowVerdict v = close_window(baseline, 20, make_window(0.060, 0.9, 20));
+  EXPECT_EQ(v.window, 20);
+  ASSERT_TRUE(rtt_flagged(v));
+  EXPECT_GT(v.degr.rtt.diff.lower, 0.005);
+  EXPECT_FALSE(hd_flagged(v));
 }
 
-TEST(Monitor, AlertsOnHdDropIndependently) {
-  std::vector<DegradationEvent> events;
-  DegradationMonitor monitor({}, [&](const DegradationEvent& e) { events.push_back(e); });
-  for (int w = 0; w < 20; ++w) monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  monitor.on_window_closed(20, make_window(0.040, 0.4, 20));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_TRUE(events[0].hd.has_value());
-  EXPECT_FALSE(events[0].rtt.has_value());
+TEST(RollingBaseline, HdDropFlagsHdOnly) {
+  RollingBaseline baseline = make_baseline();
+  int flags = 0;
+  for (int w = 0; w < 20; ++w) {
+    flags += flagged(close_window(baseline, w, make_window(0.040, 0.9, w))) ? 1 : 0;
+  }
+  EXPECT_EQ(flags, 0);
+  const WindowVerdict v = close_window(baseline, 20, make_window(0.040, 0.4, 20));
+  EXPECT_TRUE(hd_flagged(v));
+  EXPECT_FALSE(rtt_flagged(v));
 }
 
-TEST(Monitor, HistoryBounded) {
-  MonitorConfig cfg;
-  cfg.history_windows = 10;
-  DegradationMonitor monitor(cfg, nullptr);
-  for (int w = 0; w < 50; ++w) monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  EXPECT_EQ(monitor.history_size(), 10);
+TEST(RollingBaseline, HistoryBounded) {
+  RollingBaseline baseline = make_baseline(10);
+  for (int w = 0; w < 50; ++w) close_window(baseline, w, make_window(0.040, 0.9, w));
+  EXPECT_EQ(baseline.history_size(), 10);
 }
 
-TEST(Monitor, PersistentShiftBecomesNewBaseline) {
-  MonitorConfig cfg;
-  cfg.history_windows = 12;
-  int alerts = 0;
-  DegradationMonitor monitor(cfg, [&](const DegradationEvent&) { ++alerts; });
-  for (int w = 0; w < 20; ++w) monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  // A step change alerts while old windows linger in the history...
-  for (int w = 20; w < 40; ++w) monitor.on_window_closed(w, make_window(0.060, 0.9, w));
-  EXPECT_GT(alerts, 0);
-  const int alerts_during_rollover = alerts;
+TEST(RollingBaseline, PersistentShiftBecomesNewBaseline) {
+  RollingBaseline baseline = make_baseline(12);
+  int flags = 0;
+  for (int w = 0; w < 20; ++w) {
+    flags += flagged(close_window(baseline, w, make_window(0.040, 0.9, w))) ? 1 : 0;
+  }
+  // A step change is flagged while old windows linger in the history...
+  for (int w = 20; w < 40; ++w) {
+    flags += flagged(close_window(baseline, w, make_window(0.060, 0.9, w))) ? 1 : 0;
+  }
+  EXPECT_GT(flags, 0);
+  const int flags_during_rollover = flags;
   // ...but once the 12-window history is all post-step, 60 ms is the new
-  // normal and alerts stop.
-  EXPECT_NEAR(*monitor.baseline_minrtt(), 0.060, 0.003);
-  for (int w = 40; w < 60; ++w) monitor.on_window_closed(w, make_window(0.060, 0.9, w));
-  EXPECT_EQ(alerts, alerts_during_rollover) << "no alerts once re-baselined";
+  // normal and the flags stop.
+  ASSERT_NE(baseline.baseline_rtt(), nullptr);
+  EXPECT_NEAR(baseline.baseline_rtt()->minrtt_p50(), 0.060, 0.003);
+  for (int w = 40; w < 60; ++w) {
+    flags += flagged(close_window(baseline, w, make_window(0.060, 0.9, w))) ? 1 : 0;
+  }
+  EXPECT_EQ(flags, flags_during_rollover) << "no flags once re-baselined";
 }
 
-TEST(Monitor, SparseWindowsDoNotCrash) {
-  DegradationMonitor monitor({}, nullptr);
+TEST(RollingBaseline, SparseWindowsNeverFormABaseline) {
+  RollingBaseline baseline = make_baseline();
   RouteWindowAgg tiny;
   tiny.add_session(0.040, 0.9, 100);
-  for (int w = 0; w < 30; ++w) monitor.on_window_closed(w, tiny);
-  EXPECT_FALSE(monitor.baseline_minrtt().has_value())
+  const CellSummary cell = summarize_cell(tiny, confidence_z(kComparison.alpha));
+  for (int w = 0; w < 30; ++w) close_window(baseline, w, cell);
+  EXPECT_EQ(baseline.baseline_rtt(), nullptr)
       << "windows below the sample floor cannot form a baseline";
 }
 

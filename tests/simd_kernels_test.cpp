@@ -1,24 +1,17 @@
-// Differential tests pinning the AVX2 kernels bitwise-equal to their scalar
-// references (the contract in util/simd.h): randomized 100-seed sweeps over
-// batches that include ragged tails (rows and counts not multiples of the
-// lane width), degenerate timings (NaN/inf/zero/negative fields),
-// zero-transaction sessions, and directed edge cases for each kernel's
-// fast-path boundaries. All tests skip on hosts without AVX2 — the scalar
-// path is covered by the per-module tests.
+// Differential tests pinning the AVX2 HD batch kernel bitwise-equal to its
+// scalar reference (the contract in util/simd.h): a randomized 100-seed
+// sweep over batches that include ragged tails (rows and counts not
+// multiples of the lane width), degenerate timings (NaN/inf/zero/negative
+// fields), zero-transaction sessions, and directed edge cases for the
+// kernel's fast-path boundaries. All tests skip on hosts without AVX2 — the
+// scalar path is covered by the per-module tests.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include <cstring>
-
 #include "goodput/hdratio.h"
-#include "sampler/session_batch.h"
-#include "stats/tdigest.h"
-#include "stream/window_machine.h"
-#include "util/binio.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -163,256 +156,6 @@ TEST(SimdHdBatch, DegenerateAndRaggedRows) {
   expect_hd_identical(b, GoodputConfig{0.4 * kMbps}, 0);
 }
 
-// ---------------------------------------------------------------------------
-// coalesce_batch
-// ---------------------------------------------------------------------------
-
-// Sessions whose writes cluster around the back-to-back gap boundary, with
-// multiplexed/preempted flags, out-of-order ACK skew, and occasional NaN
-// timestamps, so the join mask is exercised on both sides of every || term.
-SessionBatch random_write_batch(Rng& rng, std::vector<std::uint8_t>& skip) {
-  SessionBatch b;
-  const int rows = static_cast<int>(rng.uniform_int(0, 33));
-  SimTime clock = 0.0;
-  for (int i = 0; i < rows; ++i) {
-    const bool hosting = rng.bernoulli(0.15);
-    b.begin_row(SessionId{static_cast<std::uint64_t>(i)}, clock, 0, 0, hosting,
-                HttpVersion::kHttp2, EndpointClass::kDynamic, 0);
-    const int n = rng.bernoulli(0.15) ? 0 : static_cast<int>(rng.uniform_int(1, 11));
-    for (int j = 0; j < n; ++j) {
-      ResponseWrite w;
-      w.first_byte_nic = clock + rng.uniform(0.0, 0.002);
-      // Gap straddles the 50us back-to-back threshold, including exact-tie
-      // candidates from reusing the previous last_byte_nic.
-      w.last_byte_nic = w.first_byte_nic + rng.uniform(0.0, 0.001);
-      if (rng.bernoulli(0.05)) w.last_byte_nic = kNan;
-      w.second_last_ack = w.last_byte_nic + rng.uniform(0.0, 0.1);
-      w.last_ack = w.second_last_ack + rng.uniform(0.0, 0.05);
-      w.bytes = rng.uniform_int(1, 500'000);
-      w.last_packet_bytes = rng.uniform_int(0, 1500);
-      w.wnic = rng.uniform_int(1, 100'000);
-      w.multiplexed = rng.bernoulli(0.2);
-      w.preempted = rng.bernoulli(0.1);
-      b.add_write(w);
-      clock = w.first_byte_nic + rng.uniform(0.0, 0.0001);  // often within the gap
-    }
-    b.finish_row(rng.uniform(0.1, 30.0), rng.uniform(0.0, 5.0), rng.uniform(0.001, 0.3));
-    skip.push_back(hosting ? 1 : 0);
-    clock += rng.uniform(0.0, 0.5);
-  }
-  return b;
-}
-
-void expect_coalesce_identical(const SessionBatch& b, const std::uint8_t* skip,
-                               CoalescerConfig config, std::uint64_t seed) {
-  CoalescedBatch ref, simd_out;
-  coalesce_batch_scalar(b, skip, ref, config);
-  coalesce_batch_avx2(b, skip, simd_out, config);
-  ASSERT_EQ(ref.txns.size(), simd_out.txns.size()) << "seed=" << seed;
-  // TxnTiming is four packed 8-byte fields; bitwise comparison catches any
-  // rounding difference a value compare with tolerance would forgive.
-  EXPECT_EQ(std::memcmp(ref.txns.data(), simd_out.txns.data(),
-                        ref.txns.size() * sizeof(TxnTiming)),
-            0)
-      << "seed=" << seed;
-  EXPECT_EQ(ref.offset, simd_out.offset) << "seed=" << seed;
-  EXPECT_EQ(ref.count, simd_out.count) << "seed=" << seed;
-  EXPECT_EQ(ref.ineligible_groups, simd_out.ineligible_groups) << "seed=" << seed;
-  EXPECT_EQ(ref.coalesced_writes, simd_out.coalesced_writes) << "seed=" << seed;
-}
-
-TEST(SimdCoalesce, HundredSeedDifferentialSweep) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    Rng rng(seed ^ 0xc0a1e5ce);
-    std::vector<std::uint8_t> skip;
-    const SessionBatch b = random_write_batch(rng, skip);
-    expect_coalesce_identical(b, nullptr, CoalescerConfig{}, seed);
-    expect_coalesce_identical(b, skip.data(), CoalescerConfig{}, seed);
-    // A much larger gap flips most join decisions.
-    expect_coalesce_identical(b, skip.data(), CoalescerConfig{5 * kMillisecond}, seed);
-  }
-}
-
-TEST(SimdCoalesce, ExactGapBoundaryTies) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  // first_byte_nic == prev last_byte_nic + gap exactly (a <= tie), one ulp
-  // above, and one ulp below, in every lane position of the 4-wide pass.
-  SessionBatch b;
-  const CoalescerConfig config{};
-  b.begin_row(SessionId{1}, 0.0, 0, 0, false, HttpVersion::kHttp2,
-              EndpointClass::kDynamic, 0);
-  double t = 1.0;
-  for (int j = 0; j < 13; ++j) {
-    ResponseWrite w;
-    w.first_byte_nic = t;
-    w.last_byte_nic = t + 0.0005;
-    w.second_last_ack = w.last_byte_nic + 0.01;
-    w.last_ack = w.second_last_ack + 0.002;
-    w.bytes = 10'000 + j;
-    w.last_packet_bytes = 100;
-    w.wnic = 15'000;
-    b.add_write(w);
-    const double boundary = w.last_byte_nic + config.back_to_back_gap;
-    switch (j % 3) {
-      case 0: t = boundary; break;
-      case 1: t = std::nextafter(boundary, kInf); break;
-      default: t = std::nextafter(boundary, -kInf); break;
-    }
-  }
-  b.finish_row(10.0, 1.0, 0.02);
-  expect_coalesce_identical(b, nullptr, config, 0);
-}
-
-TEST(SimdCoalesce, AutoDispatchNeverTakesAvx2Coalesce) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  // Runs before any force_path() test so it sees the env-resolved dispatch.
-  // The coalesce threshold is "never" (kCoalesceAvx2MinWrites, benchmarked
-  // slower than scalar at every size), so under auto the batch gate keeps
-  // the public entry on the scalar kernel for any realistic batch.
-  const char* source = simd::dispatch_source();
-  if (std::strcmp(source, "auto") == 0) {
-    EXPECT_FALSE(simd::avx2_batch_active(0, simd::kCoalesceAvx2MinWrites));
-    EXPECT_FALSE(
-        simd::avx2_batch_active(1u << 20, simd::kCoalesceAvx2MinWrites));
-    EXPECT_TRUE(simd::avx2_batch_active(simd::kCoalesceAvx2MinWrites,
-                                        simd::kCoalesceAvx2MinWrites));
-    // Generic gate semantics: inclusive >= threshold boundary.
-    EXPECT_FALSE(simd::avx2_batch_active(3, 4));
-    EXPECT_TRUE(simd::avx2_batch_active(4, 4));
-    EXPECT_TRUE(simd::avx2_batch_active(5, 4));
-  } else if (std::strcmp(source, "avx2") == 0) {
-    // Explicit FBEDGE_SIMD=avx2 is pass-through at any size (CI rot guard).
-    EXPECT_TRUE(simd::avx2_batch_active(0, simd::kCoalesceAvx2MinWrites));
-  } else {
-    // FBEDGE_SIMD=off: inactive regardless of batch size.
-    EXPECT_FALSE(simd::avx2_batch_active(1u << 20, 0));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// stream window-key bucketing
-// ---------------------------------------------------------------------------
-
-TEST(SimdWindowKeys, HundredSeedDifferentialSweep) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    Rng rng(seed ^ 0xb0c4e7);
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 67));
-    std::vector<StreamRow> rows(n);
-    for (auto& r : rows) {
-      switch (rng.uniform_int(0, 7)) {
-        case 0: r.at = kWindowLength * static_cast<double>(rng.uniform_int(0, 2000)); break;
-        case 1: r.at = -rng.uniform(0.0, 1e5); break;
-        case 2: r.at = rng.uniform(0.0, 1e18); break;  // out of int range -> 0x80000000
-        case 3: r.at = kNan; break;
-        default: r.at = rng.uniform(0.0, 1e7); break;
-      }
-    }
-    std::vector<std::int32_t> ref(n, -7), simd_keys(n, -9);
-    bucket_window_keys_scalar(rows.data(), n, ref.data());
-    bucket_window_keys_avx2(rows.data(), n, simd_keys.data());
-    EXPECT_EQ(ref, simd_keys) << "seed=" << seed;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// t-digest add/compress
-// ---------------------------------------------------------------------------
-
-// Restores the dispatch path on scope exit so force_path games cannot leak
-// into later tests.
-struct PathGuard {
-  explicit PathGuard(simd::Path p) { simd::force_path(p); }
-  ~PathGuard() { simd::force_path(simd::Path::kScalar); }
-};
-
-// Serializes the digest; save() compresses first and emits every field as
-// raw bits, so equal byte strings mean bitwise-equal digests.
-std::string digest_bytes(const TDigest& d) {
-  ByteWriter w;
-  d.save(w);
-  return w.data();
-}
-
-void expect_digests_identical(const std::vector<TDigest::Centroid>& points,
-                              std::uint64_t seed) {
-  TDigest scalar_d(100.0), simd_d(100.0);
-  {
-    PathGuard g(simd::Path::kScalar);
-    for (const auto& p : points) scalar_d.add(p.mean, p.weight);
-    scalar_d.compress();
-  }
-  std::string scalar_bytes = digest_bytes(scalar_d);
-  {
-    PathGuard g(simd::Path::kAvx2);
-    for (const auto& p : points) simd_d.add(p.mean, p.weight);
-    simd_d.compress();
-    EXPECT_EQ(scalar_bytes, digest_bytes(simd_d)) << "seed=" << seed;
-  }
-}
-
-TEST(SimdTDigest, HundredSeedDifferentialSweep) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    Rng rng(seed ^ 0x7d16e57);
-    std::vector<TDigest::Centroid> points;
-    // Sizes straddle the buffer limit (400) so auto-compress fires mid-add
-    // on some seeds and never on others; heavy duplication stresses the
-    // (mean, weight) tie-break.
-    const int n = static_cast<int>(rng.uniform_int(1, 1200));
-    for (int i = 0; i < n; ++i) {
-      double v;
-      switch (rng.uniform_int(0, 3)) {
-        case 0: v = rng.uniform(0.0, 1.0); break;
-        case 1: v = static_cast<double>(rng.uniform_int(0, 9)); break;  // ties
-        case 2: v = -rng.exponential(3.0); break;
-        default: v = rng.uniform(-1e9, 1e9); break;
-      }
-      const double w = rng.bernoulli(0.7) ? 1.0 : rng.uniform(0.25, 8.0);
-      points.push_back({v, w});
-    }
-    expect_digests_identical(points, seed);
-  }
-}
-
-TEST(SimdTDigest, NegativeZeroFallsBackToComparatorSort) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  // -0.0 and +0.0 compare equal under IEEE < but order differently as
-  // encoded integers: the AVX2 sort must decline, and the result must still
-  // match scalar exactly.
-  std::vector<TDigest::Centroid> points;
-  Rng rng(99);
-  for (int i = 0; i < 300; ++i) {
-    switch (rng.uniform_int(0, 3)) {
-      case 0: points.push_back({-0.0, rng.uniform(0.5, 2.0)}); break;
-      case 1: points.push_back({0.0, rng.uniform(0.5, 2.0)}); break;
-      default: points.push_back({rng.uniform(-1.0, 1.0), 1.0}); break;
-    }
-  }
-  expect_digests_identical(points, 99);
-}
-
-TEST(SimdTDigest, MergeAcrossPaths) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  // merge() routes other digests' centroids through compress(); digests
-  // built and merged entirely under each path must serialize identically.
-  auto build = [](simd::Path p) {
-    PathGuard g(p);
-    TDigest parts[4] = {TDigest(100.0), TDigest(100.0), TDigest(100.0), TDigest(100.0)};
-    Rng rng(7);
-    for (int i = 0; i < 2000; ++i) {
-      parts[i % 4].add(rng.normal(50.0, 12.0), rng.bernoulli(0.5) ? 1.0 : 2.5);
-    }
-    TDigest all(100.0);
-    for (auto& d : parts) all.merge(d);
-    ByteWriter w;
-    all.save(w);
-    return w.data();
-  };
-  EXPECT_EQ(build(simd::Path::kScalar), build(simd::Path::kAvx2));
-}
-
 TEST(SimdDispatch, PublicEntryFollowsForcedPath) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
   Rng rng(42);
@@ -433,46 +176,6 @@ TEST(SimdDispatch, PublicEntryFollowsForcedPath) {
     EXPECT_EQ(ref[i].achieved, via_dispatch[i].achieved) << i;
     EXPECT_EQ(ref[i].achieved_naive, via_dispatch[i].achieved_naive) << i;
   }
-}
-
-TEST(SimdDispatch, ForcedPathBypassesCoalesceBatchGate) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this host/build";
-  Rng rng(7 ^ 0xc0a1e5ce);
-  std::vector<std::uint8_t> skip;
-  SessionBatch b = random_write_batch(rng, skip);
-  while (b.writes.empty()) {
-    skip.clear();
-    b = random_write_batch(rng, skip);
-  }
-
-  const auto expect_batches_eq = [](const CoalescedBatch& x,
-                                    const CoalescedBatch& y) {
-    ASSERT_EQ(x.txns.size(), y.txns.size());
-    EXPECT_EQ(std::memcmp(x.txns.data(), y.txns.data(),
-                          x.txns.size() * sizeof(TxnTiming)),
-              0);
-    EXPECT_EQ(x.offset, y.offset);
-    EXPECT_EQ(x.count, y.count);
-    EXPECT_EQ(x.ineligible_groups, y.ineligible_groups);
-    EXPECT_EQ(x.coalesced_writes, y.coalesced_writes);
-  };
-
-  CoalescedBatch ref, via_forced, via_scalar;
-  coalesce_batch_scalar(b, skip.data(), ref, CoalescerConfig{});
-  {
-    PathGuard guard(simd::Path::kAvx2);
-    // The coalesce "never" threshold only gates auto dispatch: a forced
-    // path must still reach the AVX2 kernel at any batch size, so the
-    // differential coverage cannot rot away.
-    EXPECT_TRUE(simd::avx2_batch_active(b.writes.size(),
-                                        simd::kCoalesceAvx2MinWrites));
-    coalesce_batch(b, skip.data(), via_forced, CoalescerConfig{});
-  }
-  EXPECT_FALSE(
-      simd::avx2_batch_active(b.writes.size(), simd::kCoalesceAvx2MinWrites));
-  coalesce_batch(b, skip.data(), via_scalar, CoalescerConfig{});
-  expect_batches_eq(ref, via_forced);
-  expect_batches_eq(ref, via_scalar);
 }
 
 }  // namespace

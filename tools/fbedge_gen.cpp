@@ -6,14 +6,21 @@
 //
 // Usage: fbedge_gen [--groups N] [--days D] [--scale S] [--seed X]
 //                   [--threads T] [--out FILE]
+//
+// Values are checked whole: --groups and --days must be integers >= 1,
+// --threads an integer >= 0, --scale a number > 0 and --seed an unsigned
+// integer; anything else, or a flag without its value, exits 2 with the
+// usage line.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "fbedge/fbedge.h"
+#include "util/int_flags.h"
 
 using namespace fbedge;
 
@@ -28,37 +35,46 @@ struct Options {
   std::string out;
 };
 
-bool parse_args(int argc, char** argv, Options& opts) {
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--groups N] [--days D] [--scale S] [--seed X] "
+               "[--threads T] [--out FILE]\n",
+               argv0);
+  std::exit(2);
+}
+
+Options parse_args(int argc, char** argv) {
+  Options opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) usage(argv[0]);
+      return argv[++i];
+    };
     if (arg == "--groups") {
-      if (const char* v = next()) opts.groups_per_continent = std::atoi(v);
+      opts.groups_per_continent = flags::parse_int(next(), 1, usage, argv[0]);
     } else if (arg == "--days") {
-      if (const char* v = next()) opts.days = std::atoi(v);
+      opts.days = flags::parse_int(next(), 1, usage, argv[0]);
     } else if (arg == "--scale") {
-      if (const char* v = next()) opts.scale = std::atof(v);
+      opts.scale = flags::parse_double(next(), std::numeric_limits<double>::denorm_min(),
+                                       std::numeric_limits<double>::max(), usage, argv[0]);
     } else if (arg == "--seed") {
-      if (const char* v = next()) opts.seed = std::strtoull(v, nullptr, 10);
+      opts.seed = flags::parse_u64(next(), usage, argv[0]);
     } else if (arg == "--threads") {
-      if (const char* v = next()) opts.threads = std::atoi(v);
+      opts.threads = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (arg == "--out") {
-      if (const char* v = next()) opts.out = v;
+      opts.out = next();
     } else {
-      std::fprintf(stderr,
-                   "usage: fbedge_gen [--groups N] [--days D] [--scale S] "
-                   "[--seed X] [--threads T] [--out FILE]\n");
-      return false;
+      usage(argv[0]);
     }
   }
-  return true;
+  return opts;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  if (!parse_args(argc, argv, opts)) return 2;
+  const Options opts = parse_args(argc, argv);
 
   WorldConfig wc;
   wc.seed = opts.seed;

@@ -21,19 +21,25 @@
 //   The fault flags inject stream-transport faults (held-back / duplicated
 //   micro-batches); late rows that miss their window are counted, dropped,
 //   and reported, never crashed on.
+//
+//   Values are checked whole: groups, --days and --late-max-delay must be
+//   integers >= 1, --threads, --lateness and --batch-rows integers >= 0
+//   (--batch-rows 0 means one delivery per window), the rates numbers in
+//   [0, 1] and the seed an unsigned integer; anything else, or a flag
+//   without its value, exits 2 with the usage line.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_common.h"
 #include "fbedge/fbedge.h"
+#include "util/int_flags.h"
 
 using namespace fbedge;
 
 namespace {
 
-void usage(const char* argv0) {
+[[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [groups] [--threads N] [--json PATH] "
                "[--mode stream|batch] [--days N] [--lateness W] "
@@ -67,7 +73,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      rc.runtime.threads = std::atoi(next());
+      rc.runtime.threads = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (arg == "--json") {
       rc.json_path = next();
     } else if (arg == "--mode") {
@@ -80,27 +86,24 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--days") {
-      const int days = std::atoi(next());
-      if (days < 1) usage(argv[0]);
-      rc.world.days = days;
-      rc.dataset.days = days;
+      rc.world.days = flags::parse_int(next(), 1, usage, argv[0]);
+      rc.dataset.days = rc.world.days;
     } else if (arg == "--lateness") {
-      options.allowed_lateness_windows = std::atoi(next());
-      if (options.allowed_lateness_windows < 0) usage(argv[0]);
+      options.allowed_lateness_windows = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (arg == "--batch-rows") {
-      options.max_batch_rows = std::atoi(next());
+      options.max_batch_rows = flags::parse_int(next(), 0, usage, argv[0]);
     } else if (arg == "--dump-verdicts") {
       dump_verdicts = true;
     } else if (arg == "--late-rate") {
-      faults.stream_late_rate = std::atof(next());
+      faults.stream_late_rate = flags::parse_double(next(), 0, 1, usage, argv[0]);
     } else if (arg == "--late-max-delay") {
-      faults.stream_late_max_delay = std::atoi(next());
+      faults.stream_late_max_delay = flags::parse_int(next(), 1, usage, argv[0]);
     } else if (arg == "--dup-rate") {
-      faults.stream_duplicate_rate = std::atof(next());
+      faults.stream_duplicate_rate = flags::parse_double(next(), 0, 1, usage, argv[0]);
     } else if (arg == "--fault-seed") {
-      faults.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      faults.seed = flags::parse_u64(next(), usage, argv[0]);
     } else if (!arg.empty() && arg[0] != '-') {
-      rc.world.groups_per_continent = std::atoi(arg.c_str());
+      rc.world.groups_per_continent = flags::parse_int(arg, 1, usage, argv[0]);
     } else {
       usage(argv[0]);
     }

@@ -27,9 +27,11 @@
 // Worker mode (spawned by the coordinator, not for direct use):
 //   fbedge_scale --shard-worker S/N --attempt A ... --cache-dir DIR
 //
-// Counts are checked whole: groups, --days and --max-attempts must be
+// Values are checked whole: groups, --days and --max-attempts must be
 // integers >= 1, --workers, --threads, --worker-threads and --attempt
-// integers >= 0; anything else exits 2 with the usage line.
+// integers >= 0, --worker-crash-rate a number in [0, 1], --fault-seed an
+// unsigned integer and --shard-worker S/N two integers with 0 <= S < N;
+// anything else exits 2 with the usage line.
 #include <sys/stat.h>
 
 #include <chrono>
@@ -104,9 +106,9 @@ ScaleCli parse_cli(int argc, char** argv) {
     } else if (arg == "--max-attempts") {
       cli.max_attempts = flags::parse_int(next(), 1, usage, argv[0]);
     } else if (arg == "--worker-crash-rate") {
-      cli.worker_crash_rate = std::atof(next());
+      cli.worker_crash_rate = flags::parse_double(next(), 0, 1, usage, argv[0]);
     } else if (arg == "--fault-seed") {
-      cli.fault_seed = std::strtoull(next(), nullptr, 10);
+      cli.fault_seed = flags::parse_u64(next(), usage, argv[0]);
     } else if (arg == "--in-process") {
       cli.in_process = true;
     } else if (arg == "--cache-dir") {
@@ -131,10 +133,9 @@ ScaleCli parse_cli(int argc, char** argv) {
         }
       }
     } else if (arg == "--shard-worker") {
-      const char* spec = next();
-      if (std::sscanf(spec, "%d/%d", &cli.worker_shard, &cli.worker_count) != 2) {
-        usage(argv[0]);
-      }
+      const flags::ShardSpec spec = flags::parse_shard_spec(next(), usage, argv[0]);
+      cli.worker_shard = spec.shard;
+      cli.worker_count = spec.count;
       cli.worker_mode = true;
     } else if (arg == "--attempt") {
       cli.worker_attempt = flags::parse_int(next(), 0, usage, argv[0]);

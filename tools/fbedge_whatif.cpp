@@ -28,8 +28,8 @@
 // the hidden --sweep-worker mode).
 //
 // Numbers are checked whole: groups and --days must be integers >= 1,
-// --threads, --workers and --attempt integers >= 0; anything else exits 2
-// with the usage line.
+// --threads, --workers and --attempt integers >= 0, and --sweep-worker S/N
+// two integers with 0 <= S < N; anything else exits 2 with the usage line.
 #include <dirent.h>
 
 #include <algorithm>
@@ -165,9 +165,9 @@ int main(int argc, char** argv) {
       sweep_workers = flags::parse_int(argv[++i], 0, usage, argv[0]);
     } else if (arg == "--sweep-worker" && i + 1 < argc) {
       // Hidden worker mode: "--sweep-worker S/N" = shard S of N.
-      if (std::sscanf(argv[++i], "%d/%d", &worker_shard, &worker_count) != 2) {
-        usage(argv[0]);
-      }
+      const flags::ShardSpec spec = flags::parse_shard_spec(argv[++i], usage, argv[0]);
+      worker_shard = spec.shard;
+      worker_count = spec.count;
     } else if (arg == "--attempt" && i + 1 < argc) {
       worker_attempt = flags::parse_int(argv[++i], 0, usage, argv[0]);
     } else if (!arg.empty() && arg[0] != '-') {
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
   // ingest, then exit with the worker's status (the sweep fleet's
   // launcher re-invokes this binary here).
   if (worker_shard >= 0) {
-    if (packs.size() != 1 || rc.cache.dir.empty() || worker_count < 1) {
+    if (packs.size() != 1 || rc.cache.dir.empty()) {
       std::fprintf(stderr,
                    "fbedge_whatif: --sweep-worker needs exactly one "
                    "--scenario and a --cache-dir\n");
