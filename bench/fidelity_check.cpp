@@ -7,16 +7,32 @@
 // verdicts. Agreement here is what licenses using the fast fluid model
 // for the 10-day dataset.
 #include <cstdio>
+#include <cstdlib>
 
 #include "analysis/session_metrics.h"
 #include "stats/cdf.h"
+#include "util/int_flags.h"
 #include "workload/generator.h"
 #include "workload/packet_generator.h"
 
 using namespace fbedge;
 
+namespace {
+
+/// Prints the usage line and exits 2.
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [sessions_per_group]\n", argv0);
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const int sessions_per_group = argc > 1 ? std::atoi(argv[1]) : 150;
+  // At most one argument, a whole integer >= 1: zero sessions would leave
+  // the CDFs below empty.
+  if (argc > 2) usage(argv[0]);
+  const int sessions_per_group =
+      argc == 2 ? flags::parse_int(argv[1], 1, usage, argv[0]) : 150;
 
   WorldConfig wc;
   wc.seed = 2019;

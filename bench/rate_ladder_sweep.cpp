@@ -4,6 +4,7 @@
 // input an ABR / delivery-quality planning team would consume.
 #include <array>
 #include <cstdio>
+#include <vector>
 
 #include "analysis/session_metrics.h"
 #include "bench_common.h"
@@ -26,11 +27,11 @@ int main(int argc, char** argv) {
   using Tallies = std::array<ContinentTally, kNumContinents>;
 
   RunStats stats;
-  const Tallies tallies = shard_map_reduce(
-      world, rc.runtime, Tallies{},
-      [&](const UserGroupProfile& group, std::size_t) {
+  const std::vector<Tallies> partials = parallel_map(
+      world.groups.size(), rc.runtime,
+      [&](std::size_t g) {
         Tallies part{};
-        generator.generate_group(group, [&](const SessionSample& s) {
+        generator.generate_group(world.groups[g], [&](const SessionSample& s) {
           if (!SessionSampler::keep_for_analysis(s.client)) return;
           if (s.route_index != 0) return;
           const auto coalesced = coalesce_session(s.writes, s.min_rtt);
@@ -48,16 +49,17 @@ int main(int argc, char** argv) {
         });
         return part;
       },
-      [](Tallies& acc, Tallies&& part, std::size_t) {
-        for (std::size_t c = 0; c < acc.size(); ++c) {
-          acc[c].sessions += part[c].sessions;
-          for (std::size_t r = 0; r < acc[c].sustained.size(); ++r) {
-            acc[c].sustained[r] += part[c].sustained[r];
-            acc[c].tested[r] += part[c].tested[r];
-          }
-        }
-      },
       &stats);
+  Tallies tallies{};
+  for (const Tallies& part : partials) {  // group-id order
+    for (std::size_t c = 0; c < tallies.size(); ++c) {
+      tallies[c].sessions += part[c].sessions;
+      for (std::size_t r = 0; r < tallies[c].sustained.size(); ++r) {
+        tallies[c].sustained[r] += part[c].sustained[r];
+        tallies[c].tested[r] += part[c].tested[r];
+      }
+    }
+  }
 
   std::printf("==== Rate ladder: share of testable sessions sustaining each "
               "bitrate ====\n");

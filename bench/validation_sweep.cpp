@@ -9,6 +9,8 @@
 // relative error (Gbottleneck - G) / Gbottleneck of 0.066.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "goodput/ideal_model.h"
@@ -66,10 +68,21 @@ Result run(const Config& c) {
   return out;
 }
 
+/// Prints the usage line and exits 2.
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--quick]\n", argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string_view(argv[1]) == "--quick";
+  // The only argument is --quick; anything else is a usage error rather
+  // than a silent full sweep.
+  if (argc > 2 || (argc == 2 && std::string_view(argv[1]) != "--quick")) {
+    usage(argv[0]);
+  }
+  const bool quick = argc == 2;
 
   // 10 x 12 x 12 x 11 = 15,840 configurations (paper's count).
   std::vector<double> bandwidths, rtts;

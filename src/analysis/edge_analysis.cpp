@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <optional>
 #include <string>
 
 #include "analysis/edge_reduce.h"
@@ -135,23 +134,23 @@ void make_observations_into(const SeriesSummary& series,
   }
 }
 
-/// Per-worker scratch for reduce_group: every buffer here is cleared (not
-/// shrunk) per group/window, so after each arena reaches its high-water
-/// mark the whole generate -> coalesce -> HD -> aggregate loop runs without
-/// per-session allocations. One instance per pool worker
-/// (shard_map_reduce_scratch); results are independent of which worker's
-/// scratch served a group because every field is rebuilt before use.
+/// Scratch for one reduce_group call: every buffer here is cleared (not
+/// shrunk) per window, so once an arena reaches the group's high-water mark
+/// the generate -> coalesce -> HD -> aggregate loop runs without
+/// per-session allocations. The reduce runner builds one per task attempt
+/// and drops it when the task ends; ingest_groups_to_blobs keeps one per
+/// pool worker (parallel_map_scratch). Either way a result never depends
+/// on the scratch's history, because every field is rebuilt before use.
 struct EdgeScratch {
   SessionBatch batch;
   CoalescedBatch coalesced;
   std::vector<SessionHd> hd;
   CoalescedSession coalesce_scratch;  // legacy scalar path (fault runs)
   std::vector<WindowObservation> obs;
-  /// The group's aggregation series on the cold path, recycled (not
-  /// reallocated) between groups: route cells return to `pool` with their
-  /// t-digest buffers intact, so steady-state ingest of a new group
-  /// allocates almost nothing. A recycled series is behaviorally identical
-  /// to a fresh one.
+  /// The group's aggregation series on the cold path. Where a scratch
+  /// serves several groups, route cells return to `pool` between them with
+  /// their t-digest buffers intact; a recycled series is behaviorally
+  /// identical to a fresh one.
   GroupSeries series;
   RouteAggPool pool;
   /// Serialization buffer for the ingest-artifact cache's cold path.
@@ -259,7 +258,7 @@ void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
   series.continent = group.continent;
   if (!faults.sampler_faults()) {
     // Batched columnar path: one window of sessions at a time through
-    // coalesce -> HD -> aggregate, all in per-worker arenas. Rows arrive in
+    // coalesce -> HD -> aggregate, all in scratch arenas. Rows arrive in
     // the same order generate_group emits sessions and carry bit-identical
     // values (same simulation template, same RNG stream), and the window
     // index is still computed per row from established_at — a session's
@@ -546,7 +545,7 @@ ClassifierConfig make_classifier_config(const DatasetConfig& config) {
 }
 
 /// The final normalizations: raw merged sums -> the fractions the paper
-/// reports. One implementation for every reduce path (in-process, failable,
+/// reports. One implementation for every reduce (in-process, swept,
 /// artifact-driven), so a distributed run cannot drift from a local one.
 EdgeAnalysisResult finalize_edge_result(EdgePartial&& total) {
   EdgeAnalysisResult out = std::move(total.res);
@@ -599,7 +598,7 @@ struct ReduceSettings {
   ClassifierConfig classifier_config;
 };
 
-/// The per-task body of every reduce (EdgeReducer and reduce_sweep_pass):
+/// The per-task body of every reduce (run_reduce_tasks):
 /// group `g` of the generator's world into `part`, analyzed from `blob`
 /// when it summarizes, else cold-ingested under that world with the fresh
 /// series serialized into `save` when one is given. Either way the
@@ -634,12 +633,82 @@ bool reduce_group(EdgeScratch& scratch, const DatasetGenerator& generator,
   return false;
 }
 
-/// Blob `i` of `reader` in the worker's own buffer, or an empty ref (cold
+/// Blob `i` of `reader` in the task's own buffer, or an empty ref (cold
 /// ingest) when the reader is not open or the read fails its checksum.
 GroupBlobRef read_blob(const IngestArtifactReader& reader, std::size_t i,
                        EdgeScratch& scratch) {
   if (!reader.read(i, scratch.blob)) return GroupBlobRef{};
   return GroupBlobRef{scratch.blob.data(), scratch.blob.size()};
+}
+
+/// One reduce task: group `group` of `generator`'s world. `save`, when
+/// non-null, receives the group's series if it is cold-ingested.
+struct ReduceTask {
+  const DatasetGenerator* generator;
+  std::size_t group;
+  const EdgeReducer::SaveFn* save;
+};
+
+/// What one run_reduce_tasks pass leaves, each vector in task order.
+struct ReducePass {
+  std::vector<EdgePartial> partials;
+  std::vector<std::uint8_t> from_blob;  // 1 = the task's blob served it
+  std::vector<std::uint8_t> lost;       // 1 = every attempt aborted
+  FaultCounters faults;                 // task aborts, retries, lost groups
+};
+
+/// The one pool pass behind every edge reduce: EdgeReducer's ranges,
+/// reduce_sweep_pass's worlds, and the task-abort retries of both. Tasks
+/// are weighted by their group's sessions_per_window in its own world and
+/// dealt heaviest first (deal_heaviest_first), so the slow groups start at
+/// once and the light ones fill in behind them. Each attempt builds its own
+/// EdgeScratch and drops it when done: kept per worker instead, the arenas
+/// of the heaviest groups, which every worker runs first, stay resident
+/// for the whole pass beside every partial — on the whatif_sweep benchmark
+/// (4-core VM) that was 69 instead of 51 MiB peak RSS for about 3% less
+/// wall time. An attempt aborts when the plan's task_abort_decision says
+/// so, and the pool retries it under the plan's attempt budget; a task
+/// whose every attempt aborted is flagged lost. `blob_for(scratch, t)`
+/// returns task t's blob (or an empty ref to cold-ingest it) and runs
+/// inside the task, on its scratch. Which attempts abort is a pure
+/// function of (plan, group, attempt), and the deal changes only the
+/// schedule, so the pass leaves the same partials at any thread count.
+template <typename BlobFor>
+ReducePass run_reduce_tasks(const std::vector<ReduceTask>& tasks,
+                            const ReduceSettings& s, const RuntimeOptions& runtime,
+                            const BlobFor& blob_for, RunStats* stats) {
+  ReducePass pass;
+  pass.partials.resize(tasks.size());
+  pass.from_blob.assign(tasks.size(), 0);
+  pass.lost.assign(tasks.size(), 0);
+  std::vector<double> weights(tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    weights[t] = tasks[t].generator->world().groups[tasks[t].group].sessions_per_window;
+  }
+  ThreadPool pool(resolve_threads(runtime.threads));
+  const std::vector<std::size_t> dealt = deal_heaviest_first(weights, pool.threads());
+  std::vector<std::uint8_t> failed;  // by plan index
+  const RunStats rs = pool.parallel_for_failable(
+      ShardPlan::make(tasks.size(), pool.threads()),
+      [&](std::size_t p, int attempt) {
+        const std::size_t t = dealt[p];
+        const ReduceTask& task = tasks[t];
+        const UserGroupProfile& group = task.generator->world().groups[task.group];
+        if (task_abort_decision(s.faults, group_fault_key(group.key), attempt)) {
+          return false;
+        }
+        EdgeScratch scratch;
+        pass.from_blob[t] = reduce_group(scratch, *task.generator, s, task.group,
+                                         blob_for(scratch, t), task.save,
+                                         pass.partials[t]);
+        return true;
+      },
+      RetryPolicy{s.faults.task_max_attempts, s.faults.task_backoff_seconds},
+      &failed);
+  for (std::size_t p = 0; p < failed.size(); ++p) pass.lost[dealt[p]] = failed[p];
+  pass.faults = rs.faults;
+  if (stats) stats->accumulate(rs);
+  return pass;
 }
 
 }  // namespace
@@ -662,36 +731,28 @@ struct EdgeReducer::Impl {
                  make_classifier_config(config)},
         generator(world, config) {}
 
-  /// The fold behind both reduce_range overloads. `blob_for(scratch, g, i)`
-  /// returns group g's (range offset i) blob, or an empty ref to
-  /// cold-ingest it; it runs inside the pool task, on the worker's scratch.
+  /// The fold behind both reduce_range overloads: one run_reduce_tasks
+  /// pass over the range, then its partials in ascending group-id order,
+  /// always, each lost group skipped. `blob_for(scratch, i)` returns group
+  /// range.begin + i's blob, or an empty ref to cold-ingest it.
   template <typename BlobFor>
   void reduce(const ShardRange& range, const BlobFor& blob_for,
               const RuntimeOptions& runtime, RunStats* stats,
               const SaveFn* save) {
     FBEDGE_EXPECT(range.end <= generator.world().groups.size(),
                   "reduce range exceeds the world's group count");
-    const std::size_t n = range.size();
-    if (n == 0) return;
-    // Per-group flags live in a side vector (each slot written by exactly
-    // one task) so blob accounting never introduces cross-thread order
-    // dependence.
-    std::vector<std::uint8_t> from_blob(n, 0);
-    auto partials = parallel_map_scratch<EdgeScratch>(
-        n, runtime,
-        [&](EdgeScratch& scratch, std::size_t i) {
-          const std::size_t g = range.begin + i;
-          EdgePartial part;
-          from_blob[i] = reduce_group(scratch, generator, settings, g,
-                                      blob_for(scratch, g, i), save, part);
-          return part;
-        },
-        stats);
-    // The determinism rule: fold in ascending group-id order, always.
-    for (std::size_t i = 0; i < n; ++i) {
-      total.merge(partials[i]);
+    if (range.empty()) return;
+    std::vector<ReduceTask> tasks;
+    tasks.reserve(range.size());
+    for (std::size_t g = range.begin; g < range.end; ++g) {
+      tasks.push_back({&generator, g, save});
     }
-    for (std::size_t i = 0; i < n; ++i) blob_groups += from_blob[i];
+    const ReducePass pass = run_reduce_tasks(tasks, settings, runtime, blob_for, stats);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (!pass.lost[i]) total.merge(pass.partials[i]);
+      blob_groups += pass.from_blob[i];
+    }
+    total.res.faults.accumulate(pass.faults);
   }
 };
 
@@ -709,8 +770,8 @@ void EdgeReducer::reduce_range(const ShardRange& range, const BlobFn& blob,
                                const SaveFn* save) {
   impl_->reduce(
       range,
-      [&blob](EdgeScratch&, std::size_t g, std::size_t) {
-        return blob ? blob(g) : GroupBlobRef{};
+      [&](EdgeScratch&, std::size_t i) {
+        return blob ? blob(range.begin + i) : GroupBlobRef{};
       },
       runtime, stats, save);
 }
@@ -723,7 +784,7 @@ void EdgeReducer::reduce_range(const ShardRange& range,
                 "artifact blob count differs from the reduce range");
   impl_->reduce(
       range,
-      [&reader](EdgeScratch& scratch, std::size_t, std::size_t i) {
+      [&reader](EdgeScratch& scratch, std::size_t i) {
         return read_blob(reader, i, scratch);
       },
       runtime, stats, save);
@@ -753,12 +814,12 @@ SweepPassResult reduce_sweep_pass(
 
   // World 0 is the baseline, world k + 1 scenario k. Tasks, and the slots
   // their partials land in, follow the same order: the n baseline groups,
-  // then each scenario's affected groups, so task first_slot[k + 1] + i is
-  // scenario k's i-th affected group.
+  // then each scenario's affected groups, so task first_slot[k] + i is
+  // scenario k's i-th affected group, and held[first_slot[k] + i - n] its
+  // fleet blob.
   std::vector<DatasetGenerator> generators;
   generators.reserve(scenarios.size() + 1);
   generators.emplace_back(baseline, config);
-  std::vector<std::size_t> first_slot{0, n};
   for (const SweepPassWorld& scen : scenarios) {
     FBEDGE_EXPECT(scen.world.groups.size() == n,
                   "a scenario world must keep the baseline's groups");
@@ -770,92 +831,47 @@ SweepPassResult reduce_sweep_pass(
                     "affected groups must be ascending ids in range");
     }
     generators.emplace_back(scen.world, config);
-    first_slot.push_back(first_slot.back() + scen.affected.size());
   }
-
-  struct Task {
-    std::size_t world;  // 0 = baseline, k + 1 = scenario k
-    std::size_t index;  // group id (baseline) or affected index (scenario)
-    std::size_t group;
-    double weight;      // sessions_per_window of the group in its world
-  };
-  std::vector<Task> tasks;
-  tasks.reserve(first_slot.back());
-  for (std::size_t w = 0; w < generators.size(); ++w) {
-    const World& world = generators[w].world();
-    const std::size_t count = first_slot[w + 1] - first_slot[w];
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t g = w == 0 ? i : scenarios[w - 1].affected[i];
-      tasks.push_back({w, i, g, world.groups[g].sessions_per_window});
+  std::vector<ReduceTask> tasks;
+  for (std::size_t g = 0; g < n; ++g) tasks.push_back({&generators[0], g, save});
+  std::vector<std::size_t> first_slot;
+  std::vector<GroupBlobRef> held;
+  for (std::size_t k = 0; k < scenarios.size(); ++k) {
+    const SweepPassWorld& scen = scenarios[k];
+    first_slot.push_back(tasks.size());
+    for (std::size_t i = 0; i < scen.affected.size(); ++i) {
+      tasks.push_back({&generators[k + 1], scen.affected[i], nullptr});
+      held.push_back(scen.blobs.empty()
+                         ? GroupBlobRef{}
+                         : GroupBlobRef{scen.blobs[i].data(), scen.blobs[i].size()});
     }
   }
-
-  // Heaviest first, dealt round-robin: ShardPlan gives worker s a block of
-  // plan indices exactly as long as its deal (positions s, s + W, ...), so
-  // plan index p of block s runs task order[(p - begin_s) * W + s]. Owners
-  // pop their block front to back, heaviest first; thieves take the light
-  // tail. The order changes only the schedule, never a result.
-  std::vector<std::size_t> order(tasks.size());
-  for (std::size_t t = 0; t < order.size(); ++t) order[t] = t;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return tasks[a].weight > tasks[b].weight;
-                   });
-  ThreadPool pool(resolve_threads(runtime.threads));
-  const auto workers = static_cast<std::size_t>(pool.threads());
-  const ShardPlan plan = ShardPlan::make(tasks.size(), pool.threads());
-  std::vector<std::size_t> dealt(tasks.size());
-  for (int s = 0; s < plan.shard_count(); ++s) {
-    const ShardRange block = plan.shard(s);
-    for (std::size_t p = block.begin; p < block.end; ++p) {
-      dealt[p] = order[(p - block.begin) * workers + static_cast<std::size_t>(s)];
-    }
-  }
-
-  // Each task builds its own EdgeScratch and drops it when done. Kept per
-  // worker instead, the arenas of the heaviest groups — which every worker
-  // runs first — stay resident for the whole pass beside every partial: on
-  // the whatif_sweep benchmark (4-core VM) that was 69 instead of 51 MiB
-  // peak RSS for about 3% less wall time.
-  std::vector<EdgePartial> partials(tasks.size());
-  std::vector<std::uint8_t> from_blob(n, 0);  // one slot per baseline task
-  const RunStats rs = pool.parallel_for(plan, [&](std::size_t p) {
-    const Task& task = tasks[dealt[p]];
-    EdgeScratch own;
-    if (task.world == 0) {
-      from_blob[task.index] = reduce_group(
-          own, generators[0], settings, task.group,
-          read_blob(baseline_blobs, task.index, own), save, partials[dealt[p]]);
-      return;
-    }
-    const std::vector<std::string>& blobs = scenarios[task.world - 1].blobs;
-    GroupBlobRef blob;
-    if (!blobs.empty()) {
-      blob = GroupBlobRef{blobs[task.index].data(), blobs[task.index].size()};
-    }
-    reduce_group(own, generators[task.world], settings, task.group, blob, nullptr,
-                 partials[dealt[p]]);
-  });
-  if (stats) stats->accumulate(rs);
+  const ReducePass pass = run_reduce_tasks(
+      tasks, settings, runtime,
+      [&](EdgeScratch& scratch, std::size_t t) {
+        return t < n ? read_blob(baseline_blobs, t, scratch) : held[t - n];
+      },
+      stats);
 
   // Group-id order, each affected group's own partial in place of the
-  // baseline's (affected partials start at slot `first`).
+  // baseline's (affected partials start at slot `first`). The sweep's plan
+  // injects no faults, so no task is lost.
   const auto fold = [&](const std::vector<std::size_t>& affected,
                         std::size_t first) {
     EdgePartial total;
     std::size_t next = 0;
     for (std::size_t g = 0; g < n; ++g) {
       const bool own = next < affected.size() && affected[next] == g;
-      total.merge(partials[own ? first + next++ : g]);
+      total.merge(pass.partials[own ? first + next++ : g]);
     }
     return finalize_edge_result(std::move(total));
   };
   SweepPassResult out;
   out.baseline = fold({}, 0);
   for (std::size_t k = 0; k < scenarios.size(); ++k) {
-    out.scenarios.push_back(fold(scenarios[k].affected, first_slot[k + 1]));
+    out.scenarios.push_back(fold(scenarios[k].affected, first_slot[k]));
   }
-  for (const std::uint8_t hit : from_blob) out.baseline_blob_groups += hit;
+  for (std::size_t g = 0; g < n; ++g) out.baseline_blob_groups += pass.from_blob[g];
   return out;
 }
 
@@ -927,82 +943,48 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
     if (stats) stats->cache_load_seconds += seconds_since(t0);
   }
 
-  if (!faults.runtime_faults()) {
-    // One EdgeReducer pass over [0, n): per-worker EdgeScratch arenas
-    // persist across every group a worker processes, and partials fold in
-    // group-id order — the result does not depend on the thread count.
-    const ShardRange all{0, group_count};
-    if (warm) {
-      // Each pool task reads and checks its group's blob, so every blob is
-      // read once, where it is used. The artifact is served whole or not
-      // at all: if any blob failed its checksum or load_group_series (that
-      // group cold-ingested in the pass), the run is redone cold below and
-      // the artifact rewritten.
-      EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
-      reducer.reduce_range(all, artifact, runtime, stats);
-      if (stats) stats->cache_read_bytes += artifact.bytes_read();
-      if (reducer.blob_groups() == group_count) {
-        if (stats) stats->cache_hits += group_count;
-        return reducer.finish();
-      }
-    }
-    // Cold: on a cache-enabled run each group additionally serializes its
-    // series into `blobs[g]` (each slot written by exactly one task), so
-    // warm, cold, and uncached runs stay byte-identical.
+  // One EdgeReducer pass over [0, n): partials fold in group-id order, so
+  // the result does not depend on the thread count. A faulted run is the
+  // uncached cold pass, task-abort retries included.
+  const ShardRange all{0, group_count};
+  if (warm) {
+    // Each pool task reads and checks its group's blob, so every blob is
+    // read once, where it is used. The artifact is served whole or not at
+    // all: if any blob failed its checksum or load_group_series (that group
+    // cold-ingested in the pass), the run is redone cold below and the
+    // artifact rewritten.
     EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
-    std::vector<std::string> blobs;
-    EdgeReducer::SaveFn save_fn;
-    if (use_cache) {
-      blobs.resize(group_count);
-      save_fn = [&blobs](std::size_t g, std::string&& blob) {
-        blobs[g] = std::move(blob);
-      };
+    reducer.reduce_range(all, artifact, runtime, stats);
+    if (stats) stats->cache_read_bytes += artifact.bytes_read();
+    if (reducer.blob_groups() == group_count) {
+      if (stats) stats->cache_hits += group_count;
+      return reducer.finish();
     }
-    reducer.reduce_range(all, EdgeReducer::BlobFn{}, runtime, stats,
-                         use_cache ? &save_fn : nullptr);
-    if (use_cache) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
-      if (stats) {
-        stats->cache_misses += group_count;
-        stats->cache_save_seconds += seconds_since(t0);
-        if (!written) ++stats->cache_write_failures;
-      }
-    }
-    return reducer.finish();
   }
-
-  // Shard tasks can abort; each group gets the plan's attempt budget and
-  // is skipped (reported as lost) when every attempt fails. The abort
-  // decision is a pure function of (plan, group, attempt), so which
-  // groups are lost — and hence the merged result — is identical for any
-  // thread count.
-  const ReduceSettings settings{thresholds, comparison, goodput, faults,
-                                make_classifier_config(config)};
-  DatasetGenerator generator(world, config);
-  RunStats local;
-  EdgePartial total = shard_map_reduce_failable(
-      world, runtime,
-      RetryPolicy{faults.task_max_attempts, faults.task_backoff_seconds},
-      EdgePartial{},
-      [&](const UserGroupProfile& group, std::size_t g,
-          int attempt) -> std::optional<EdgePartial> {
-        if (task_abort_decision(faults, group_fault_key(group.key), attempt)) {
-          return std::nullopt;
-        }
-        // Fault runs are not perf-critical; a per-attempt scratch keeps
-        // the failable path simple.
-        EdgeScratch scratch;
-        EdgePartial part;
-        reduce_group(scratch, generator, settings, g, GroupBlobRef{}, nullptr, part);
-        return part;
-      },
-      [](EdgePartial& acc, EdgePartial&& part, std::size_t) { acc.merge(part); },
-      [](EdgePartial&, std::size_t) { /* lost group: contributes nothing */ },
-      &local);
-  total.res.faults.accumulate(local.faults);
-  if (stats) stats->accumulate(local);
-  return finalize_edge_result(std::move(total));
+  // Cold: on a cache-enabled run each group additionally serializes its
+  // series into `blobs[g]` (each slot written by exactly one task), so warm,
+  // cold, and uncached runs stay byte-identical.
+  EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
+  std::vector<std::string> blobs;
+  EdgeReducer::SaveFn save_fn;
+  if (use_cache) {
+    blobs.resize(group_count);
+    save_fn = [&blobs](std::size_t g, std::string&& blob) {
+      blobs[g] = std::move(blob);
+    };
+  }
+  reducer.reduce_range(all, EdgeReducer::BlobFn{}, runtime, stats,
+                       use_cache ? &save_fn : nullptr);
+  if (use_cache) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
+    if (stats) {
+      stats->cache_misses += group_count;
+      stats->cache_save_seconds += seconds_since(t0);
+      if (!written) ++stats->cache_write_failures;
+    }
+  }
+  return reducer.finish();
 }
 
 }  // namespace fbedge

@@ -122,18 +122,20 @@ struct EdgeAnalysisResult {
   FaultCounters faults;
 };
 
-/// Runs the full §5/§6 sweep, sharded by user group across
-/// `runtime.threads` workers. Per-group contributions are folded in
-/// group-id order, so the result is byte-identical for any thread count.
+/// Runs the full §5/§6 sweep as one EdgeReducer pass (analysis/
+/// edge_reduce.h) over every user group on `runtime.threads` workers,
+/// heaviest group first, each task on its own scratch arenas. Per-group
+/// contributions are folded in group-id order, so the result is
+/// byte-identical for any thread count.
 ///
 /// `faults` injects a deterministic chaos schedule (faultsim/): invalid
 /// records are rejected at ingest, dropped windows and silenced groups are
 /// excluded from rollups and classification (they become kExcluded /
 /// invalid-window cases under the §3.4 validity rules, never crashes), and
-/// shard aborts are retried up to the plan's attempt budget with lost
-/// groups skipped and reported. The default (zeroed) plan takes exactly
-/// the fault-free code path: outputs are byte-identical to a build without
-/// faultsim in the loop, at any thread count.
+/// task aborts are retried inside that pass up to the plan's attempt
+/// budget, with lost groups skipped and reported. The default (zeroed)
+/// plan takes exactly the fault-free code path: outputs are byte-identical
+/// to a build without faultsim in the loop, at any thread count.
 ///
 /// `cache` (analysis/ingest_cache.h) persists the per-group ingest product
 /// so later runs with the same (world, config, goodput) skip session

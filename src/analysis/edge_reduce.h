@@ -17,7 +17,15 @@
 //
 // reduce_sweep_pass is the same fold for a scenario sweep: one pool pass
 // over the baseline world and K perturbed copies of it, then K+1 folds.
-// Its tasks run the same per-group body as EdgeReducer's.
+//
+// Both reach the pool through one pass. Its tasks run heaviest first — by
+// the task group's sessions_per_window in its own world, dealt round-robin
+// across the pool's workers (runtime/shard_plan.h deal_heaviest_first) —
+// so the slow groups start at once and the light ones fill in behind
+// them. Each task attempt builds its own scratch arenas and drops them
+// when it ends. A task the FaultPlan aborts is retried on its worker under
+// the plan's attempt budget; a group whose every attempt aborted is lost:
+// skipped in the fold and counted in FaultCounters.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +62,10 @@ struct GroupBlobRef {
 class EdgeReducer {
  public:
   /// `faults` drives the sampler/aggregation injection sites of any
-  /// cold-ingest fallback (zeroed plan = fault-free path, byte-identical
-  /// to a build without faultsim). Runtime-layer faults (task aborts) are
-  /// not handled here — run_edge_analysis keeps its failable path.
+  /// cold-ingest fallback and the task aborts of every reduce_range, which
+  /// are retried under the plan's attempt budget (zeroed plan = fault-free
+  /// path, byte-identical to a build without faultsim). finish() carries
+  /// the abort, retry and lost-group counts in its FaultCounters.
   EdgeReducer(const World& world, const DatasetConfig& config,
               const AnalysisThresholds& thresholds,
               const ComparisonConfig& comparison, GoodputConfig goodput,
@@ -86,7 +95,7 @@ class EdgeReducer {
 
   /// reduce_range with the blobs read straight from an artifact: inside
   /// each pool task, group `range.begin + i` reads blob i of `reader` into
-  /// the worker's own buffer, so no more than one blob per worker is ever
+  /// the task's own buffer, so no more than one blob per worker is ever
   /// resident. A reader that is not open serves no blobs, and a blob whose
   /// read fails its checksum cold-ingests that group — output identical
   /// either way. An open reader must hold exactly range.size() blobs.
@@ -131,10 +140,8 @@ struct SweepPassResult {
 /// The whole of a fault-free scenario sweep's analysis in one pool pass.
 /// Its tasks are every baseline group (blob g of `baseline_blobs` when
 /// that reader is open, else a cold ingest whose blob goes to `save`) and
-/// every (scenario, affected group) pair under the scenario's world. The
-/// tasks run heaviest first — by the task group's sessions_per_window —
-/// dealt round-robin across the pool's workers, so the slow groups start
-/// at once and the light ones fill in behind them.
+/// every (scenario, affected group) pair under the scenario's world, all
+/// in the one heaviest-first pass.
 ///
 /// The baseline folds its n partials in ascending group-id order. Scenario
 /// k folds the same sequence with its affected groups' partials in place

@@ -72,9 +72,10 @@ GlobalPerformance measure_global_performance(const World& world,
   // The generator is immutable after construction; every shard shares it
   // and draws from per-group Rng streams (util/rng.h entity_stream).
   DatasetGenerator generator(world, config);
-  return shard_map_reduce_scratch<PerfScratch>(
-      world, runtime, GlobalPerformance{},
-      [&](PerfScratch& scratch, const UserGroupProfile& group, std::size_t) {
+  const std::vector<GlobalPerformance> partials = parallel_map_scratch<PerfScratch>(
+      world.groups.size(), runtime,
+      [&](PerfScratch& scratch, std::size_t g) {
+        const UserGroupProfile& group = world.groups[g];
         GlobalPerformance part;
         const int continent = static_cast<int>(group.continent);
         generator.generate_group_batched(
@@ -124,10 +125,10 @@ GlobalPerformance measure_global_performance(const World& world,
             });
         return part;
       },
-      [](GlobalPerformance& acc, GlobalPerformance&& part, std::size_t) {
-        acc.merge(part);
-      },
       stats);
+  GlobalPerformance out;
+  for (const GlobalPerformance& part : partials) out.merge(part);  // group-id order
+  return out;
 }
 
 }  // namespace fbedge

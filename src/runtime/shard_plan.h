@@ -10,7 +10,9 @@
 // shard count and the steal schedule.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <numeric>
 #include <vector>
 
 #include "util/expect.h"
@@ -62,5 +64,31 @@ class ShardPlan {
   std::size_t num_items_{0};
   std::vector<ShardRange> ranges_;
 };
+
+/// Deals weighted tasks heaviest first over ShardPlan::make(n, workers),
+/// where n = weights.size(): plan index p runs task dealt[p]. Tasks sort by
+/// descending weight (equal weights keep task order) and are dealt
+/// round-robin, so block s holds sorted positions s, s + W, s + 2W, ... —
+/// exactly as many as the block is long. An owner pops its block front to
+/// back, heaviest first, and thieves take the light tail, so the slow tasks
+/// start at once. The deal changes only the schedule, never a result.
+inline std::vector<std::size_t> deal_heaviest_first(const std::vector<double>& weights,
+                                                    int workers) {
+  const ShardPlan plan = ShardPlan::make(weights.size(), workers);
+  std::vector<std::size_t> order(weights.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return weights[a] > weights[b];
+  });
+  std::vector<std::size_t> dealt(order.size());
+  for (int s = 0; s < plan.shard_count(); ++s) {
+    const ShardRange block = plan.shard(s);
+    for (std::size_t p = block.begin; p < block.end; ++p) {
+      dealt[p] = order[(p - block.begin) * static_cast<std::size_t>(workers) +
+                       static_cast<std::size_t>(s)];
+    }
+  }
+  return dealt;
+}
 
 }  // namespace fbedge

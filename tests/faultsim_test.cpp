@@ -23,6 +23,7 @@
 #include "agg/rollup.h"
 #include "agg/window_verdict.h"
 #include "analysis/edge_analysis.h"
+#include "analysis/edge_reduce.h"
 #include "analysis/sweep.h"
 #include "distrib/coordinator.h"
 #include "faultsim/fault_injector.h"
@@ -726,6 +727,73 @@ TEST(FaultsimEndToEnd, CountersMatchInjectedFaultsExactly) {
   EXPECT_TRUE(result.faults.any());
   EXPECT_GT(result.faults.lost_groups, 0u);
   EXPECT_LT(result.faults.lost_groups, world.groups.size());
+}
+
+TEST(FaultsimEndToEnd, EdgeReducerRetriesTaskAbortsExactly) {
+  // CountersMatchInjectedFaultsExactly's plan, through an EdgeReducer the
+  // way the shard coordinator builds one: the reduce itself retries task
+  // aborts, skips lost groups and counts both.
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  FaultPlan plan;
+  plan.seed = 777;
+  plan.truncate_rate = 0.03;
+  plan.corrupt_rate = 0.03;
+  plan.duplicate_rate = 0.03;
+  plan.skew_rate = 0.05;
+  plan.thin_rate = 0.25;
+  plan.thin_keep_fraction = 0.2;
+  plan.pop_outage_rate = 0.15;
+  plan.window_drop_rate = 0.2;
+  plan.task_abort_rate = 0.7;
+  plan.task_max_attempts = 2;
+
+  // The exact recount: attempts abort while the pure decision says so, a
+  // group whose every attempt aborted does no sampler or aggregation work.
+  const DatasetGenerator generator(world, dc);
+  FaultCounters expected;
+  for (const auto& group : world.groups) {
+    const std::uint64_t gkey = group_fault_key(group.key);
+    int failed = 0;
+    while (failed < plan.task_max_attempts && task_abort_decision(plan, gkey, failed)) {
+      ++failed;
+    }
+    expected.task_aborts += static_cast<std::uint64_t>(failed);
+    if (failed == plan.task_max_attempts) {
+      expected.task_retries += static_cast<std::uint64_t>(failed - 1);
+      ++expected.lost_groups;
+      continue;
+    }
+    expected.task_retries += static_cast<std::uint64_t>(failed);
+    SamplerFaultStage stage(plan, group.key);
+    GroupSeries series;
+    generator.generate_group(group, [&](const SessionSample& s) {
+      stage.apply(s, [&](const SessionSample& r) {
+        if (!SessionSampler::keep_for_analysis(r.client)) return;
+        series.windows[window_index(r.established_at)]
+            .route(r.route_index)
+            .add_session(r.min_rtt, std::nullopt, r.total_bytes);
+      });
+    });
+    expected.accumulate(stage.counters());
+    AggFaultStage(plan).apply(series, gkey, expected);
+  }
+  ASSERT_GT(expected.lost_groups, 0u);
+
+  const auto reference = run_edge_analysis(world, dc, {}, {}, {},
+                                           RuntimeOptions::sequential(), nullptr, plan);
+  const std::size_t n = world.groups.size();
+  for (const int threads : {1, 3}) {
+    EdgeReducer reducer(world, dc, {}, {}, {}, plan);
+    RunStats stats;
+    reducer.reduce_range(ShardRange{0, n}, EdgeReducer::BlobFn{},
+                         RuntimeOptions{threads}, &stats);
+    const EdgeAnalysisResult result = reducer.finish();
+    expect_results_eq(reference, result);
+    expect_counters_eq(result.faults, expected);
+    EXPECT_EQ(stats.faults.task_aborts, expected.task_aborts) << threads << " threads";
+    EXPECT_EQ(stats.faults.lost_groups, expected.lost_groups) << threads << " threads";
+  }
 }
 
 TEST(FaultsimEndToEnd, WorkerCrashCountersMatchInjectedFaultsExactly) {

@@ -1,8 +1,10 @@
 // Tests for the sharded pipeline runtime: ShardPlan partitioning, the
-// work-stealing ThreadPool, and the determinism guarantee — analysis
-// results must be byte-identical for any thread count, including 1.
+// heaviest-first deal, the work-stealing ThreadPool, and the determinism
+// guarantee — analysis results must be byte-identical for any thread
+// count, including 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -58,6 +60,79 @@ TEST(ShardPlan, EmptyShardsWhenFewerItemsThanShards) {
     if (!plan.shard(s).empty()) ++non_empty;
   }
   EXPECT_EQ(non_empty, 3);
+}
+
+// ---------------------------------------------------------------------------
+// deal_heaviest_first.
+// ---------------------------------------------------------------------------
+
+TEST(HeaviestFirstDeal, BlockSHoldsSortedPositionsSStrideW) {
+  const std::vector<double> weights{3, 9, 1, 7, 5, 8, 2, 6, 4, 0, 10};
+  std::vector<std::size_t> sorted(weights.size());
+  std::iota(sorted.begin(), sorted.end(), std::size_t{0});
+  std::sort(sorted.begin(), sorted.end(),
+            [&](std::size_t a, std::size_t b) { return weights[a] > weights[b]; });
+  for (const int workers : {1, 2, 3, 4}) {
+    const std::vector<std::size_t> dealt = deal_heaviest_first(weights, workers);
+    const ShardPlan plan = ShardPlan::make(weights.size(), workers);
+    const auto w = static_cast<std::size_t>(workers);
+    for (int s = 0; s < workers; ++s) {
+      const ShardRange block = plan.shard(s);
+      for (std::size_t j = 0; j < block.size(); ++j) {
+        EXPECT_EQ(dealt[block.begin + j], sorted[static_cast<std::size_t>(s) + j * w])
+            << "workers=" << workers << " block=" << s << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(HeaviestFirstDeal, EqualWeightsKeepTaskOrder) {
+  const std::vector<double> weights{2, 5, 2, 5, 2, 5, 2};
+  // One worker sees the sorted order itself: the 5s, then the 2s, each in
+  // task order.
+  EXPECT_EQ(deal_heaviest_first(weights, 1),
+            (std::vector<std::size_t>{1, 3, 5, 0, 2, 4, 6}));
+  // Two workers: block 0 = sorted positions 0, 2, 4, 6; block 1 = 1, 3, 5.
+  EXPECT_EQ(deal_heaviest_first(weights, 2),
+            (std::vector<std::size_t>{1, 5, 2, 6, 3, 0, 4}));
+  const std::vector<double> flat(5, 1.0);
+  EXPECT_EQ(deal_heaviest_first(flat, 1), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(HeaviestFirstDeal, DealsEveryTaskExactlyOnce) {
+  Rng rng(7);
+  for (const std::size_t n : {0ul, 1ul, 2ul, 13ul, 100ul}) {
+    std::vector<double> weights(n);
+    for (double& w : weights) w = static_cast<double>(rng.uniform_int(0, 9));
+    for (const int workers : {1, 2, 3, 8}) {
+      std::vector<std::size_t> dealt = deal_heaviest_first(weights, workers);
+      ASSERT_EQ(dealt.size(), n);
+      std::sort(dealt.begin(), dealt.end());
+      for (std::size_t t = 0; t < n; ++t) {
+        EXPECT_EQ(dealt[t], t) << "n=" << n << " workers=" << workers;
+      }
+    }
+  }
+}
+
+TEST(HeaviestFirstDeal, MoreWorkersThanTasks) {
+  // Blocks of one task each, heaviest in block 0; the rest are empty.
+  const std::vector<double> weights{1, 4, 2};
+  const std::vector<std::size_t> dealt = deal_heaviest_first(weights, 8);
+  EXPECT_EQ(dealt, (std::vector<std::size_t>{1, 2, 0}));
+  const ShardPlan plan = ShardPlan::make(weights.size(), 8);
+  for (int s = 0; s < 3; ++s) EXPECT_EQ(plan.shard(s).size(), 1u);
+  for (int s = 3; s < 8; ++s) EXPECT_TRUE(plan.shard(s).empty());
+}
+
+TEST(HeaviestFirstDeal, OneWorkerRunsHeaviestFirst) {
+  const std::vector<double> weights{0.5, 3.25, 1, 3.5, 2};
+  const std::vector<std::size_t> dealt = deal_heaviest_first(weights, 1);
+  ThreadPool pool(1);
+  std::vector<std::size_t> ran;
+  pool.parallel_for(ShardPlan::make(weights.size(), 1),
+                    [&](std::size_t p) { ran.push_back(dealt[p]); });
+  EXPECT_EQ(ran, (std::vector<std::size_t>{3, 1, 4, 2, 0}));
 }
 
 TEST(ResolveThreads, ZeroMeansHardwareConcurrency) {
@@ -161,7 +236,7 @@ TEST(ThreadPoolDeathTest, ThrowingTaskAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_map / shard_map_reduce.
+// parallel_map.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelMap, ResultsIndexedByTask) {
@@ -255,6 +330,19 @@ TEST(Determinism, EdgeAnalysisIdenticalAcrossThreadCounts) {
   EXPECT_EQ(seq.opp_valid_traffic_rtt, par.opp_valid_traffic_rtt);
   EXPECT_EQ(seq.rtt_within_3ms, par.rtt_within_3ms);
   EXPECT_EQ(seq.hd_within_0025, par.hd_within_0025);
+
+  // Every sum the fold makes is exact in any order, and quantiles sort, so
+  // only the points' storage order shows the merge sequence: group-id
+  // order at every thread count, never the order tasks were dealt in.
+  for (const auto cdf : {&EdgeAnalysisResult::degr_rtt, &EdgeAnalysisResult::opp_rtt}) {
+    const auto& a = (seq.*cdf).points();
+    const auto& b = (par.*cdf).points();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].value, b[i].value) << "point " << i;
+      EXPECT_EQ(a[i].weight, b[i].weight) << "point " << i;
+    }
+  }
 
   auto seq_degr = seq.degr_rtt;
   auto par_degr = par.degr_rtt;

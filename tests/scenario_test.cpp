@@ -1025,6 +1025,39 @@ TEST(ScenarioSweep, OnePassFilesOverlappingPacksByScenarioAtAnyThreadCount) {
   }
 }
 
+// Verdict hashes read sorted copies of the CDFs and every sum the fold makes
+// is exact in any order, so only the points' storage order shows the merge
+// sequence: each world's fold must run in group-id order, as an
+// independent run's does, whatever order the pass dealt its tasks in.
+TEST(ScenarioSweep, EveryFoldMergesInGroupIdOrder) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const std::vector<ScenarioPack> packs = overlapping_packs(world);
+  const SweepOutcome outcome =
+      run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(3));
+  const auto expect_same_order = [](const EdgeAnalysisResult& want,
+                                    const EdgeAnalysisResult& got) {
+    for (const auto cdf : {&EdgeAnalysisResult::degr_rtt, &EdgeAnalysisResult::opp_rtt}) {
+      const auto& a = (want.*cdf).points();
+      const auto& b = (got.*cdf).points();
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].value, b[i].value) << "point " << i;
+        EXPECT_EQ(a[i].weight, b[i].weight) << "point " << i;
+      }
+    }
+  };
+  expect_same_order(run_edge_analysis(world, dc, {}, {}, {}, threads(1)),
+                    outcome.baseline);
+  ASSERT_EQ(outcome.scenarios.size(), packs.size());
+  for (std::size_t k = 0; k < packs.size(); ++k) {
+    SCOPED_TRACE(packs[k].name);
+    expect_same_order(run_edge_analysis(world, dc, {}, {}, {}, threads(1), nullptr,
+                                        {}, {}, packs[k]),
+                      outcome.scenarios[k].result);
+  }
+}
+
 TEST(ScenarioSweep, FleetHookIsCalledOncePerNonEmptyScenario) {
   const World world = build_world(small_world());
   const DatasetConfig dc = small_dataset();

@@ -30,8 +30,9 @@
 // Values are checked whole: groups, --days and --max-attempts must be
 // integers >= 1, --workers, --threads, --worker-threads and --attempt
 // integers >= 0, --worker-crash-rate a number in [0, 1], --fault-seed an
-// unsigned integer and --shard-worker S/N two integers with 0 <= S < N;
-// anything else exits 2 with the usage line.
+// unsigned integer, --sweep a comma-separated list of integers >= 0 and
+// --shard-worker S/N two integers with 0 <= S < N; anything else exits 2
+// with the usage line.
 #include <sys/stat.h>
 
 #include <chrono>
@@ -116,21 +117,15 @@ ScaleCli parse_cli(int argc, char** argv) {
     } else if (arg == "--json") {
       cli.json_path = next();
     } else if (arg == "--sweep") {
-      const char* list = next();
-      int value = 0;
-      bool have = false;
-      for (const char* p = list;; ++p) {
-        if (*p >= '0' && *p <= '9') {
-          value = value * 10 + (*p - '0');
-          have = true;
-        } else if (*p == ',' || *p == '\0') {
-          if (have) cli.sweep.push_back(value);
-          value = 0;
-          have = false;
-          if (*p == '\0') break;
-        } else {
-          usage(argv[0]);
-        }
+      // Every comma-separated item is a whole worker count (0 = the
+      // in-process baseline), so an empty item or list is a usage error.
+      const std::string list = next();
+      for (std::size_t at = 0;;) {
+        const std::size_t comma = list.find(',', at);
+        cli.sweep.push_back(
+            flags::parse_int(list.substr(at, comma - at), 0, usage, argv[0]));
+        if (comma == std::string::npos) break;
+        at = comma + 1;
       }
     } else if (arg == "--shard-worker") {
       const flags::ShardSpec spec = flags::parse_shard_spec(next(), usage, argv[0]);
