@@ -71,6 +71,14 @@ class RouteWindowAgg {
     sessions_ += other.sessions_;
   }
 
+  /// Seals both sketches (TDigest::seal) once the cell's window is closed:
+  /// what the cell answers and saves does not change by a bit, and it keeps
+  /// only its centroids.
+  void seal() {
+    minrtt_.seal();
+    hdratio_.seal();
+  }
+
   /// Returns the cell to its empty state while keeping the sketches' heap
   /// buffers — the pooled-reuse primitive (see RouteAggPool).
   void reset() {
@@ -252,9 +260,10 @@ struct GroupSeries {
 /// Free-list of RouteWindowAgg cells. A cell's dominant cost is the heap
 /// buffers inside its two t-digests; recycling cells between groups keeps
 /// those buffers warm, so steady-state ingest of a new group allocates
-/// (almost) nothing. Pooled cells are reset() on the way in, and a reset
-/// cell is behaviorally bit-identical to a fresh one, so pooling cannot
-/// change any analysis output.
+/// (almost) nothing — except for cells that were sealed, which come back
+/// with only their centroid arrays. Pooled cells are reset() on the way in,
+/// and a reset cell is behaviorally bit-identical to a fresh one, so
+/// pooling cannot change any analysis output.
 class RouteAggPool {
  public:
   /// Takes a cell from the pool (empty state, warm buffers), or constructs

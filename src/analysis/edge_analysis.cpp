@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <optional>
 #include <string>
 
 #include "analysis/edge_reduce.h"
@@ -145,7 +146,10 @@ struct EdgeScratch {
   SessionBatch batch;
   CoalescedBatch coalesced;
   std::vector<SessionHd> hd;
-  CoalescedSession coalesce_scratch;  // legacy scalar path (fault runs)
+  /// Faulted runs only: copies of each row the fault stage emits, and the
+  /// coalesce mask (hosting rows and rows with no copy).
+  std::vector<std::uint8_t> copies;
+  std::vector<std::uint8_t> skip;
   std::vector<WindowObservation> obs;
   /// The group's aggregation series on the cold path. Where a scratch
   /// serves several groups, route cells return to `pool` between them with
@@ -250,58 +254,74 @@ struct EdgePartial {
 /// `scratch.pool` first). This is the expensive, cacheable stage — its
 /// product is a pure function of (world, config, goodput, faults), and on
 /// fault-free runs it is exactly what the ingest-artifact cache persists.
+///
+/// One columnar loop for every run: one window of sessions at a time
+/// through (fault stage ->) coalesce -> HD -> aggregate, all in scratch
+/// arenas. Rows arrive in the same order generate_group emits sessions and
+/// carry bit-identical values (same simulation template, same RNG stream).
+/// The window index is computed per row from established_at: a session of
+/// batch w starts at w * 900 + U[0, 900), which can round up onto the next
+/// boundary, so it lands in window w or w + 1. Once batch w is aggregated,
+/// every window up to w is therefore final and is sealed: its digests are
+/// compressed — the compress save() and the summaries would run on the same
+/// state, so no bit changes — and give back their add buffers, so ingest
+/// holds buffers for the open windows only.
 void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
                   const UserGroupProfile& group, const GoodputConfig& goodput,
                   const FaultPlan& faults, FaultCounters& fault_counters) {
   GroupSeries& series = scratch.series;
   scratch.pool.recycle(series);
   series.continent = group.continent;
-  if (!faults.sampler_faults()) {
-    // Batched columnar path: one window of sessions at a time through
-    // coalesce -> HD -> aggregate, all in scratch arenas. Rows arrive in
-    // the same order generate_group emits sessions and carry bit-identical
-    // values (same simulation template, same RNG stream), and the window
-    // index is still computed per row from established_at — a session's
-    // start is drawn in [window_start, window_start + kWindowLength], so
-    // trusting the nominal window id would mis-bin a draw that lands
-    // exactly on the upper boundary.
-    generator.generate_group_batched(
-        group, scratch.batch, [&](int, const SessionBatch& b) {
-          // Hosting-provider rows (the §2.2.4 keep_for_analysis filter) are
-          // skipped before coalescing ever sees them.
-          coalesce_batch(b, b.hosting.data(), scratch.coalesced);
-          const std::size_t rows = b.size();
-          scratch.hd.resize(rows);
-          evaluate_hd_batch(scratch.coalesced.txns.data(),
-                            scratch.coalesced.offset.data(),
-                            scratch.coalesced.count.data(), rows, scratch.hd.data(),
-                            goodput);
+  // The fault stage sits where the load balancer hands records to the
+  // analytics tier: every row passes it, hosting rows included, and rows
+  // it rejects or mutates never reach metric extraction as they were.
+  std::optional<SamplerFaultStage> stage;
+  if (faults.sampler_faults()) stage.emplace(faults, group);
+  int sealed_through = -1;    // every window <= this one is sealed
+  std::size_t unsealed = 0;   // first series entry not yet sealed
+  generator.generate_group_batched(
+      group, scratch.batch, [&](int w, SessionBatch& b) {
+        const std::size_t rows = b.size();
+        // Hosting-provider rows (the §2.2.4 keep_for_analysis filter) are
+        // skipped before coalescing ever sees them.
+        const std::uint8_t* skip = b.hosting.data();
+        if (stage) {
+          stage->apply(b, scratch.copies);
+          scratch.skip.resize(rows);
           for (std::size_t i = 0; i < rows; ++i) {
-            if (b.hosting[i] != 0) continue;
-            series.windows[window_index(b.established_at[i])]
-                .route_pooled(b.route_index[i], scratch.pool)
-                .add_session(b.min_rtt[i], scratch.hd[i].hdratio(), b.total_bytes[i]);
+            scratch.skip[i] = b.hosting[i] != 0 || scratch.copies[i] == 0;
           }
-        });
-  } else {
-    // The fault stage sits where the load balancer hands records to the
-    // analytics tier; records that fail semantic validation after a fault
-    // never reach metric extraction. Fault injection mutates individual
-    // records (truncation, duplication, skew), so this path keeps the
-    // scalar per-session representation.
-    const auto ingest = [&](const SessionSample& s) {
-      if (!SessionSampler::keep_for_analysis(s.client)) return;
-      const SessionMetrics m =
-          compute_session_metrics(s, scratch.coalesce_scratch, goodput);
-      series.windows[window_index(s.established_at)]
-          .route(s.route_index)
-          .add_session(m.min_rtt, m.hdratio, m.traffic);
-    };
-    SamplerFaultStage stage(faults, group.key);
-    generator.generate_group(
-        group, [&](const SessionSample& s) { stage.apply(s, ingest); });
-    fault_counters.accumulate(stage.counters());
-  }
+          skip = scratch.skip.data();
+        }
+        coalesce_batch(b, skip, scratch.coalesced);
+        scratch.hd.resize(rows);
+        evaluate_hd_batch(scratch.coalesced.txns.data(),
+                          scratch.coalesced.offset.data(),
+                          scratch.coalesced.count.data(), rows, scratch.hd.data(),
+                          goodput);
+        for (std::size_t i = 0; i < rows; ++i) {
+          if (skip[i] != 0) continue;
+          const int window = window_index(b.established_at[i]);
+          FBEDGE_EXPECT(window > sealed_through, "a row landed in a sealed window");
+          RouteWindowAgg& cell =
+              series.windows[window].route_pooled(b.route_index[i], scratch.pool);
+          const std::optional<double> hdratio = scratch.hd[i].hdratio();
+          // A duplicated record is added twice in a row, as emitted.
+          for (int c = stage ? scratch.copies[i] : 1; c > 0; --c) {
+            cell.add_session(b.min_rtt[i], hdratio, b.total_bytes[i]);
+          }
+        }
+        // No later row reaches a window up to w. One bound serves the seal
+        // and the check above, and windows only open above it, so the
+        // sealed ones stay a prefix of the series.
+        sealed_through = w;
+        for (auto it = series.windows.begin() + static_cast<std::ptrdiff_t>(unsealed);
+             it != series.windows.end() && it->first <= sealed_through;
+             ++it, ++unsealed) {
+          for (RouteWindowAgg& cell : it->second.routes) cell.seal();
+        }
+      });
+  if (stage) fault_counters.accumulate(stage->counters());
   if (faults.agg_faults()) {
     AggFaultStage(faults).apply(series, group_fault_key(group.key), fault_counters);
   }

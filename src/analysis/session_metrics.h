@@ -23,15 +23,15 @@ struct SessionMetrics {
 };
 
 /// Runs coalescing (§3.2.5) and the goodput methodology (§3.2) over one
-/// session sample. `scratch` is a caller-owned coalescing buffer reused
-/// across sessions so the per-session allocation disappears.
+/// session sample. The batched ingest (coalesce_batch, evaluate_hd_batch)
+/// computes the same values per row.
 inline SessionMetrics compute_session_metrics(const SessionSample& sample,
-                                              CoalescedSession& scratch,
                                               GoodputConfig config = {}) {
   SessionMetrics m;
   m.min_rtt = sample.min_rtt;
   m.traffic = sample.total_bytes;
 
+  CoalescedSession scratch;
   coalesce_session_into(sample.writes, sample.min_rtt, scratch);
   m.txns_eligible = static_cast<int>(scratch.txns.size());
 
@@ -42,13 +42,6 @@ inline SessionMetrics compute_session_metrics(const SessionSample& sample,
   m.hdratio = hd.hdratio();
   m.hdratio_naive = hd.hdratio_naive();
   return m;
-}
-
-/// Convenience overload with a per-call coalescing buffer.
-inline SessionMetrics compute_session_metrics(const SessionSample& sample,
-                                              GoodputConfig config = {}) {
-  CoalescedSession scratch;
-  return compute_session_metrics(sample, scratch, config);
 }
 
 }  // namespace fbedge

@@ -1,10 +1,13 @@
 #include "faultsim/fault_injector.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
 
 #include "agg/aggregation.h"
+#include "sampler/session_batch.h"
+#include "workload/generator.h"
 
 namespace fbedge {
 
@@ -25,16 +28,65 @@ SamplerFaultStage::SamplerFaultStage(const FaultPlan& plan,
   if (thinned_) ++counters_.thinned_groups;
 }
 
+SamplerFaultStage::SamplerFaultStage(const FaultPlan& plan,
+                                     const UserGroupProfile& group)
+    : SamplerFaultStage(plan, group.key) {
+  set_group_fields(group, row_);
+  has_group_fields_ = true;
+}
+
+void SamplerFaultStage::apply(SessionBatch& batch, std::vector<std::uint8_t>& copies) {
+  FBEDGE_EXPECT(has_group_fields_, "the row form needs the group's profile");
+  const std::size_t rows = batch.size();
+  copies.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    copies[i] = static_cast<std::uint8_t>(
+        schedule(batch.id[i].value, [&](RecordFault fault) {
+          batch.read_row(i, row_);
+          if (!mutate(fault, row_)) return false;
+          // A survivor keeps every complete header field, so its
+          // group-level fields are the row's, which the batch cannot hold.
+          FBEDGE_EXPECT(scratch_.pop == row_.pop &&
+                            scratch_.client.bgp_prefix == row_.client.bgp_prefix &&
+                            scratch_.client.asn == row_.client.asn &&
+                            scratch_.client.country == row_.client.country &&
+                            scratch_.client.continent == row_.client.continent,
+                        "a mutated record changed a group-level field");
+          batch.write_row(i, scratch_);
+          return true;
+        }));
+  }
+}
+
+bool SamplerFaultStage::mutate(RecordFault fault, const SessionSample& s) {
+  switch (fault) {
+    case RecordFault::kTruncate:
+      return truncate_record(s);
+    case RecordFault::kCorrupt:
+      corrupt_record(s);
+      return validate_sample(scratch_) == SampleDefect::kNone;
+    case RecordFault::kSkew:
+      skew_record(s);
+      return true;
+  }
+  return false;
+}
+
 bool SamplerFaultStage::truncate_record(const SessionSample& s) {
   // Exercise the real wire format: serialize, cut mid-line, re-parse. A cut
   // almost never lands on a record boundary, so the record is usually lost;
   // when it does parse, the validation gate still applies.
-  const std::string line = serialize_sample(s);
+  std::string line = serialize_sample(s);
   if (line.size() < 2) return false;
   Rng rng = fault_stream(plan_, faultsite::kTruncatePos, s.id.value);
   const auto cut = static_cast<std::size_t>(
       rng.uniform_int(1, static_cast<std::int64_t>(line.size()) - 1));
-  const auto parsed = parse_sample(line.substr(0, cut));
+  line.resize(cut);
+  // parse_sample rejects every field count but 17 + 9k; counting tabs
+  // rejects most cuts without parsing them.
+  const auto tabs = static_cast<std::size_t>(std::count(line.begin(), line.end(), '\t'));
+  if (!sample_field_count_ok(tabs + 1)) return false;
+  const auto parsed = parse_sample(line);
   if (!parsed || validate_sample(*parsed) != SampleDefect::kNone) return false;
   scratch_ = *parsed;
   return true;

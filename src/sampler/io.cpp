@@ -1,119 +1,166 @@
 #include "sampler/io.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace fbedge {
 
 namespace {
 
-constexpr int kSessionFields = 16;
-constexpr int kWriteFields = 9;
+/// Appends `v` in decimal. A double prints as printf's "%.17g" does:
+/// std::to_chars in general format at precision 17 is specified to give
+/// exactly that text, without printf's format parsing.
+template <typename T>
+void append(std::string& out, T v) {
+  char buf[32];
+  std::to_chars_result r;
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  } else {
+    r = std::to_chars(buf, buf + sizeof buf, v);
+  }
+  out.append(buf, r.ptr);
+}
 
-void append_write(std::string& out, const ResponseWrite& w) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "\t%.17g\t%.17g\t%.17g\t%.17g\t%lld\t%lld\t%lld\t%d\t%d",
-                w.first_byte_nic, w.last_byte_nic, w.second_last_ack, w.last_ack,
-                static_cast<long long>(w.bytes),
-                static_cast<long long>(w.last_packet_bytes),
-                static_cast<long long>(w.wnic), w.multiplexed ? 1 : 0,
-                w.preempted ? 1 : 0);
-  out += buf;
+template <typename T>
+void append_field(std::string& out, T v) {
+  out.push_back('\t');
+  append(out, v);
+}
+
+/// All of `f` as a decimal T: false on an empty field, a trailing byte, a
+/// sign on an unsigned T, or a value T cannot hold (never wrapped).
+template <typename T>
+bool parse_int(std::string_view f, T& out) {
+  const char* end = f.data() + f.size();
+  const auto [ptr, ec] = std::from_chars(f.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// All of `f` as a double, by strtod. The field ends at a tab or at the
+/// line's terminating NUL, either of which stops strtod.
+bool parse_real(std::string_view f, double& out) {
+  char* end = nullptr;
+  out = std::strtod(f.data(), &end);
+  return !f.empty() && end == f.data() + f.size();
 }
 
 }  // namespace
 
 std::string serialize_sample(const SessionSample& s) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "%" PRIu64 "\t%u\t%u\t%u\t%d\t%u\t%u\t%d\t%d\t%d\t%.17g\t%.17g\t%.17g\t%lld\t%d\t%.17g",
-      s.id.value, s.pop.value, s.client.ip, s.client.bgp_prefix.addr,
-      s.client.bgp_prefix.length, s.client.asn.value, s.client.country.value,
-      static_cast<int>(s.client.continent), s.client.hosting_provider ? 1 : 0,
-      static_cast<int>(s.version) * 2 + static_cast<int>(s.endpoint),
-      s.established_at, s.duration, s.busy_time, static_cast<long long>(s.total_bytes),
-      s.route_index, s.min_rtt);
-  std::string out(buf);
-  char count[32];
-  std::snprintf(count, sizeof(count), "\t%d", s.num_transactions);
-  out += count;
-  for (const auto& w : s.writes) append_write(out, w);
+  std::string out;
+  out.reserve(256 + 192 * s.writes.size());
+  append(out, s.id.value);
+  append_field(out, s.pop.value);
+  append_field(out, s.client.ip);
+  append_field(out, s.client.bgp_prefix.addr);
+  append_field(out, s.client.bgp_prefix.length);
+  append_field(out, s.client.asn.value);
+  append_field(out, s.client.country.value);
+  append_field(out, static_cast<int>(s.client.continent));
+  append_field(out, s.client.hosting_provider ? 1 : 0);
+  append_field(out, static_cast<int>(s.version) * 2 + static_cast<int>(s.endpoint));
+  append_field(out, s.established_at);
+  append_field(out, s.duration);
+  append_field(out, s.busy_time);
+  append_field(out, s.total_bytes);
+  append_field(out, s.route_index);
+  append_field(out, s.min_rtt);
+  append_field(out, s.num_transactions);
+  for (const auto& w : s.writes) {
+    append_field(out, w.first_byte_nic);
+    append_field(out, w.last_byte_nic);
+    append_field(out, w.second_last_ack);
+    append_field(out, w.last_ack);
+    append_field(out, w.bytes);
+    append_field(out, w.last_packet_bytes);
+    append_field(out, w.wnic);
+    append_field(out, w.multiplexed ? 1 : 0);
+    append_field(out, w.preempted ? 1 : 0);
+  }
   return out;
 }
 
 std::optional<SessionSample> parse_sample(const std::string& line) {
-  std::vector<std::string> fields;
+  std::vector<std::string_view> fields;
   std::size_t start = 0;
-  while (start <= line.size()) {
+  while (true) {
     const std::size_t tab = line.find('\t', start);
     if (tab == std::string::npos) {
-      fields.push_back(line.substr(start));
+      fields.emplace_back(line.data() + start, line.size() - start);
       break;
     }
-    fields.push_back(line.substr(start, tab - start));
+    fields.emplace_back(line.data() + start, tab - start);
     start = tab + 1;
   }
-  // Header fields + txn count, then 9 fields per write.
-  if (fields.size() < kSessionFields + 1) return std::nullopt;
-  const std::size_t write_fields = fields.size() - kSessionFields - 1;
-  if (write_fields % kWriteFields != 0) return std::nullopt;
+  if (!sample_field_count_ok(fields.size())) return std::nullopt;
 
-  auto to_u64 = [](const std::string& f, bool& ok) -> std::uint64_t {
-    char* end = nullptr;
-    const auto v = std::strtoull(f.c_str(), &end, 10);
-    ok = ok && end && *end == '\0' && !f.empty();
-    return v;
-  };
-  auto to_d = [](const std::string& f, bool& ok) -> double {
-    char* end = nullptr;
-    const double v = std::strtod(f.c_str(), &end);
-    ok = ok && end && *end == '\0' && !f.empty();
-    return v;
-  };
-
+  // Every field is parsed, then one verdict: `ok` only ever falls.
   bool ok = true;
+  std::size_t i = 0;
+  const auto integer = [&](auto& out) {
+    const bool parsed = parse_int(fields[i++], out);
+    ok = ok && parsed;
+  };
+  const auto real = [&](double& out) {
+    const bool parsed = parse_real(fields[i++], out);
+    ok = ok && parsed;
+  };
+
   SessionSample s;
-  int i = 0;
-  s.id = SessionId{to_u64(fields[i++], ok)};
-  s.pop = PopId{static_cast<std::uint32_t>(to_u64(fields[i++], ok))};
-  s.client.ip = static_cast<std::uint32_t>(to_u64(fields[i++], ok));
-  s.client.bgp_prefix.addr = static_cast<std::uint32_t>(to_u64(fields[i++], ok));
-  s.client.bgp_prefix.length = static_cast<int>(to_u64(fields[i++], ok));
-  s.client.asn = Asn{static_cast<std::uint32_t>(to_u64(fields[i++], ok))};
-  s.client.country = CountryId{static_cast<std::uint32_t>(to_u64(fields[i++], ok))};
-  const auto continent = to_u64(fields[i++], ok);
-  if (continent >= static_cast<std::uint64_t>(kNumContinents)) return std::nullopt;
+  std::uint32_t continent = 0;
+  std::uint64_t hosting = 0;
+  std::uint32_t version_endpoint = 0;
+  integer(s.id.value);
+  integer(s.pop.value);
+  integer(s.client.ip);
+  integer(s.client.bgp_prefix.addr);
+  integer(s.client.bgp_prefix.length);
+  integer(s.client.asn.value);
+  integer(s.client.country.value);
+  integer(continent);
+  integer(hosting);
+  integer(version_endpoint);
+  real(s.established_at);
+  real(s.duration);
+  real(s.busy_time);
+  integer(s.total_bytes);
+  integer(s.route_index);
+  real(s.min_rtt);
+  integer(s.num_transactions);
+  // Codes 0-3: HTTP version (2) x endpoint class (2).
+  if (!ok || continent >= static_cast<std::uint32_t>(kNumContinents) ||
+      version_endpoint > 3) {
+    return std::nullopt;
+  }
   s.client.continent = static_cast<Continent>(continent);
-  s.client.hosting_provider = to_u64(fields[i++], ok) != 0;
-  const auto version_endpoint = to_u64(fields[i++], ok);
+  s.client.hosting_provider = hosting != 0;
   s.version = static_cast<HttpVersion>(version_endpoint / 2);
   s.endpoint = static_cast<EndpointClass>(version_endpoint % 2);
-  s.established_at = to_d(fields[i++], ok);
-  s.duration = to_d(fields[i++], ok);
-  s.busy_time = to_d(fields[i++], ok);
-  s.total_bytes = static_cast<Bytes>(to_u64(fields[i++], ok));
-  s.route_index = static_cast<int>(to_u64(fields[i++], ok));
-  s.min_rtt = to_d(fields[i++], ok);
-  s.num_transactions = static_cast<int>(to_u64(fields[i++], ok));
 
-  s.writes.reserve(write_fields / kWriteFields);
-  for (std::size_t w = 0; w < write_fields / kWriteFields; ++w) {
+  const std::size_t writes = (fields.size() - kSampleSessionFields) / kSampleWriteFields;
+  s.writes.reserve(writes);
+  for (std::size_t w = 0; w < writes; ++w) {
     ResponseWrite rw;
-    rw.first_byte_nic = to_d(fields[i++], ok);
-    rw.last_byte_nic = to_d(fields[i++], ok);
-    rw.second_last_ack = to_d(fields[i++], ok);
-    rw.last_ack = to_d(fields[i++], ok);
-    rw.bytes = static_cast<Bytes>(to_u64(fields[i++], ok));
-    rw.last_packet_bytes = static_cast<Bytes>(to_u64(fields[i++], ok));
-    rw.wnic = static_cast<Bytes>(to_u64(fields[i++], ok));
-    rw.multiplexed = to_u64(fields[i++], ok) != 0;
-    rw.preempted = to_u64(fields[i++], ok) != 0;
+    std::uint64_t multiplexed = 0;
+    std::uint64_t preempted = 0;
+    real(rw.first_byte_nic);
+    real(rw.last_byte_nic);
+    real(rw.second_last_ack);
+    real(rw.last_ack);
+    integer(rw.bytes);
+    integer(rw.last_packet_bytes);
+    integer(rw.wnic);
+    integer(multiplexed);
+    integer(preempted);
+    rw.multiplexed = multiplexed != 0;
+    rw.preempted = preempted != 0;
     s.writes.push_back(rw);
   }
   if (!ok) return std::nullopt;

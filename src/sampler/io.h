@@ -7,6 +7,7 @@
 // consume.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -17,11 +18,27 @@
 namespace fbedge {
 
 /// Serializes one sample as a single line (fields tab-separated; writes
-/// appended as repeated groups). Never contains '\n'.
+/// appended as repeated groups). Never contains '\n'. Doubles print as
+/// printf's "%.17g" does, so they parse back exactly.
 std::string serialize_sample(const SessionSample& sample);
 
+/// Fields of a line: 17 for the session (the last is the transaction
+/// count), then 9 per write.
+inline constexpr std::size_t kSampleSessionFields = 17;
+inline constexpr std::size_t kSampleWriteFields = 9;
+
+/// Whether a line of `fields` tab-separated fields has a shape
+/// parse_sample() can accept.
+constexpr bool sample_field_count_ok(std::size_t fields) {
+  return fields >= kSampleSessionFields &&
+         (fields - kSampleSessionFields) % kSampleWriteFields == 0;
+}
+
 /// Parses a line produced by serialize_sample(). Returns nullopt on
-/// malformed input (wrong field count or unparseable numbers).
+/// malformed input: a wrong field count, an unparseable number, or an
+/// integer outside its field's type (the continent and the
+/// version/endpoint code outside their enums). A negative value in a
+/// signed field parses; validate_sample() classifies it.
 std::optional<SessionSample> parse_sample(const std::string& line);
 
 /// Streams every sample of `samples` to `out`, one line each.

@@ -1,5 +1,9 @@
 #include "sampler/session_batch.h"
 
+#include <algorithm>
+
+#include "util/expect.h"
+
 namespace fbedge {
 
 void SessionBatch::clear() {
@@ -43,6 +47,43 @@ void SessionBatch::begin_row(SessionId sid, SimTime at, int route, std::uint32_t
   num_transactions.push_back(num_txns);
   route_index.push_back(route);
   write_offset.push_back(static_cast<std::uint32_t>(writes.size()));
+}
+
+void SessionBatch::read_row(std::size_t i, SessionSample& out) const {
+  out.id = id[i];
+  out.client.ip = client_ip[i];
+  out.client.hosting_provider = hosting[i] != 0;
+  out.version = version[i];
+  out.endpoint = endpoint[i];
+  out.established_at = established_at[i];
+  out.duration = duration[i];
+  out.busy_time = busy_time[i];
+  out.total_bytes = total_bytes[i];
+  out.num_transactions = num_transactions[i];
+  out.route_index = route_index[i];
+  out.min_rtt = min_rtt[i];
+  const ResponseWrite* first = writes.data() + write_offset[i];
+  out.writes.assign(first, first + write_count[i]);
+}
+
+void SessionBatch::write_row(std::size_t i, const SessionSample& s) {
+  FBEDGE_EXPECT(s.writes.size() <= write_count[i],
+                "a rewritten row cannot hold more writes than it had");
+  id[i] = s.id;
+  client_ip[i] = s.client.ip;
+  hosting[i] = s.client.hosting_provider ? 1 : 0;
+  version[i] = s.version;
+  endpoint[i] = s.endpoint;
+  established_at[i] = s.established_at;
+  duration[i] = s.duration;
+  busy_time[i] = s.busy_time;
+  total_bytes[i] = s.total_bytes;
+  num_transactions[i] = static_cast<std::int32_t>(s.num_transactions);
+  route_index[i] = static_cast<std::int32_t>(s.route_index);
+  min_rtt[i] = s.min_rtt;
+  std::copy(s.writes.begin(), s.writes.end(),
+            writes.begin() + static_cast<std::ptrdiff_t>(write_offset[i]));
+  write_count[i] = static_cast<std::uint32_t>(s.writes.size());
 }
 
 void coalesce_batch(const SessionBatch& batch, const std::uint8_t* skip,

@@ -80,6 +80,19 @@ struct SessionBatch {
     write_count.push_back(static_cast<std::uint32_t>(writes.size()) -
                           write_offset.back());
   }
+
+  // Record view of one row (the row form of the sampler fault stage).
+  // The group-level fields of a SessionSample — PoP, BGP prefix, ASN,
+  // country, continent — have no column: read_row leaves them as they are
+  // in `out`, and write_row ignores them in `s`.
+
+  /// Fills `out`'s per-session fields, its writes included, from row i.
+  void read_row(std::size_t i, SessionSample& out) const;
+
+  /// Overwrites row i with `s`'s per-session fields. `s` may carry fewer
+  /// writes than the row, never more: they go to the front of the row's
+  /// span and write_count[i] shrinks, so no other row moves.
+  void write_row(std::size_t i, const SessionSample& s);
 };
 
 /// §3.2.5 coalescing output for a whole batch: one flat TxnTiming buffer,

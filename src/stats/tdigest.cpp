@@ -80,34 +80,37 @@ void TDigest::compress() const {
 }
 
 void TDigest::absorb_sorted_run(const Centroid* run, std::size_t n) const {
-  // Two-pointer merge of the two sorted runs into the persistent scratch;
-  // centroids_ wins ties so older centroids keep their position.
-  scratch_.clear();
-  scratch_.reserve(centroids_.size() + n);
+  // Two-pointer merge of the two sorted runs into the thread's merge
+  // scratch, which keeps its capacity across calls; centroids_ wins ties so
+  // older centroids keep their position. The scratch is rebuilt in full
+  // before it is read, so no digest sees another's leftovers.
+  thread_local std::vector<Centroid> scratch;
+  scratch.clear();
+  scratch.reserve(centroids_.size() + n);
   std::size_t ci = 0;
   std::size_t ri = 0;
   while (ci < centroids_.size() && ri < n) {
     if (centroid_less(run[ri], centroids_[ci])) {
-      scratch_.push_back(run[ri++]);
+      scratch.push_back(run[ri++]);
     } else {
-      scratch_.push_back(centroids_[ci++]);
+      scratch.push_back(centroids_[ci++]);
     }
   }
-  scratch_.insert(scratch_.end(), centroids_.begin() + static_cast<std::ptrdiff_t>(ci),
-                  centroids_.end());
-  scratch_.insert(scratch_.end(), run + ri, run + n);
+  scratch.insert(scratch.end(), centroids_.begin() + static_cast<std::ptrdiff_t>(ci),
+                 centroids_.end());
+  scratch.insert(scratch.end(), run + ri, run + n);
 
   double total = 0;
-  for (const auto& c : scratch_) total += c.weight;
+  for (const auto& c : scratch) total += c.weight;
 
   centroids_.clear();
   centroids_.reserve(static_cast<std::size_t>(compression_ * 2));
   double so_far = 0;  // weight in fully-merged centroids
-  Centroid cur = scratch_.front();
+  Centroid cur = scratch.front();
   // q up to which the open centroid may grow: k(q) - k(so_far/total) <= 1.
   double q_limit = k_inverse(k_scale(0.0, compression_) + 1.0, compression_);
-  for (std::size_t i = 1; i < scratch_.size(); ++i) {
-    const Centroid& next = scratch_[i];
+  for (std::size_t i = 1; i < scratch.size(); ++i) {
+    const Centroid& next = scratch[i];
     const double proposed_q = (so_far + cur.weight + next.weight) / total;
     if (std::min(proposed_q, 1.0) <= q_limit) {
       // Merge next into cur (weighted mean).
@@ -128,6 +131,12 @@ void TDigest::absorb_sorted_run(const Centroid* run, std::size_t n) const {
 const std::vector<TDigest::Centroid>& TDigest::centroids() const {
   compress();
   return centroids_;
+}
+
+void TDigest::seal() {
+  compress();
+  std::vector<Centroid>().swap(buffer_);
+  centroids_.shrink_to_fit();
 }
 
 void TDigest::reset() {

@@ -9,10 +9,13 @@
 //
 // Hot-path design (see DESIGN.md "performance notes"): `centroids_` is kept
 // sorted between compressions, so compress() only sorts the small unmerged
-// buffer and two-pointer-merges it with the existing run into a persistent
+// buffer and two-pointer-merges it with the existing run into a merge
 // scratch vector — no allocation and no O(n log n) work over data that is
-// already sorted. Ties sort by (mean, weight) so the output is identical
-// across toolchains regardless of std::sort's handling of equal keys.
+// already sorted. The scratch is one per thread, not one per digest: a
+// digest needs it only inside compress(), and one worker's series holds
+// thousands of digests. Ties sort by (mean, weight) so the output is
+// identical across toolchains regardless of std::sort's handling of equal
+// keys.
 #pragma once
 
 #include <algorithm>
@@ -97,6 +100,14 @@ class TDigest {
   /// Read-only view of the merged centroids (compresses first).
   const std::vector<Centroid>& centroids() const;
 
+  /// For a digest that gets no more adds: compresses, then gives back the
+  /// add buffer and the centroid capacity beyond the centroids held. Every
+  /// later query and save() compresses first anyway, and that compress now
+  /// finds nothing to do, so each answers bit for bit what it would have
+  /// without the seal. More adds after a seal still work, but compress at
+  /// different points than on an unsealed twin, so their bits can differ.
+  void seal();
+
   /// Returns the digest to its empty post-construction state while keeping
   /// every internal buffer's capacity — the reuse primitive behind the
   /// per-worker aggregation pools (a reset digest produces bit-identical
@@ -140,10 +151,6 @@ class TDigest {
   // without changing the distribution represented.
   mutable std::vector<Centroid> centroids_;
   mutable std::vector<Centroid> buffer_;
-  /// Persistent merge scratch: compress() writes the combined sorted run
-  /// here, then rebuilds centroids_ from it. Reused across compressions so
-  /// the steady state allocates nothing.
-  mutable std::vector<Centroid> scratch_;
   mutable double total_weight_{0};
   mutable double unmerged_weight_{0};
   std::size_t count_{0};

@@ -46,11 +46,7 @@ struct SampleEmitter {
     sample.writes.reserve(spec.transactions.size());
     sample.total_bytes = 0;
     sample.id = spec.id;
-    sample.pop = group.key.pop;
-    sample.client.bgp_prefix = group.key.prefix;
-    sample.client.asn = group.asn;
-    sample.client.country = group.key.country;
-    sample.client.continent = group.continent;
+    set_group_fields(group, sample);
     sample.client.ip = ip;
     sample.client.hosting_provider = hosting;
     sample.version = spec.version;
@@ -90,6 +86,14 @@ struct BatchEmitter {
 };
 
 }  // namespace
+
+void set_group_fields(const UserGroupProfile& group, SessionSample& sample) {
+  sample.pop = group.key.pop;
+  sample.client.bgp_prefix = group.key.prefix;
+  sample.client.asn = group.asn;
+  sample.client.country = group.key.country;
+  sample.client.continent = group.continent;
+}
 
 DatasetGenerator::DatasetGenerator(const World& world, DatasetConfig config)
     : world_(world), config_(config), traffic_(config.seed), sampler_(config.sampler) {}

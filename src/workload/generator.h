@@ -38,8 +38,15 @@ struct DatasetConfig {
 using SessionSink = std::function<void(const SessionSample&)>;
 
 /// Receives one filled SessionBatch per 15-minute window (only windows with
-/// at least one session). The batch reference is only valid for the call.
-using WindowBatchSink = std::function<void(int window, const SessionBatch&)>;
+/// at least one session). The batch reference is only valid for the call;
+/// the sink may rewrite rows in place (the sampler fault stage's row form),
+/// since the generator clears the batch before the next window.
+using WindowBatchSink = std::function<void(int window, SessionBatch&)>;
+
+/// Sets the fields every record of `group` carries alike — PoP, BGP
+/// prefix, ASN, country, continent — as generate_group's records carry
+/// them. A SessionBatch has no column for these.
+void set_group_fields(const UserGroupProfile& group, SessionSample& sample);
 
 class DatasetGenerator {
  public:

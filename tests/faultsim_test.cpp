@@ -17,6 +17,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "agg/classifier.h"
@@ -32,6 +33,7 @@
 #include "runtime/thread_pool.h"
 #include "sampler/io.h"
 #include "sampler/sampler.h"
+#include "sampler/session_batch.h"
 #include "scenario/scenario.h"
 #include "stream/monitor_pipeline.h"
 #include "workload/generator.h"
@@ -339,6 +341,137 @@ TEST(SamplerFaultStage, PopOutageSilencesTheGroup) {
   UserGroupKey same_pop = key;
   same_pop.prefix.addr = 0x01020300;
   EXPECT_TRUE(SamplerFaultStage(plan, same_pop).pop_out());
+}
+
+// ---------------------------------------------------------------------------
+// Row form: over a window's batch, the stage must emit exactly what the
+// record form emits for the same sessions.
+// ---------------------------------------------------------------------------
+
+/// Runs every group of the small world through the record form (on
+/// generate_group's records) and the row form (on generate_group_batched's
+/// batches), and checks that they emit the same records — every field, in
+/// the same order, duplicates adjacent, hosting records included — and
+/// count the same faults. Returns the summed counters.
+FaultCounters expect_row_form_matches_record_form(const FaultPlan& plan) {
+  const World world = build_world(small_world());
+  const DatasetGenerator generator(world, small_dataset());
+  FaultCounters total;
+  std::size_t hosting = 0;
+  for (const auto& group : world.groups) {
+    SamplerFaultStage by_record(plan, group.key);
+    std::vector<std::string> expected;
+    generator.generate_group(group, [&](const SessionSample& s) {
+      by_record.apply(s, [&](const SessionSample& r) {
+        // The line format prints every field, doubles to 17 digits.
+        expected.push_back(serialize_sample(r));
+      });
+    });
+
+    SamplerFaultStage by_row(plan, group);
+    std::vector<std::string> emitted;
+    SessionBatch batch;
+    std::vector<std::uint8_t> copies;
+    SessionSample record;
+    set_group_fields(group, record);
+    generator.generate_group_batched(group, batch, [&](int, SessionBatch& b) {
+      by_row.apply(b, copies);
+      ASSERT_EQ(copies.size(), b.size());
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        ASSERT_LE(copies[i], 2);
+        b.read_row(i, record);
+        for (int c = 0; c < copies[i]; ++c) {
+          emitted.push_back(serialize_sample(record));
+          hosting += record.client.hosting_provider ? 1 : 0;
+        }
+      }
+    });
+    if (::testing::Test::HasFatalFailure()) return total;
+    EXPECT_EQ(emitted.size(), expected.size());
+    const std::size_t n = std::min(emitted.size(), expected.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (emitted[i] != expected[i]) {
+        ADD_FAILURE() << "record " << i << " of group " << group.key.prefix.to_string()
+                      << "\n row form:    " << emitted[i]
+                      << "\n record form: " << expected[i];
+        return total;
+      }
+    }
+    expect_counters_eq(by_row.counters(), by_record.counters());
+    total.accumulate(by_row.counters());
+  }
+  EXPECT_GT(hosting, 0u);  // hosting rows pass the stage too
+  return total;
+}
+
+TEST(SamplerFaultStageRows, TruncationWithSurvivingCutsMatchesTheRecordForm) {
+  FaultPlan plan;
+  plan.seed = 31;
+  plan.truncate_rate = 1.0;
+  const FaultCounters c = expect_row_form_matches_record_form(plan);
+  EXPECT_GT(c.truncated_records, 0u);
+  // Some cuts parse and pass the gate: those rows are rewritten in place.
+  EXPECT_GT(c.truncated_records, c.rejected_records);
+}
+
+TEST(SamplerFaultStageRows, CorruptionMatchesTheRecordForm) {
+  FaultPlan plan;
+  plan.seed = 32;
+  plan.corrupt_rate = 0.3;
+  const FaultCounters c = expect_row_form_matches_record_form(plan);
+  EXPECT_GT(c.corrupt_records, 0u);
+  EXPECT_EQ(c.rejected_records, c.corrupt_records);
+}
+
+TEST(SamplerFaultStageRows, SkewMatchesTheRecordForm) {
+  FaultPlan plan;
+  plan.seed = 33;
+  plan.skew_rate = 0.5;
+  EXPECT_GT(expect_row_form_matches_record_form(plan).skewed_samples, 0u);
+}
+
+TEST(SamplerFaultStageRows, DuplicationMatchesTheRecordForm) {
+  FaultPlan plan;
+  plan.seed = 34;
+  plan.duplicate_rate = 0.5;
+  EXPECT_GT(expect_row_form_matches_record_form(plan).duplicated_samples, 0u);
+}
+
+TEST(SamplerFaultStageRows, ThinningMatchesTheRecordForm) {
+  FaultPlan plan;
+  plan.seed = 35;
+  plan.thin_rate = 0.5;
+  plan.thin_keep_fraction = 0.3;
+  const FaultCounters c = expect_row_form_matches_record_form(plan);
+  EXPECT_GT(c.thinned_groups, 0u);
+  EXPECT_GT(c.thinned_sessions, 0u);
+}
+
+TEST(SamplerFaultStageRows, PopOutageMatchesTheRecordForm) {
+  FaultPlan plan;
+  plan.seed = 36;
+  plan.pop_outage_rate = 0.5;
+  EXPECT_GT(expect_row_form_matches_record_form(plan).pop_outage_groups, 0u);
+}
+
+TEST(SamplerFaultStageRows, EverySiteAtOnceMatchesTheRecordForm) {
+  FaultPlan plan;
+  plan.seed = 37;
+  plan.truncate_rate = 0.1;
+  plan.corrupt_rate = 0.1;
+  plan.duplicate_rate = 0.1;
+  plan.skew_rate = 0.1;
+  plan.thin_rate = 0.3;
+  plan.thin_keep_fraction = 0.5;
+  plan.pop_outage_rate = 0.2;
+  const FaultCounters c = expect_row_form_matches_record_form(plan);
+  // Every corrupt record is rejected, so the other rejects are cuts: some
+  // cuts survived.
+  EXPECT_GT(c.truncated_records, c.rejected_records - c.corrupt_records);
+  EXPECT_GT(c.duplicated_samples, 0u);
+  EXPECT_GT(c.skewed_samples, 0u);
+  EXPECT_GT(c.thinned_sessions, 0u);
+  EXPECT_GT(c.pop_outage_groups, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 // Tests for the stream monitor's rolling baseline and sample serialization.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "agg/cell_summary.h"
 #include "agg/window_verdict.h"
@@ -235,6 +241,136 @@ TEST(SampleIo, StreamRoundTripWithGeneratedTraffic) {
     EXPECT_EQ(result.samples[i].id, samples[i].id);
     EXPECT_DOUBLE_EQ(result.samples[i].min_rtt, samples[i].min_rtt);
     EXPECT_EQ(result.samples[i].writes.size(), samples[i].writes.size());
+  }
+}
+
+/// The line format as printf wrote it ("%.17g" doubles): the reference
+/// serialize_sample must match byte for byte.
+std::string printf_reference(const SessionSample& s) {
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "%" PRIu64 "\t%u\t%u\t%u\t%d\t%u\t%u\t%d\t%d\t%d\t%.17g\t%.17g\t%.17g\t%lld\t%d\t%.17g",
+      s.id.value, s.pop.value, s.client.ip, s.client.bgp_prefix.addr,
+      s.client.bgp_prefix.length, s.client.asn.value, s.client.country.value,
+      static_cast<int>(s.client.continent), s.client.hosting_provider ? 1 : 0,
+      static_cast<int>(s.version) * 2 + static_cast<int>(s.endpoint),
+      s.established_at, s.duration, s.busy_time, static_cast<long long>(s.total_bytes),
+      s.route_index, s.min_rtt);
+  std::string out(buf);
+  std::snprintf(buf, sizeof(buf), "\t%d", s.num_transactions);
+  out += buf;
+  for (const auto& w : s.writes) {
+    std::snprintf(buf, sizeof(buf),
+                  "\t%.17g\t%.17g\t%.17g\t%.17g\t%lld\t%lld\t%lld\t%d\t%d",
+                  w.first_byte_nic, w.last_byte_nic, w.second_last_ack, w.last_ack,
+                  static_cast<long long>(w.bytes),
+                  static_cast<long long>(w.last_packet_bytes),
+                  static_cast<long long>(w.wnic), w.multiplexed ? 1 : 0,
+                  w.preempted ? 1 : 0);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(SampleIo, TextMatchesThePrintfFormat) {
+  const World world = build_world({.seed = 31, .groups_per_continent = 1});
+  DatasetConfig dc;
+  dc.seed = 31;
+  dc.days = 1;
+  dc.session_scale = 0.05;
+  DatasetGenerator generator(world, dc);
+  std::size_t checked = 0;
+  for (const auto& group : world.groups) {
+    generator.generate_group(group, [&](const SessionSample& s) {
+      ASSERT_EQ(serialize_sample(s), printf_reference(s));
+      ++checked;
+    });
+  }
+  EXPECT_GT(checked, 1000u);
+
+  // Values no generator writes: NaN, infinities, signed zero, subnormals,
+  // negatives and the integer extremes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> odd = {nan,  -nan, inf,  -inf, -0.0, 0.0, sub, -sub,
+                                   1e-310, -1.5, 1e300, 0.1, 1.0 / 3.0, 123456789.0,
+                                   std::numeric_limits<double>::max(),
+                                   std::numeric_limits<double>::min()};
+  SessionSample s = example_sample();
+  for (const double v : odd) {
+    s.established_at = v;
+    s.duration = -v;
+    s.busy_time = v / 7;
+    s.min_rtt = v;
+    s.writes[0].first_byte_nic = v;
+    s.writes[1].last_ack = -v;
+    ASSERT_EQ(serialize_sample(s), printf_reference(s)) << v;
+  }
+  s.id = SessionId{std::numeric_limits<std::uint64_t>::max()};
+  s.pop = PopId{std::numeric_limits<std::uint32_t>::max()};
+  s.client.bgp_prefix.length = -7;
+  s.total_bytes = std::numeric_limits<Bytes>::min();
+  s.route_index = std::numeric_limits<int>::min();
+  s.num_transactions = -1;
+  s.writes[0].bytes = -500;
+  s.writes[1].wnic = std::numeric_limits<Bytes>::max();
+  EXPECT_EQ(serialize_sample(s), printf_reference(s));
+}
+
+/// One field of example_sample()'s line replaced by `text`, read back.
+ReadResult read_with_field(std::size_t field, const std::string& text) {
+  std::string line = serialize_sample(example_sample());
+  std::size_t start = 0;
+  for (std::size_t f = 0; f < field; ++f) start = line.find('\t', start) + 1;
+  const std::size_t end = line.find('\t', start);
+  line.replace(start, end - start, text);
+  std::istringstream in(line + "\n");
+  return read_samples(in);
+}
+
+// Integer fields are parsed into their own type: a value outside it is
+// malformed, not wrapped into range.
+
+TEST(SampleIo, RouteIndexOutsideIntIsMalformed) {
+  const ReadResult r = read_with_field(14, "4294967299");  // 2^32 + 3
+  EXPECT_EQ(r.malformed, 1);
+  EXPECT_TRUE(r.samples.empty());
+}
+
+TEST(SampleIo, PopOutsideUint32IsMalformed) {
+  const ReadResult r = read_with_field(1, "4294967297");  // 2^32 + 1
+  EXPECT_EQ(r.malformed, 1);
+  EXPECT_TRUE(r.samples.empty());
+}
+
+TEST(SampleIo, PrefixLengthOutsideIntIsMalformed) {
+  const ReadResult r = read_with_field(4, "4294967320");  // 2^32 + 24
+  EXPECT_EQ(r.malformed, 1);
+  EXPECT_TRUE(r.samples.empty());
+}
+
+TEST(SampleIo, VersionEndpointCodeAboveThreeIsMalformed) {
+  for (const std::string code : {"4", "7"}) {
+    const ReadResult r = read_with_field(9, code);
+    EXPECT_EQ(r.malformed, 1) << code;
+    EXPECT_TRUE(r.samples.empty()) << code;
+  }
+  const ReadResult ok = read_with_field(9, "3");
+  ASSERT_EQ(ok.samples.size(), 1u);
+  EXPECT_EQ(ok.samples[0].version, HttpVersion::kHttp2);
+  EXPECT_EQ(ok.samples[0].endpoint, EndpointClass::kMedia);
+}
+
+TEST(SampleIo, NegativeSignedFieldsParseAndAreInvalid) {
+  // Corrupt captures carry these (faultsim's corrupt site writes them); they
+  // are data, classified by validate_sample, not malformed text.
+  for (const auto& [field, text] : std::vector<std::pair<std::size_t, std::string>>{
+           {13, "-1"}, {14, "-3"}, {16, "-1"}, {4, "99"}}) {
+    const ReadResult r = read_with_field(field, text);
+    EXPECT_EQ(r.malformed, 0) << field;
+    EXPECT_EQ(r.invalid, 1) << field;
   }
 }
 

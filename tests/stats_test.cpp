@@ -670,6 +670,53 @@ TEST(TDigestBatch, RandomDigestsMatchSingleCalls) {
   }
 }
 
+TEST(TDigestSeal, SealedDigestSavesAndAnswersLikeItsUnsealedTwin) {
+  // Sealing gives back the add buffer and the spare centroid capacity; the
+  // bytes save() writes and every quantile must stay exactly as they were.
+  // Sizes straddle the 4 x compression buffer limit, so some digests seal
+  // with a full buffer and some right after an automatic compress.
+  Rng rng(190419);
+  const std::vector<double> qs = {0.0, 0.01, 0.1, 0.25, 0.5, 0.5, 0.75, 0.9, 0.99, 1.0};
+  for (int trial = 0; trial < 500; ++trial) {
+    const double compression = rng.uniform(20.0, 200.0);
+    TDigest sealed(compression);
+    TDigest twin(compression);
+    const auto n = rng.uniform_int(0, 2000);
+    const bool atoms = rng.bernoulli(0.3);  // duplicate-heavy values
+    for (std::int64_t i = 0; i < n; ++i) {
+      double v = rng.lognormal(2.0, 1.0);
+      if (atoms) v = std::floor(v);
+      const double w = rng.bernoulli(0.2) ? rng.uniform(0.1, 5.0) : 1.0;
+      sealed.add(v, w);
+      twin.add(v, w);
+    }
+    sealed.seal();
+    ByteWriter a;
+    ByteWriter b;
+    sealed.save(a);
+    twin.save(b);
+    ASSERT_EQ(a.data(), b.data()) << "trial " << trial << ", " << n << " points";
+    std::vector<double> qa(qs.size());
+    std::vector<double> qb(qs.size());
+    sealed.quantiles(qs, qa);
+    twin.quantiles(qs, qb);
+    for (std::size_t k = 0; k < qs.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(qa[k]), std::bit_cast<std::uint64_t>(qb[k]))
+          << "trial " << trial << ", q=" << qs[k];
+    }
+    // A sealed digest still merges into another exactly like its twin.
+    TDigest into_a(compression);
+    TDigest into_b(compression);
+    into_a.merge(sealed);
+    into_b.merge(twin);
+    ByteWriter ma;
+    ByteWriter mb;
+    into_a.save(ma);
+    into_b.save(mb);
+    ASSERT_EQ(ma.data(), mb.data()) << "trial " << trial;
+  }
+}
+
 TEST(MedianSummary, EqualsTheSingleQuantileCalls) {
   Rng rng(77);
   for (const int n : {0, 1, 4, 5, 6, 30, 31, 500, 20000}) {
