@@ -22,6 +22,34 @@
 
 namespace fbedge {
 
+/// A saved RouteWindowAgg (the layout RouteWindowAgg::save writes) read in
+/// place: its counters, and both sketches as views over the reader's bytes,
+/// valid while those bytes are. read() is the one parser of that layout:
+/// RouteWindowAgg::load copies what it reads, and a blob summary walks the
+/// views without copying a centroid (agg/cell_summary.h).
+struct SavedRouteWindowAgg {
+  std::int64_t sessions{0};
+  Bytes traffic{0};
+  Welford minrtt_mean;
+  Welford hdratio_mean;
+  TDigestView minrtt;
+  TDigestView hdratio;
+
+  /// Reads one saved cell at `r`'s position and advances past it. Returns
+  /// false, `r` failed, on truncated or structurally invalid input.
+  bool read(ByteReader& r) {
+    sessions = r.i64();
+    traffic = r.i64();
+    for (Welford* m : {&minrtt_mean, &hdratio_mean}) {
+      const std::uint64_t n = r.u64();
+      const double mean = r.f64();
+      const double m2 = r.f64();
+      *m = Welford::from_raw(n, mean, m2);
+    }
+    return minrtt.parse(r) && hdratio.parse(r) && r.ok();
+  }
+};
+
 /// Sketches for one (user group, window, route) cell.
 class RouteWindowAgg {
  public:
@@ -113,20 +141,18 @@ class RouteWindowAgg {
     return 8 + 8 + 2 * 24 + minrtt_.saved_size() + hdratio_.saved_size();
   }
 
+  /// Replaces the cell with the one saved at `r`'s position
+  /// (SavedRouteWindowAgg::read). Returns false, `r` failed and the cell
+  /// unchanged, on truncated or structurally invalid input.
   bool load(ByteReader& r) {
-    const std::int64_t sessions = r.i64();
-    traffic_bytes_ = r.i64();
-    Welford means[2];
-    for (Welford& m : means) {
-      const std::uint64_t n = r.u64();
-      const double mean = r.f64();
-      const double m2 = r.f64();
-      m = Welford::from_raw(n, mean, m2);
-    }
-    minrtt_mean_ = means[0];
-    hdratio_mean_ = means[1];
-    if (!minrtt_.load(r) || !hdratio_.load(r) || !r.ok()) return false;
-    sessions_ = static_cast<int>(sessions);
+    SavedRouteWindowAgg saved;
+    if (!saved.read(r)) return false;
+    minrtt_.load(saved.minrtt);
+    hdratio_.load(saved.hdratio);
+    minrtt_mean_ = saved.minrtt_mean;
+    hdratio_mean_ = saved.hdratio_mean;
+    traffic_bytes_ = saved.traffic;
+    sessions_ = static_cast<int>(saved.sessions);
     return true;
   }
 

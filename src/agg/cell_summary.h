@@ -7,9 +7,10 @@
 // cell's median CI several times per window, the baseline cell's once per
 // window. A CellSummary holds the answers instead: the session count, the
 // traffic and, for MinRTT and HDratio, the point count plus the median CI,
-// all from one TDigest::quantiles walk per digest. Every analysis body
-// reads only summaries; the GroupSeries, WindowAgg and RouteWindowAgg
-// entry points summarize and call the same body.
+// all from one quantile walk per digest (TDigestView::quantiles), over a
+// cell's own digests or, for a saved cell, over its bytes in the blob.
+// Every analysis body reads only summaries; the GroupSeries, WindowAgg and
+// RouteWindowAgg entry points summarize and call the same body.
 //
 // A summary holds exactly the doubles the digests would have answered, so
 // analyzing summaries is bitwise analyzing the digests they came from.
@@ -48,6 +49,18 @@ inline CellSummary summarize_cell(const RouteWindowAgg& cell, double z) {
   s.traffic = cell.traffic();
   s.minrtt = summarize_median(cell.minrtt_digest(), z);
   s.hdratio = summarize_median(cell.hdratio_digest(), z);
+  return s;
+}
+
+/// Summarizes a saved cell in place, walking its digests where they lie:
+/// bitwise the summary of the RouteWindowAgg that load() would rebuild
+/// from it, whose session count is an int.
+inline CellSummary summarize_cell(const SavedRouteWindowAgg& cell, double z) {
+  CellSummary s;
+  s.sessions = static_cast<int>(cell.sessions);
+  s.traffic = cell.traffic;
+  s.minrtt = summarize_median(cell.minrtt, z);
+  s.hdratio = summarize_median(cell.hdratio, z);
   return s;
 }
 

@@ -117,15 +117,15 @@ bool load_group_series(ByteReader& r, GroupSeries& series, RouteAggPool* pool) {
   return true;
 }
 
-bool summarize_group_series(ByteReader& r, double z, RouteWindowAgg& cell,
-                            SeriesSummary& out) {
+bool summarize_group_series(ByteReader& r, double z, SeriesSummary& out) {
   out.clear();
   std::uint64_t window_count = 0;
   const bool parsed = parse_group_series(
       r, out.continent, window_count,
       [&](int window, std::uint32_t) { out.begin_window(window); },
       [&](ByteReader& in) {
-        if (!cell.load(in)) return false;
+        SavedRouteWindowAgg cell;
+        if (!cell.read(in)) return false;
         out.add_cell(summarize_cell(cell, z));
         return true;
       });

@@ -46,15 +46,15 @@ void save_group_series(const GroupSeries& series, ByteWriter& w);
 /// `series` empty and `r` failed; never crashes on corrupt bytes.
 bool load_group_series(ByteReader& r, GroupSeries& series, RouteAggPool* pool = nullptr);
 
-/// Summarizes a saved series straight from `r` into `out`, at z =
-/// confidence_z(alpha): each cell is read into `cell` (a caller's scratch,
-/// overwritten per cell) by RouteWindowAgg::load, summarized and dropped,
-/// so no GroupSeries is built. The framing is parsed by the same code as
+/// Summarizes a saved series straight from `r`'s bytes into `out`, at z =
+/// confidence_z(alpha): each cell is read in place (SavedRouteWindowAgg)
+/// and its two digests walked where they lie, so no GroupSeries, cell or
+/// digest is built and no centroid is copied. The series framing, the
+/// cell layout and the digest header are parsed by the same code as
 /// load_group_series, which therefore accepts exactly the same inputs, and
 /// `out` equals summarize_series() of the series it would have loaded.
 /// Returns false on the inputs load_group_series rejects, leaving `out`
 /// empty and `r` failed.
-bool summarize_group_series(ByteReader& r, double z, RouteWindowAgg& cell,
-                            SeriesSummary& out);
+bool summarize_group_series(ByteReader& r, double z, SeriesSummary& out);
 
 }  // namespace fbedge

@@ -135,14 +135,16 @@ void make_observations_into(const SeriesSummary& series,
   }
 }
 
-/// Scratch for one reduce_group call: every buffer here is cleared (not
+/// Cold-ingest arenas for one group: every buffer here is cleared (not
 /// shrunk) per window, so once an arena reaches the group's high-water mark
 /// the generate -> coalesce -> HD -> aggregate loop runs without
-/// per-session allocations. The reduce runner builds one per task attempt
-/// and drops it when the task ends; ingest_groups_to_blobs keeps one per
-/// pool worker (parallel_map_scratch). Either way a result never depends
-/// on the scratch's history, because every field is rebuilt before use.
-struct EdgeScratch {
+/// per-session allocations. reduce_group builds one for each group it
+/// ingests cold and drops it when the group is done, so the arenas of the
+/// heaviest groups do not stay resident for the whole pass;
+/// ingest_groups_to_blobs keeps one per pool worker (parallel_map_scratch).
+/// Either way a result never depends on the scratch's history, because
+/// every field is rebuilt before use.
+struct IngestScratch {
   SessionBatch batch;
   CoalescedBatch coalesced;
   std::vector<SessionHd> hd;
@@ -150,23 +152,29 @@ struct EdgeScratch {
   /// coalesce mask (hosting rows and rows with no copy).
   std::vector<std::uint8_t> copies;
   std::vector<std::uint8_t> skip;
-  std::vector<WindowObservation> obs;
-  /// The group's aggregation series on the cold path. Where a scratch
-  /// serves several groups, route cells return to `pool` between them with
-  /// their t-digest buffers intact; a recycled series is behaviorally
-  /// identical to a fresh one.
+  /// The group's aggregation series. Where a scratch serves several
+  /// groups, route cells return to `pool` between them with their t-digest
+  /// buffers intact; a recycled series is behaviorally identical to a
+  /// fresh one.
   GroupSeries series;
   RouteAggPool pool;
   /// Serialization buffer for the ingest-artifact cache's cold path.
   ByteWriter writer;
-  /// One group's artifact blob on the warm path (IngestArtifactReader::read).
+};
+
+/// What a reduce task reads and analyzes a group in: one per pool worker
+/// (run_reduce_tasks), kept across the tasks it runs, and small next to
+/// the ingest arenas — a blob, a summary, and per-window analysis
+/// buffers. Every buffer is rebuilt before use, so a result never depends
+/// on the tasks that ran before it.
+struct AnalysisScratch {
+  /// The group's artifact blob on the warm path (IngestArtifactReader::read
+  /// resizes it without zero-filling the bytes the read overwrites).
   std::string blob;
-  /// The warm path's one cell: each cell of a blob is loaded here,
-  /// summarized and dropped (summarize_group_series).
-  RouteWindowAgg cell;
   /// The group's cell summaries: what every analysis pass reads.
   SeriesSummary summary;
   /// Analysis-pass buffers, cleared per group.
+  std::vector<WindowObservation> obs;
   DegradationScratch degr_scratch;
   DegradationResult degr;
   std::vector<OpportunityWindow> opp;
@@ -266,7 +274,7 @@ struct EdgePartial {
 /// compressed — the compress save() and the summaries would run on the same
 /// state, so no bit changes — and give back their add buffers, so ingest
 /// holds buffers for the open windows only.
-void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
+void ingest_group(IngestScratch& scratch, const DatasetGenerator& generator,
                   const UserGroupProfile& group, const GoodputConfig& goodput,
                   const FaultPlan& faults, FaultCounters& fault_counters) {
   GroupSeries& series = scratch.series;
@@ -331,7 +339,7 @@ void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
 /// degradation, opportunity, temporal classification, Tables 1-2, Fig. 10.
 /// Reads only the series' cell summaries, so it runs identically on a
 /// freshly ingested series and on a blob from the artifact cache.
-void analyze_summary_into(EdgeScratch& scratch, const SeriesSummary& series,
+void analyze_summary_into(AnalysisScratch& scratch, const SeriesSummary& series,
                           const UserGroupProfile& group,
                           const AnalysisThresholds& thresholds,
                           const ComparisonConfig& comparison,
@@ -620,19 +628,19 @@ struct ReduceSettings {
 
 /// The per-task body of every reduce (run_reduce_tasks):
 /// group `g` of the generator's world into `part`, analyzed from `blob`
-/// when it summarizes, else cold-ingested under that world with the fresh
-/// series serialized into `save` when one is given. Either way the
-/// analysis reads the group's cell summaries; a blob is summarized straight
-/// from its bytes, without building a GroupSeries. Returns whether the
-/// blob served the group.
-bool reduce_group(EdgeScratch& scratch, const DatasetGenerator& generator,
+/// when it summarizes, else cold-ingested under that world, in arenas of
+/// its own, with the fresh series serialized into `save` when one is
+/// given. Either way the analysis reads the group's cell summaries; a blob
+/// is summarized straight from its bytes, without building a GroupSeries.
+/// Returns whether the blob served the group.
+bool reduce_group(AnalysisScratch& scratch, const DatasetGenerator& generator,
                   const ReduceSettings& s, std::size_t g, GroupBlobRef blob,
                   const EdgeReducer::SaveFn* save, EdgePartial& part) {
   const UserGroupProfile& group = generator.world().groups[g];
   const double z = confidence_z(s.comparison.alpha);
   if (!blob.empty()) {
     ByteReader r(blob.data, blob.size);
-    if (summarize_group_series(r, z, scratch.cell, scratch.summary) &&
+    if (summarize_group_series(r, z, scratch.summary) &&
         r.remaining() == 0) {
       analyze_summary_into(scratch, scratch.summary, group, s.thresholds,
                            s.comparison, s.classifier_config, part);
@@ -640,23 +648,23 @@ bool reduce_group(EdgeScratch& scratch, const DatasetGenerator& generator,
     }
     // Unusable blob: fall through to cold ingest for this group.
   }
-  ingest_group(scratch, generator, group, s.goodput, s.faults, part.res.faults);
+  IngestScratch ingest;
+  ingest_group(ingest, generator, group, s.goodput, s.faults, part.res.faults);
   if (save != nullptr && *save) {
-    scratch.writer.clear();
-    save_group_series(scratch.series, scratch.writer);
-    std::string bytes = scratch.writer.data();  // keep writer capacity
-    (*save)(g, std::move(bytes));
+    save_group_series(ingest.series, ingest.writer);
+    (*save)(g, ingest.writer.take());
   }
-  summarize_series(scratch.series, z, scratch.summary);
+  summarize_series(ingest.series, z, scratch.summary);
   analyze_summary_into(scratch, scratch.summary, group, s.thresholds, s.comparison,
                        s.classifier_config, part);
   return false;
 }
 
-/// Blob `i` of `reader` in the task's own buffer, or an empty ref (cold
-/// ingest) when the reader is not open or the read fails its checksum.
+/// Blob `i` of `reader` read into the worker's `scratch`, or an empty ref
+/// (cold ingest) when the reader is not open or the read fails its
+/// checksum.
 GroupBlobRef read_blob(const IngestArtifactReader& reader, std::size_t i,
-                       EdgeScratch& scratch) {
+                       AnalysisScratch& scratch) {
   if (!reader.read(i, scratch.blob)) return GroupBlobRef{};
   return GroupBlobRef{scratch.blob.data(), scratch.blob.size()};
 }
@@ -681,18 +689,22 @@ struct ReducePass {
 /// reduce_sweep_pass's worlds, and the task-abort retries of both. Tasks
 /// are weighted by their group's sessions_per_window in its own world and
 /// dealt heaviest first (deal_heaviest_first), so the slow groups start at
-/// once and the light ones fill in behind them. Each attempt builds its own
-/// EdgeScratch and drops it when done: kept per worker instead, the arenas
-/// of the heaviest groups, which every worker runs first, stay resident
-/// for the whole pass beside every partial — on the whatif_sweep benchmark
-/// (4-core VM) that was 69 instead of 51 MiB peak RSS for about 3% less
-/// wall time. An attempt aborts when the plan's task_abort_decision says
+/// once and the light ones fill in behind them. A cold attempt ingests in
+/// arenas of its own and drops them when done (reduce_group): kept per
+/// worker instead, the arenas of the heaviest groups, which every worker
+/// runs first, stay resident for the whole pass beside every partial — on
+/// the whatif_sweep benchmark (4-core VM) that was 69 instead of 51 MiB
+/// peak RSS for about 3% less wall time. The AnalysisScratch, blob read
+/// buffer included, is one per worker and kept across the tasks it runs: a
+/// warm pass then allocates each worker's largest blob once instead of
+/// every blob. An attempt aborts when the plan's task_abort_decision says
 /// so, and the pool retries it under the plan's attempt budget; a task
 /// whose every attempt aborted is flagged lost. `blob_for(scratch, t)`
-/// returns task t's blob (or an empty ref to cold-ingest it) and runs
-/// inside the task, on its scratch. Which attempts abort is a pure
-/// function of (plan, group, attempt), and the deal changes only the
-/// schedule, so the pass leaves the same partials at any thread count.
+/// returns task t's blob (or an empty ref to cold-ingest it), reading it
+/// into the running worker's `scratch` when it must be read. Which attempts
+/// abort is a pure function of (plan, group, attempt), and the deal changes
+/// only the schedule, so the pass leaves the same partials at any thread
+/// count.
 template <typename BlobFor>
 ReducePass run_reduce_tasks(const std::vector<ReduceTask>& tasks,
                             const ReduceSettings& s, const RuntimeOptions& runtime,
@@ -707,19 +719,20 @@ ReducePass run_reduce_tasks(const std::vector<ReduceTask>& tasks,
   }
   ThreadPool pool(resolve_threads(runtime.threads));
   const std::vector<std::size_t> dealt = deal_heaviest_first(weights, pool.threads());
+  std::vector<AnalysisScratch> scratch(static_cast<std::size_t>(pool.threads()));
   std::vector<std::uint8_t> failed;  // by plan index
   const RunStats rs = pool.parallel_for_failable(
       ShardPlan::make(tasks.size(), pool.threads()),
-      [&](std::size_t p, int attempt) {
+      [&](int worker, std::size_t p, int attempt) {
         const std::size_t t = dealt[p];
         const ReduceTask& task = tasks[t];
         const UserGroupProfile& group = task.generator->world().groups[task.group];
         if (task_abort_decision(s.faults, group_fault_key(group.key), attempt)) {
           return false;
         }
-        EdgeScratch scratch;
-        pass.from_blob[t] = reduce_group(scratch, *task.generator, s, task.group,
-                                         blob_for(scratch, t), task.save,
+        AnalysisScratch& mine = scratch[static_cast<std::size_t>(worker)];
+        pass.from_blob[t] = reduce_group(mine, *task.generator, s, task.group,
+                                         blob_for(mine, t), task.save,
                                          pass.partials[t]);
         return true;
       },
@@ -790,7 +803,7 @@ void EdgeReducer::reduce_range(const ShardRange& range, const BlobFn& blob,
                                const SaveFn* save) {
   impl_->reduce(
       range,
-      [&](EdgeScratch&, std::size_t i) {
+      [&](AnalysisScratch&, std::size_t i) {
         return blob ? blob(range.begin + i) : GroupBlobRef{};
       },
       runtime, stats, save);
@@ -804,7 +817,7 @@ void EdgeReducer::reduce_range(const ShardRange& range,
                 "artifact blob count differs from the reduce range");
   impl_->reduce(
       range,
-      [&reader](EdgeScratch& scratch, std::size_t i) {
+      [&reader](AnalysisScratch& scratch, std::size_t i) {
         return read_blob(reader, i, scratch);
       },
       runtime, stats, save);
@@ -868,7 +881,7 @@ SweepPassResult reduce_sweep_pass(
   }
   const ReducePass pass = run_reduce_tasks(
       tasks, settings, runtime,
-      [&](EdgeScratch& scratch, std::size_t t) {
+      [&](AnalysisScratch& scratch, std::size_t t) {
         return t < n ? read_blob(baseline_blobs, t, scratch) : held[t - n];
       },
       stats);
@@ -905,9 +918,9 @@ void ingest_groups_to_blobs(
   const FaultPlan no_faults;
   for (std::size_t at = 0; at < groups.size(); at += chunk_groups) {
     const std::size_t n = std::min(chunk_groups, groups.size() - at);
-    auto blobs = parallel_map_scratch<EdgeScratch>(
+    auto blobs = parallel_map_scratch<IngestScratch>(
         n, runtime,
-        [&](EdgeScratch& scratch, std::size_t i) {
+        [&](IngestScratch& scratch, std::size_t i) {
           const std::size_t g = groups[at + i];
           FBEDGE_EXPECT(g < world.groups.size(),
                         "ingest group id exceeds the world's group count");

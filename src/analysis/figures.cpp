@@ -53,7 +53,7 @@ void GlobalPerformance::merge(const GlobalPerformance& other) {
 
 namespace {
 
-/// Per-worker arenas for the batched fig6 sweep (see EdgeScratch in
+/// Per-worker arenas for the batched fig6 sweep (see IngestScratch in
 /// edge_analysis.cpp for the reuse/determinism contract).
 struct PerfScratch {
   SessionBatch batch;

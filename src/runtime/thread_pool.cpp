@@ -192,9 +192,9 @@ RunStats ThreadPool::parallel_for_failable(const ShardPlan& plan,
   // The retry loop runs inline on whichever worker popped the index, so
   // each `failed` slot is written by exactly one thread and the pool's
   // join provides the ordering for the caller's reads.
-  const Task wrapper = [&](std::size_t i) {
+  const WorkerTask wrapper = [&](int worker, std::size_t i) {
     for (int attempt = 0;; ++attempt) {
-      if (fn(i, attempt)) return;
+      if (fn(worker, i, attempt)) return;
       aborts.fetch_add(1, std::memory_order_relaxed);
       if (attempt + 1 >= policy.max_attempts) {
         lost.fetch_add(1, std::memory_order_relaxed);
@@ -208,7 +208,7 @@ RunStats ThreadPool::parallel_for_failable(const ShardPlan& plan,
       }
     }
   };
-  RunStats rs = parallel_for(plan, wrapper);
+  RunStats rs = parallel_for_workers(plan, wrapper);
   rs.faults.task_aborts = aborts.load();
   rs.faults.task_retries = retries.load();
   rs.faults.lost_groups = lost.load();

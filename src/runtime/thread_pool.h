@@ -75,10 +75,11 @@ class ThreadPool {
     return parallel_for(ShardPlan::make(n, threads_), fn);
   }
 
-  /// A task that may fail transiently: returns true on success. `attempt`
-  /// counts from 0; the task must be deterministic in (index, attempt) for
-  /// the pipeline's reproducibility guarantee to hold.
-  using FailableTask = std::function<bool(std::size_t index, int attempt)>;
+  /// A task that may fail transiently: returns true on success. `worker`
+  /// is as in WorkerTask; `attempt` counts from 0. The task must be
+  /// deterministic in (index, attempt) for the pipeline's reproducibility
+  /// guarantee to hold.
+  using FailableTask = std::function<bool(int worker, std::size_t index, int attempt)>;
 
   /// As parallel_for, but each failed task is retried inline on its owning
   /// worker (with exponential backoff per `policy`) up to

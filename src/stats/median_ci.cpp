@@ -160,7 +160,7 @@ ConfidenceInterval median_difference_interval(std::span<const double> a,
 MedianSummary::MedianSummary(const TDigest& digest, double alpha)
     : MedianSummary(summarize_median(digest, confidence_z(alpha))) {}
 
-MedianSummary summarize_median(const TDigest& digest, double z) {
+MedianSummary summarize_median(const TDigestView& digest, double z) {
   MedianSummary s;
   s.count = digest.count();
   s.z = z;

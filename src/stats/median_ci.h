@@ -83,10 +83,14 @@ struct MedianSummary {
   MedianSummary(const TDigest& digest, double alpha = 0.95);
 };
 
-/// The count and median CI of `digest` at z, from one TDigest::quantiles
+/// The count and median CI of `digest` at z, from one TDigestView::quantiles
 /// walk over the interval's three ascending quantiles: bitwise what three
-/// quantile() calls give.
-MedianSummary summarize_median(const TDigest& digest, double z);
+/// quantile() calls give. A saved digest is summarized in place through
+/// its view, bitwise as the TDigest loaded from it.
+MedianSummary summarize_median(const TDigestView& digest, double z);
+inline MedianSummary summarize_median(const TDigest& digest, double z) {
+  return summarize_median(digest.view(), z);
+}
 
 /// Price-Bonett difference-of-medians interval median(a) - median(b), as
 /// for samples above, from two summaries taken at the same z. Both sides

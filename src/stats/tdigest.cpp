@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 
@@ -169,54 +170,79 @@ std::size_t TDigest::saved_size() const {
   return 6 * 8 + 16 * centroids_.size();
 }
 
+TDigestView TDigest::view() const {
+  compress();
+  return TDigestView(compression_, count_, total_weight_, min_, max_, centroids_.size(),
+                     reinterpret_cast<const unsigned char*>(centroids_.data()));
+}
+
 bool TDigest::load(ByteReader& r) {
+  TDigestView saved;
+  if (!saved.parse(r)) {
+    reset();
+    return false;
+  }
+  load(saved);
+  return true;
+}
+
+void TDigest::load(const TDigestView& saved) {
   reset();
-  const double compression = r.f64();
-  const std::uint64_t count = r.u64();
-  const double total_weight = r.f64();
-  const double min = r.f64();
-  const double max = r.f64();
+  compression_ = saved.compression_;
+  buffer_limit_ = static_cast<std::size_t>(compression_ * 4);
+  // The centroid array in one copy: on the wire each centroid is its mean
+  // then its weight as little-endian f64s, which is Centroid's own layout
+  // on the little-endian hosts the format targets (TDigestView::parse).
+  centroids_.resize(saved.size_);
+  if (saved.size_ > 0) {
+    std::memcpy(centroids_.data(), saved.centroids_, saved.size_ * sizeof(Centroid));
+  }
+  count_ = static_cast<std::size_t>(saved.count_);
+  total_weight_ = saved.total_weight_;
+  min_ = saved.min_;
+  max_ = saved.max_;
+}
+
+bool TDigestView::parse(ByteReader& r) {
+  compression_ = r.f64();
+  count_ = r.u64();
+  total_weight_ = r.f64();
+  min_ = r.f64();
+  max_ = r.f64();
   const std::uint64_t n = r.u64();
   // Structural validation: a centroid is 16 bytes, so a count the stream
   // cannot possibly hold marks a corrupt length field (prevents a huge
   // reserve from a few flipped bits).
-  if (!r.ok() || !(compression >= 20.0) || n > r.remaining() / 16) {
+  if (!r.ok() || !(compression_ >= 20.0) || n > r.remaining() / 16) {
     r.fail();
+    *this = TDigestView();
     return false;
   }
-  compression_ = compression;
-  buffer_limit_ = static_cast<std::size_t>(compression * 4);
-  // The centroid array in one bounds-checked copy: on the wire each
-  // centroid is its mean then its weight as little-endian f64s, which is
-  // Centroid's own layout on the little-endian hosts the format targets.
+  // The centroid array is read where it lies, 16 bytes per centroid: its
+  // mean then its weight as little-endian f64s, which is also Centroid's
+  // layout, so TDigest::view() reads owned centroids through the same
+  // loads.
   static_assert(std::endian::native == std::endian::little &&
-                    sizeof(Centroid) == 16 && offsetof(Centroid, mean) == 0 &&
-                    offsetof(Centroid, weight) == 8 &&
-                    std::is_trivially_copyable_v<Centroid>,
-                "load() copies wire centroids straight into centroids_");
-  centroids_.resize(static_cast<std::size_t>(n));
-  if (!r.bytes(centroids_.data(), centroids_.size() * sizeof(Centroid))) {
-    reset();
-    return false;
-  }
-  count_ = static_cast<std::size_t>(count);
-  total_weight_ = total_weight;
-  min_ = min;
-  max_ = max;
+                    sizeof(TDigest::Centroid) == 16 &&
+                    offsetof(TDigest::Centroid, mean) == 0 &&
+                    offsetof(TDigest::Centroid, weight) == 8 &&
+                    std::is_trivially_copyable_v<TDigest::Centroid>,
+                "a centroid's wire bytes are its in-memory bytes");
+  size_ = static_cast<std::size_t>(n);
+  centroids_ = r.take(16 * size_);
   return true;
 }
 
-double TDigest::quantile(double q) const {
+double TDigestView::quantile(double q) const {
   double value = 0;
   quantiles({&q, 1}, {&value, 1});
   return value;
 }
 
-void TDigest::quantiles(std::span<const double> qs, std::span<double> out) const {
+void TDigestView::quantiles(std::span<const double> qs, std::span<double> out) const {
   FBEDGE_EXPECT(out.size() == qs.size(), "one output per quantile");
-  compress();
-  if (centroids_.size() <= 1) {
-    std::fill(out.begin(), out.end(), centroids_.empty() ? kNaN : centroids_[0].mean);
+  if (size_ <= 1) {
+    std::fill(out.begin(), out.end(), size_ == 0 ? kNaN : mean(0));
     return;
   }
   // Walk centroids, interpolating between midpoints (standard t-digest
@@ -240,30 +266,30 @@ void TDigest::quantiles(std::span<const double> qs, std::span<double> out) const
   }
 }
 
-double TDigest::walk_to(double target, std::size_t& i, double& cum) const {
-  for (; i < centroids_.size(); ++i) {
-    const double mid = cum + centroids_[i].weight / 2.0;
+double TDigestView::walk_to(double target, std::size_t& i, double& cum) const {
+  for (; i < size_; ++i) {
+    const double mid = cum + weight(i) / 2.0;
     if (target < mid) {
       if (i == 0) {
         // Interpolate between min and first centroid mean.
-        const double lo_w = centroids_[0].weight / 2.0;
-        if (lo_w <= 0) return centroids_[0].mean;
+        const double lo_w = weight(0) / 2.0;
+        if (lo_w <= 0) return mean(0);
         const double frac = target / lo_w;
-        return min_ + frac * (centroids_[0].mean - min_);
+        return min_ + frac * (mean(0) - min_);
       }
-      const double prev_mid = cum - centroids_[i - 1].weight / 2.0;
+      const double prev_mid = cum - weight(i - 1) / 2.0;
       const double span = mid - prev_mid;
       const double frac = span > 0 ? (target - prev_mid) / span : 0.5;
-      return centroids_[i - 1].mean + frac * (centroids_[i].mean - centroids_[i - 1].mean);
+      return mean(i - 1) + frac * (mean(i) - mean(i - 1));
     }
-    cum += centroids_[i].weight;
+    cum += weight(i);
   }
   // Beyond the last midpoint: interpolate toward max.
-  const auto& last = centroids_.back();
-  const double last_mid = total_weight_ - last.weight / 2.0;
+  const double last_mean = mean(size_ - 1);
+  const double last_mid = total_weight_ - weight(size_ - 1) / 2.0;
   const double span = total_weight_ - last_mid;
   const double frac = span > 0 ? (target - last_mid) / span : 1.0;
-  return last.mean + std::clamp(frac, 0.0, 1.0) * (max_ - last.mean);
+  return last_mean + std::clamp(frac, 0.0, 1.0) * (max_ - last_mean);
 }
 
 double TDigest::cdf(double x) const {

@@ -16,11 +16,21 @@
 // thousands of digests. Ties sort by (mean, weight) so the output is
 // identical across toolchains regardless of std::sort's handling of equal
 // keys.
+//
+// Quantile reads go through TDigestView: a compressed digest's header
+// fields and its centroid array as 16-byte little-endian (mean, weight)
+// pairs, either a TDigest's own centroids (TDigest::view()) or a saved
+// digest's bytes where they lie (TDigestView::parse). The quantile walk is
+// the view's, so a digest and its saved bytes answer through one body, and
+// a reader that only needs quantiles walks a blob without copying a
+// centroid.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -28,6 +38,78 @@
 #include "util/expect.h"
 
 namespace fbedge {
+
+/// A read-only compressed digest: count, total weight, min, max and the
+/// centroid array, borrowed, not owned. Valid while the bytes it views
+/// are: the reader's buffer for parse(), or the TDigest for
+/// TDigest::view() until that digest is next changed.
+class TDigestView {
+ public:
+  /// An empty digest's view: every quantile is NaN.
+  TDigestView() = default;
+
+  /// Parses the digest TDigest::save() wrote at `r`'s position and
+  /// advances past it, borrowing its centroid array in place. This is the
+  /// one validation of a saved digest — TDigest::load() parses through it —
+  /// so it accepts exactly what load() accepts. Returns false, latching
+  /// `r`'s failure, on truncated or structurally invalid input.
+  bool parse(ByteReader& r);
+
+  std::uint64_t count() const { return count_; }
+  double total_weight() const { return total_weight_; }
+  double min() const { return min_; }
+  double max() const { return max_; }
+  /// Number of centroids.
+  std::size_t size() const { return size_; }
+  /// Centroid i's mean and weight, loaded from its 16 bytes at any
+  /// alignment.
+  double mean(std::size_t i) const { return field(i, 0); }
+  double weight(std::size_t i) const { return field(i, 8); }
+
+  /// Returns the estimated value at quantile q in [0, 1]; NaN for an
+  /// empty digest. The batch of one: quantiles({q}).
+  double quantile(double q) const;
+
+  /// out[k] = quantile(qs[k]) for every k, bitwise, in one walk of the
+  /// centroids when `qs` is ascending: each target resumes where the one
+  /// before it stopped. A target below its predecessor (or NaN) walks
+  /// from the front again, so any order gives the same answers.
+  /// `out` must hold qs.size() values.
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
+
+ private:
+  friend class TDigest;
+
+  TDigestView(double compression, std::uint64_t count, double total_weight,
+              double min, double max, std::size_t size,
+              const unsigned char* centroids)
+      : compression_(compression),
+        count_(count),
+        total_weight_(total_weight),
+        min_(min),
+        max_(max),
+        size_(size),
+        centroids_(centroids) {}
+
+  double field(std::size_t i, std::size_t offset) const {
+    double v;
+    std::memcpy(&v, centroids_ + 16 * i + offset, sizeof v);
+    return v;
+  }
+
+  /// The quantiles() walk for one target: advances centroid index `i` and
+  /// the weight `cum` before it until target < mid_i, and returns the
+  /// interpolated value there (or toward max_ past the last midpoint).
+  double walk_to(double target, std::size_t& i, double& cum) const;
+
+  double compression_{0};
+  std::uint64_t count_{0};
+  double total_weight_{0};
+  double min_{0};
+  double max_{0};
+  std::size_t size_{0};
+  const unsigned char* centroids_{nullptr};
+};
 
 /// A mergeable quantile sketch.
 ///
@@ -70,15 +152,17 @@ class TDigest {
   void merge(const TDigest& other);
 
   /// Returns the estimated value at quantile q in [0, 1].
-  /// Returns NaN for an empty digest. The batch of one: quantiles({q}).
-  double quantile(double q) const;
+  /// Returns NaN for an empty digest. view().quantile(q).
+  double quantile(double q) const { return view().quantile(q); }
 
-  /// out[k] = quantile(qs[k]) for every k, bitwise, in one walk of the
-  /// centroids when `qs` is ascending: each target resumes where the one
-  /// before it stopped. A target below its predecessor (or NaN) walks
-  /// from the front again, so any order gives the same answers.
-  /// `out` must hold qs.size() values.
-  void quantiles(std::span<const double> qs, std::span<double> out) const;
+  /// view().quantiles(qs, out): one walk for an ascending batch.
+  void quantiles(std::span<const double> qs, std::span<double> out) const {
+    view().quantiles(qs, out);
+  }
+
+  /// The compressed digest as a view over its own centroids (compresses
+  /// first). Valid until the next add, merge, load, seal or reset.
+  TDigestView view() const;
 
   /// Returns the estimated fraction of weight <= x. Returns NaN if empty.
   double cdf(double x) const;
@@ -128,20 +212,20 @@ class TDigest {
   std::size_t saved_size() const;
 
   /// Replaces this digest's state from `r` (keeping buffer capacity, so
-  /// pooled digests deserialize without allocating once warm). Returns
-  /// false — leaving the digest reset-empty — on truncated input or
-  /// structurally invalid fields; never crashes on corrupt bytes.
+  /// pooled digests deserialize without allocating once warm): parses it
+  /// with TDigestView::parse, then load(view). Returns false — leaving the
+  /// digest reset-empty — on truncated input or structurally invalid
+  /// fields; never crashes on corrupt bytes.
   bool load(ByteReader& r);
+
+  /// Replaces this digest's state with a copy of `saved` (a view of
+  /// another digest or of saved bytes, never of this digest).
+  void load(const TDigestView& saved);
 
  private:
   /// Merges the sorted `run` with the sorted `centroids_` and rebuilds the
   /// centroid set under the k1 size limit. `run` must not alias members.
   void absorb_sorted_run(const Centroid* run, std::size_t n) const;
-
-  /// The quantiles() walk for one target: advances centroid index `i` and
-  /// the weight `cum` before it until target < mid_i, and returns the
-  /// interpolated value there (or toward max_ past the last midpoint).
-  double walk_to(double target, std::size_t& i, double& cum) const;
 
   double compression_;
   /// Buffered points before an automatic compress; cached from the ctor so

@@ -1,9 +1,11 @@
 // Bitwise-exact little-endian binary encoding for cache artifacts.
 //
-// Every multi-byte value is written byte-by-byte in little-endian order, so
-// artifacts are portable across hosts regardless of native endianness, and
+// Every multi-byte value is written byte-by-byte in little-endian order, and
 // doubles travel as their raw IEEE-754 bit patterns — NaN payloads, ±inf,
 // and negative zero round-trip bit-for-bit (never through text formatting).
+// ByteReader loads each value with one unaligned-safe memcpy, which reads
+// the wire order only on a little-endian host; the static_assert below (and
+// TDigest's bulk centroid read) make that the one supported host order.
 // ByteReader never throws and never reads out of bounds: any overrun or
 // failed validation latches `ok() == false` and subsequent reads return
 // zeros, so corrupt artifacts degrade into a rejected load, not a crash.
@@ -177,32 +179,22 @@ class ByteReader {
     if (!ensure(1)) return 0;
     return data_[pos_++];
   }
-  std::uint32_t u32() {
-    if (!ensure(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!ensure(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
+  std::uint32_t u32() { return load<std::uint32_t>(); }
+  std::uint64_t u64() { return load<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
 
-  /// Copies the next `n` bytes verbatim into `dst` — the bulk decode of
-  /// an array whose in-memory layout is its little-endian wire layout
-  /// (callers static_assert that): one bounds check and one memcpy where
-  /// the per-field getters take one per field. Returns false, latching
-  /// failure like every getter, when fewer than `n` bytes remain; `dst` is
-  /// then left untouched.
-  bool bytes(void* dst, std::size_t n) {
-    if (!ensure(n)) return false;
-    if (n > 0) std::memcpy(dst, data_ + pos_, n);
+  /// The next `n` bytes where they lie, and advances past them: the bulk
+  /// read of an array whose in-memory layout is its little-endian wire
+  /// layout (callers static_assert that), with one bounds check for the
+  /// whole array. The pointer borrows the reader's buffer. When fewer than
+  /// `n` bytes remain it returns nullptr and latches failure like every
+  /// getter; check ok(), since an empty take may also be nullptr.
+  const unsigned char* take(std::size_t n) {
+    if (!ensure(n)) return nullptr;
+    const unsigned char* at = data_ + pos_;
     pos_ += n;
-    return true;
+    return at;
   }
 
   /// Advances past `n` bytes (latching failure if fewer remain).
@@ -223,6 +215,19 @@ class ByteReader {
       return false;
     }
     return true;
+  }
+
+  /// One bounds check and one unaligned-safe load, where a byte loop would
+  /// store pos_ once per byte.
+  template <typename T>
+  T load() {
+    static_assert(std::endian::native == std::endian::little,
+                  "ByteReader loads little-endian wire integers natively");
+    if (!ensure(sizeof(T))) return 0;
+    T v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
   }
 
   const unsigned char* data_;

@@ -714,7 +714,7 @@ TEST(ThreadPoolFailable, RetriesUntilSuccessAndCounts) {
     std::vector<std::uint8_t> failed;
     const RunStats rs = pool.parallel_for_failable(
         ShardPlan::make(30, pool.threads()),
-        [](std::size_t i, int attempt) {
+        [](int, std::size_t i, int attempt) {
           return attempt >= static_cast<int>(i % 3);  // succeed on attempt i%3
         },
         RetryPolicy{3, 0}, &failed);
@@ -732,7 +732,7 @@ TEST(ThreadPoolFailable, ExhaustedTasksAreReportedLost) {
   std::vector<std::uint8_t> failed;
   const RunStats rs = pool.parallel_for_failable(
       ShardPlan::make(10, pool.threads()),
-      [](std::size_t, int) { return false; }, RetryPolicy{2, 0}, &failed);
+      [](int, std::size_t, int) { return false; }, RetryPolicy{2, 0}, &failed);
   EXPECT_EQ(rs.faults.task_aborts, 20u);   // 2 attempts each
   EXPECT_EQ(rs.faults.task_retries, 10u);  // 1 retry each
   EXPECT_EQ(rs.faults.lost_groups, 10u);
@@ -744,7 +744,7 @@ TEST(ThreadPoolFailable, BackoffPathCompletes) {
   ThreadPool pool(2);
   const RunStats rs = pool.parallel_for_failable(
       ShardPlan::make(4, pool.threads()),
-      [](std::size_t, int attempt) { return attempt >= 1; },
+      [](int, std::size_t, int attempt) { return attempt >= 1; },
       RetryPolicy{2, 0.001}, nullptr);
   EXPECT_EQ(rs.faults.task_aborts, 4u);
   EXPECT_EQ(rs.faults.lost_groups, 0u);
@@ -755,7 +755,7 @@ TEST(ThreadPoolFailable, EmptyRunCompletes) {
   std::vector<std::uint8_t> failed{1, 1, 1};
   const RunStats rs = pool.parallel_for_failable(
       ShardPlan::make(0, pool.threads()),
-      [](std::size_t, int) -> bool { throw 0; }, RetryPolicy{3, 0}, &failed);
+      [](int, std::size_t, int) -> bool { throw 0; }, RetryPolicy{3, 0}, &failed);
   EXPECT_EQ(rs.faults.task_aborts, 0u);
   EXPECT_TRUE(failed.empty());
 }

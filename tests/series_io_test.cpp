@@ -69,28 +69,67 @@ TEST(BinIo, ReaderLatchesOnOverrunAndReturnsZeros) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
-TEST(BinIo, BulkBytesLatchOnOverrunAndLeaveTheTargetUntouched) {
+TEST(BinIo, TakeBorrowsInPlaceAndLatchesOnOverrun) {
   const char src[] = {'a', 'b', 'c', 'd', 'e'};
+  const auto at = [&](std::size_t i) { return reinterpret_cast<const unsigned char*>(src + i); };
   ByteReader r(src, sizeof(src));
-  char got[4] = {'x', 'x', 'x', 'x'};
-  ASSERT_TRUE(r.bytes(got, 3));
-  EXPECT_EQ(std::string(got, 4), "abcx");
+  EXPECT_EQ(r.take(3), at(0));  // the bytes where they lie, not a copy
   EXPECT_EQ(r.remaining(), 2u);
-  EXPECT_TRUE(r.bytes(got, 0));
-  EXPECT_FALSE(r.bytes(got, 3));  // overrun: two bytes left
+  EXPECT_EQ(r.take(0), at(3));
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.take(3), nullptr);  // overrun: two bytes left
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(std::string(got, 4), "abcx");
   EXPECT_EQ(r.u8(), 0u);  // latched, like u64()
-  EXPECT_FALSE(r.bytes(got, 0));
+  EXPECT_EQ(r.take(0), nullptr);
   EXPECT_EQ(r.remaining(), 0u);
 
   // An exact fit succeeds and leaves nothing.
   ByteReader exact(src, sizeof(src));
-  char all[5];
-  ASSERT_TRUE(exact.bytes(all, sizeof(all)));
-  EXPECT_EQ(std::string(all, 5), "abcde");
+  EXPECT_EQ(exact.take(sizeof(src)), at(0));
   EXPECT_TRUE(exact.ok());
   EXPECT_EQ(exact.remaining(), 0u);
+}
+
+TEST(BinIo, SingleLoadGettersMatchTheByteLoopAtEveryOffset) {
+  // The byte loop each getter replaced: little-endian, low byte first.
+  const auto le = [](const unsigned char* p, int n) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return v;
+  };
+  Rng rng(83);
+  std::vector<std::uint64_t> words(16);  // 8-aligned backing store
+  auto* base = reinterpret_cast<unsigned char*>(words.data());
+  for (int trial = 0; trial < 50; ++trial) {
+    for (std::size_t i = 0; i < words.size() * 8; ++i) {
+      base[i] = static_cast<unsigned char>(rng.uniform_int(0, 255));
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const unsigned char* p = base + offset;
+      ByteReader r(p, 1 + 4 + 8 + 8 + 8);  // u8 u32 u64 i64 f64, then nothing
+      EXPECT_EQ(r.u8(), p[0]);
+      EXPECT_EQ(r.u32(), le(p + 1, 4)) << "offset " << offset;
+      EXPECT_EQ(r.u64(), le(p + 5, 8)) << "offset " << offset;
+      EXPECT_EQ(static_cast<std::uint64_t>(r.i64()), le(p + 13, 8)) << "offset " << offset;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), le(p + 21, 8))
+          << "offset " << offset;
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.remaining(), 0u);
+      // Past the end every getter latches failure and returns 0.
+      EXPECT_EQ(r.u32(), 0u);
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(r.u64(), 0u);
+      EXPECT_EQ(r.i64(), 0);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0u);
+      // A partial value at the end (7 of 8 bytes) is an overrun too.
+      ByteReader short_read(p, 7);
+      EXPECT_EQ(short_read.u64(), 0u);
+      EXPECT_FALSE(short_read.ok());
+      ByteReader short_u32(p, 3);
+      EXPECT_EQ(short_u32.u32(), 0u);
+      EXPECT_FALSE(short_u32.ok());
+    }
+  }
 }
 
 TEST(BinIo, FastAppendsMatchPerByteEncoding) {
@@ -447,8 +486,7 @@ void expect_summaries_eq(const SeriesSummary& a, const SeriesSummary& b) {
 bool summarize_blob(const std::string& bytes, SeriesSummary& out,
                     std::size_t len = std::string::npos) {
   ByteReader r(bytes.data(), std::min(len, bytes.size()));
-  RouteWindowAgg cell;
-  return summarize_group_series(r, kZ, cell, out);
+  return summarize_group_series(r, kZ, out);
 }
 
 bool load_and_summarize(const std::string& bytes, SeriesSummary& out,
@@ -471,9 +509,7 @@ TEST(SeriesSummary, BlobSummaryEqualsSummaryOfTheLoadedSeries) {
   for (const std::string& bytes : blobs) {
     SeriesSummary direct, loaded;
     ByteReader r(bytes.data(), bytes.size());
-    RouteWindowAgg cell;
-    cell.add_session(0.5, 0.5, 1);  // stale scratch state must not leak
-    ASSERT_TRUE(summarize_group_series(r, kZ, cell, direct));
+    ASSERT_TRUE(summarize_group_series(r, kZ, direct));
     EXPECT_EQ(r.remaining(), 0u);
     ASSERT_TRUE(load_and_summarize(bytes, loaded));
     expect_summaries_eq(direct, loaded);
@@ -482,6 +518,25 @@ TEST(SeriesSummary, BlobSummaryEqualsSummaryOfTheLoadedSeries) {
     }
   }
   EXPECT_TRUE(saw_nan_p50) << "fixtures should include a cell without HDratio";
+}
+
+TEST(SeriesSummary, BlobSummaryIsTheSameAtEveryByteOffset) {
+  // Each digest is walked where it lies in the blob, so its centroid array
+  // may sit at any alignment: start the blob at every offset 0-15 of an
+  // 8-aligned buffer.
+  const std::string bytes = series_bytes(make_series(62));
+  SeriesSummary want;
+  ASSERT_TRUE(load_and_summarize(bytes, want));
+  std::vector<std::uint64_t> words(bytes.size() / 8 + 3);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    char* at = reinterpret_cast<char*>(words.data()) + offset;
+    std::memcpy(at, bytes.data(), bytes.size());
+    ByteReader r(at, bytes.size());
+    SeriesSummary got;
+    ASSERT_TRUE(summarize_group_series(r, kZ, got)) << "offset " << offset;
+    EXPECT_EQ(r.remaining(), 0u);
+    expect_summaries_eq(got, want);
+  }
 }
 
 TEST(SeriesSummary, SummaryIsTheCellsOwnAnswers) {
@@ -1206,10 +1261,28 @@ TEST_F(IngestCacheEndToEnd, WarmRunBuildsNoPerCellState) {
                                         &stats, {}, cache);
     expect_results_eq(cold, warm);
     EXPECT_EQ(stats.cache_hits, n) << threads;
-    // Each cell is read into one per-worker scratch cell and summarized:
-    // the warm pass allocates per worker and per group, never per cell.
+    // Each cell is summarized where it lies in the blob: the warm pass
+    // allocates per worker and per group, never per cell.
     EXPECT_LT(stats.alloc_count, cells) << threads << " threads";
   }
+}
+
+TEST_F(IngestCacheEndToEnd, WarmRunReusesEachWorkersReadBuffer) {
+  const World w = world();
+  const DatasetConfig dc = dataset();
+  const IngestCacheOptions cache{artifact_dir("read-buffer")};
+  std::remove(ingest_artifact_path(cache.dir, ingest_cache_key(w, dc, {})).c_str());
+  run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential(), nullptr, {},
+                    cache);
+
+  // A blob is read into its worker's buffer, which keeps its capacity
+  // across the worker's tasks: the pass allocates fewer bytes than it
+  // reads. A buffer per task would allocate every blob again.
+  RunStats stats;
+  run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions{3}, &stats, {}, cache);
+  EXPECT_EQ(stats.cache_hits, w.groups.size());
+  ASSERT_GT(stats.cache_read_bytes, 0u);
+  EXPECT_LT(stats.alloc_bytes, stats.cache_read_bytes);
 }
 
 TEST_F(IngestCacheEndToEnd, KeySeparatesConfigs) {

@@ -670,6 +670,171 @@ TEST(TDigestBatch, RandomDigestsMatchSingleCalls) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// In-place view: a saved digest's bytes, walked where they lie, answer
+// exactly what the digest loaded from them answers.
+// ---------------------------------------------------------------------------
+
+/// Saved-digest bytes from raw header fields and centroids, unsorted or
+/// non-finite ones included.
+std::string saved_digest(std::uint64_t count, double total, double min, double max,
+                         const std::vector<TDigest::Centroid>& centroids) {
+  ByteWriter w;
+  w.f64(100.0);  // compression
+  w.u64(count);
+  w.f64(total);
+  w.f64(min);
+  w.f64(max);
+  w.u64(centroids.size());
+  for (const auto& c : centroids) {
+    w.f64(c.mean);
+    w.f64(c.weight);
+  }
+  return w.take();
+}
+
+/// Places `bytes` at every byte offset 0-15 of an 8-aligned buffer, so the
+/// centroid array sits at every alignment, and expects the view parsed
+/// there to answer `qs` and summarize_median bit for bit as the TDigest
+/// loaded from the same bytes.
+void expect_view_matches_loaded(const std::string& bytes, const std::vector<double>& qs,
+                                const char* what) {
+  const double z = confidence_z(0.95);
+  std::vector<std::uint64_t> words(bytes.size() / 8 + 3);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    char* at = reinterpret_cast<char*>(words.data()) + offset;
+    std::memcpy(at, bytes.data(), bytes.size());
+    ByteReader rv(at, bytes.size());
+    TDigestView view;
+    ASSERT_TRUE(view.parse(rv)) << what << " offset " << offset;
+    EXPECT_EQ(rv.remaining(), 0u);
+    ByteReader rl(at, bytes.size());
+    TDigest loaded;
+    ASSERT_TRUE(loaded.load(rl)) << what << " offset " << offset;
+
+    EXPECT_EQ(view.count(), loaded.count());
+    EXPECT_EQ(bits(view.total_weight()), bits(loaded.total_weight()));
+    EXPECT_EQ(bits(view.min()), bits(loaded.min()));
+    EXPECT_EQ(bits(view.max()), bits(loaded.max()));
+    ASSERT_EQ(view.size(), loaded.centroids().size());
+    std::vector<double> in_place(qs.size(), -1.0);
+    std::vector<double> owned(qs.size(), -2.0);
+    view.quantiles(qs, in_place);
+    loaded.quantiles(qs, owned);
+    for (std::size_t k = 0; k < qs.size(); ++k) {
+      ASSERT_EQ(bits(in_place[k]), bits(owned[k]))
+          << what << " offset " << offset << " q=" << qs[k];
+    }
+    const MedianSummary a = summarize_median(view, z);
+    const MedianSummary b = summarize_median(loaded, z);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << what << " offset " << offset;
+  }
+}
+
+TEST(TDigestView, RandomSavedDigestsWalkLikeTheLoadedDigestAtEveryOffset) {
+  Rng rng(20261018);
+  for (int trial = 0; trial < 1000; ++trial) {
+    TDigest d(rng.uniform(20.0, 200.0));
+    const auto n = rng.uniform_int(0, 3000);
+    const bool atoms = rng.bernoulli(0.3);  // duplicate-heavy values
+    for (std::int64_t i = 0; i < n; ++i) {
+      double v = rng.lognormal(2.0, 1.0);
+      if (atoms) v = std::floor(v);
+      d.add(v, rng.bernoulli(0.2) ? rng.uniform(0.1, 5.0) : 1.0);
+    }
+    std::vector<double> qs;
+    const auto k = rng.uniform_int(1, 8);
+    for (std::int64_t i = 0; i < k; ++i) qs.push_back(rng.uniform(-0.05, 1.05));
+    qs.push_back(0.5);
+    std::sort(qs.begin(), qs.end());
+    qs.push_back(0.25);  // below its predecessor: a walk from the front
+    ByteWriter w;
+    d.save(w);
+    expect_view_matches_loaded(w.data(), qs, "random");
+    if (HasFailure()) {
+      ADD_FAILURE() << "trial " << trial << ", " << n << " points";
+      return;
+    }
+  }
+}
+
+TEST(TDigestView, EdgeDigestsWalkLikeTheLoadedDigestAtEveryOffset) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double nan = std::bit_cast<double>(std::uint64_t{0x7ff8deadbeef1234});
+  const double neg_nan = std::bit_cast<double>(std::uint64_t{0xfff8000000000abc});
+  std::vector<double> qs = kEdgeBatch;
+  for (int i = 0; i <= 32; ++i) qs.push_back(i / 32.0);
+  qs.push_back(nan);
+  // Empty, as TDigest saves it (min +inf, max -inf), and with a count that
+  // claims points it does not hold.
+  expect_view_matches_loaded(saved_digest(0, 0, inf, -inf, {}), qs, "empty");
+  expect_view_matches_loaded(saved_digest(9, 9, 1, 2, {}), qs, "no centroids, count 9");
+  // One and two centroids, below and above the 5 points a CI needs.
+  expect_view_matches_loaded(saved_digest(1, 1, 4, 4, {{4, 1}}), qs, "one");
+  expect_view_matches_loaded(saved_digest(7, 7, 3, 5, {{4, 7}}), qs, "one, count 7");
+  expect_view_matches_loaded(saved_digest(4, 4, 0.5, 7, {{1, 3}, {5, 1}}), qs, "two");
+  expect_view_matches_loaded(saved_digest(10, 10, 1, 2, {{1, 1}, {2, 9}}), qs,
+                             "two, count 10");
+  // NaN payloads in every field, and infinities.
+  expect_view_matches_loaded(saved_digest(6, nan, 0, 9, {{1, 2}, {2, 2}, {3, 2}}), qs,
+                             "NaN total");
+  expect_view_matches_loaded(saved_digest(6, 6, neg_nan, nan, {{1, 2}, {2, 2}, {3, 2}}), qs,
+                             "NaN min and max");
+  expect_view_matches_loaded(
+      saved_digest(6, 6, 0, 9, {{nan, 2}, {2, neg_nan}, {neg_nan, 1}, {4, nan}}), qs,
+      "NaN means and weights");
+  expect_view_matches_loaded(saved_digest(6, inf, -inf, inf, {{-inf, 1}, {inf, 5}}), qs,
+                             "infinities");
+  // Signed zeros and subnormal means and weights.
+  expect_view_matches_loaded(
+      saved_digest(9, 9, -0.0, 4 * sub,
+                   {{-0.0, 1}, {0.0, 2}, {-0.0, 3}, {sub, 1}, {4 * sub, 2}}),
+      qs, "signed zeros and subnormal means");
+  expect_view_matches_loaded(
+      saved_digest(5, 1, 0, 5, {{1, sub}, {2, sub}, {3, 1}, {4, sub}, {4.5, -0.0}}), qs,
+      "subnormal and zero weights");
+  // Centroids the walk never sees sorted: descending and interleaved
+  // means, and a negative weight.
+  expect_view_matches_loaded(
+      saved_digest(12, 12, 0, 10, {{9, 2}, {7, 3}, {8, 1}, {2, 4}, {3, 2}}), qs,
+      "unsorted means");
+  expect_view_matches_loaded(saved_digest(8, 8, 0, 10, {{1, 5}, {2, -3}, {3, 6}}), qs,
+                             "negative weight");
+}
+
+TEST(TDigestView, ParseRejectsExactlyWhatLoadRejects) {
+  Rng rng(90);
+  TDigest d;
+  for (int i = 0; i < 500; ++i) d.add(rng.uniform(0, 1));
+  ByteWriter w;
+  d.save(w);
+  const std::string bytes = w.data();
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    ByteReader rv(bytes.data(), len);
+    ByteReader rl(bytes.data(), len);
+    TDigestView view;
+    TDigest loaded;
+    const bool ok = view.parse(rv);
+    ASSERT_EQ(ok, loaded.load(rl)) << "prefix " << len;
+    EXPECT_EQ(ok, len == bytes.size()) << "prefix " << len;
+    EXPECT_EQ(rv.ok(), rl.ok());
+  }
+  // A compression below 20 and a centroid count past the end.
+  for (const std::string& bad :
+       {saved_digest(1, 1, 4, 4, {{4, 1}}).replace(0, 8, std::string(8, '\0')),
+        saved_digest(1, 1, 4, 4, {{4, 1}}).replace(40, 8, std::string(8, '\x02'))}) {
+    ByteReader rv(bad.data(), bad.size());
+    ByteReader rl(bad.data(), bad.size());
+    TDigestView view;
+    TDigest loaded;
+    EXPECT_FALSE(view.parse(rv));
+    EXPECT_FALSE(loaded.load(rl));
+    EXPECT_FALSE(rv.ok());
+    EXPECT_EQ(view.size(), 0u);
+  }
+}
+
 TEST(TDigestSeal, SealedDigestSavesAndAnswersLikeItsUnsealedTwin) {
   // Sealing gives back the add buffer and the spare centroid capacity; the
   // bytes save() writes and every quantile must stay exactly as they were.
