@@ -156,8 +156,9 @@ inline void print_paper_note(const char* note) {
   std::printf("paper: %s\n", note);
 }
 
-/// Standard runtime block every bench appends to its `--json` output.
-/// Cache hits/misses stay 0 unless a cache dir was configured, so
+/// Standard runtime block every bench and tool appends to its `--json`
+/// output. Cache hits/misses stay 0 unless a cache dir was configured, and
+/// the worker keys stay 0 unless a worker fleet ran (src/distrib/), so
 /// committed BENCH files (always cold, uncached runs) are unaffected.
 inline void add_runtime_json(JsonOutput& json, const RunStats& stats) {
   json.add("runtime_threads", stats.threads);
@@ -174,6 +175,14 @@ inline void add_runtime_json(JsonOutput& json, const RunStats& stats) {
   json.add("runtime_cache_read_bytes", static_cast<double>(stats.cache_read_bytes));
   json.add("runtime_cache_write_failures",
            static_cast<double>(stats.cache_write_failures));
+  json.add("runtime_workers_spawned", static_cast<double>(stats.workers_spawned));
+  json.add("runtime_worker_failures", static_cast<double>(stats.worker_failures));
+  json.add("runtime_worker_retries",
+           static_cast<double>(stats.faults.worker_retries));
+  json.add("runtime_degraded_shards",
+           static_cast<double>(stats.faults.degraded_shards));
+  json.add("runtime_worker_rss_peak",
+           static_cast<double>(stats.worker_rss_peak_bytes));
 }
 
 }  // namespace fbedge::bench

@@ -99,11 +99,13 @@ bool write_ingest_artifact(const std::string& path, std::uint64_t key,
 /// it. Memory stays at the index plus the largest blob, whatever the
 /// artifact's size.
 ///
-/// Access paths: the warm run_edge_analysis and read_ingest_artifact use
-/// open_index() and check each blob where they read it, so every blob is
-/// read and hashed once. Callers that must vouch for the whole artifact
-/// before any blob is used — the shard workers' idempotence probes, the
-/// scenario sweep's baseline and the shard coordinator — use open().
+/// Access paths: the warm run_edge_analysis, read_ingest_artifact and the
+/// worker fleet's shard open (open_fleet_shard: the scale coordinator's
+/// reduce and the sweep's slice collection) use open_index() and check
+/// each blob where they read it, so every blob is read and hashed once.
+/// Callers that must vouch for the whole artifact before any blob is used
+/// — the fleet workers' idempotence probes and the scenario sweep's
+/// baseline — use open().
 ///
 /// After either open, read(i) may be called from any number of threads at
 /// once, in any order: it preads blob i (no mmap, so a file truncated

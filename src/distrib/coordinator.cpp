@@ -12,67 +12,47 @@
 namespace fbedge {
 namespace {
 
-ShardManifest expected_manifest(std::uint64_t base_key, int shard, int workers,
-                                const ShardRange& range) {
+/// The manifest a published shard of `job` must carry. The group range is
+/// the slice's indices into job.groups: the list is a pure function of the
+/// job's inputs, so indices identify the work just as precisely.
+ShardManifest fleet_manifest(const FleetJob& job, int shard, int workers,
+                             const ShardRange& slice) {
   ShardManifest m;
-  m.base_key = base_key;
+  m.base_key = job.base_key;
   m.shard_index = static_cast<std::uint32_t>(shard);
   m.worker_count = static_cast<std::uint32_t>(workers);
-  m.group_begin = range.begin;
-  m.group_end = range.end;
-  m.artifact_key = shard_artifact_key(base_key, range.begin, range.end);
+  m.group_begin = slice.begin;
+  m.group_end = slice.end;
+  m.artifact_key = shard_artifact_key(job.base_key, slice.begin, slice.end);
   return m;
 }
 
-/// True when a valid manifest vouching for exactly `want` exists at `path`.
-bool shard_published(const std::string& path, const ShardManifest& want) {
-  ShardManifest got;
-  return read_shard_manifest(path, got) && got == want;
+std::string manifest_path(const std::string& dir, const ShardManifest& m) {
+  return shard_manifest_path(dir, m.base_key, static_cast<int>(m.shard_index),
+                             static_cast<int>(m.worker_count));
 }
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
+/// True when a valid manifest vouching for exactly `want` exists in `dir`.
+bool shard_published(const std::string& dir, const ShardManifest& want) {
+  ShardManifest got;
+  return read_shard_manifest(manifest_path(dir, want), got) && got == want;
 }
 
 }  // namespace
 
-std::vector<FleetShardOutcome> run_worker_fleet(
-    int shards, const FaultPlan& faults,
-    const std::function<WorkerExit(int shard, int attempt)>& launch) {
-  FBEDGE_EXPECT(shards >= 1, "fleet needs at least one shard");
-  FBEDGE_EXPECT(static_cast<bool>(launch), "fleet needs a launcher");
-  const int max_attempts = std::max(1, faults.worker_max_attempts);
-  const RuntimeOptions spawn_runtime{shards};
-  return parallel_map(
-      static_cast<std::size_t>(shards), spawn_runtime, [&](std::size_t s) {
-        FleetShardOutcome out;
-        const int shard = static_cast<int>(s);
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-          if (attempt > 0) ++out.retries;
-          ++out.spawned;
-          const WorkerExit exit = launch(shard, attempt);
-          if (exit.max_rss_bytes > out.rss_peak) out.rss_peak = exit.max_rss_bytes;
-          if (exit.status == 0) {
-            out.published = true;
-            break;
-          }
-          ++out.failures;
-          // Attribute the failure to the injected site by recomputing the
-          // decision (never by trusting an exit code a real bug could
-          // collide with).
-          if (worker_crash_decision(faults, shard, attempt)) {
-            ++out.crashes;
-          }
-        }
-        return out;
-      });
+FleetJob scale_fleet_job(const World& world, const DatasetConfig& config,
+                         const GoodputConfig& goodput) {
+  FleetJob job;
+  job.groups.resize(world.groups.size());
+  for (std::size_t g = 0; g < job.groups.size(); ++g) job.groups[g] = g;
+  job.base_key = ingest_cache_key(world, config, goodput);
+  return job;
 }
 
-int run_shard_worker(const World& world, const DatasetConfig& config,
-                     GoodputConfig goodput, const WorkerSpec& spec,
-                     const FaultPlan& faults, const RuntimeOptions& runtime,
-                     RunStats* stats) {
+int run_fleet_worker(const World& world, const DatasetConfig& config,
+                     GoodputConfig goodput, const FleetJob& job,
+                     const WorkerSpec& spec, const FaultPlan& faults,
+                     const RuntimeOptions& runtime, RunStats* stats) {
   FBEDGE_EXPECT(spec.workers >= 1 && spec.shard >= 0 &&
                     spec.shard < spec.workers,
                 "worker spec shard out of range");
@@ -85,13 +65,10 @@ int run_shard_worker(const World& world, const DatasetConfig& config,
     return kWorkerCrashExit;
   }
 
-  const std::uint64_t base_key = ingest_cache_key(world, config, goodput);
-  const ShardPlan plan = ShardPlan::make(world.groups.size(), spec.workers);
-  const ShardRange range = plan.shard(spec.shard);
+  const ShardRange slice =
+      ShardPlan::make(job.groups.size(), spec.workers).shard(spec.shard);
   const ShardManifest want =
-      expected_manifest(base_key, spec.shard, spec.workers, range);
-  const std::string manifest_path =
-      shard_manifest_path(spec.cache_dir, base_key, spec.shard, spec.workers);
+      fleet_manifest(job, spec.shard, spec.workers, slice);
   const std::string artifact_path =
       ingest_artifact_path(spec.cache_dir, want.artifact_key);
 
@@ -99,18 +76,19 @@ int run_shard_worker(const World& world, const DatasetConfig& config,
   // same cache dir) already published this shard. The reader's open()
   // checks every blob's checksum with one blob in memory at a time — the
   // worker never materializes the artifact it is vouching for.
-  if (shard_published(manifest_path, want)) {
+  if (shard_published(spec.cache_dir, want)) {
     IngestArtifactReader probe;
-    if (probe.open(artifact_path, want.artifact_key, range.size())) {
+    if (probe.open(artifact_path, want.artifact_key, slice.size())) {
       return 0;
     }
     // Manifest without a readable artifact: fall through and rebuild both.
   }
 
-  std::vector<std::size_t> groups(range.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) groups[i] = range.begin + i;
+  const std::vector<std::size_t> groups(
+      job.groups.begin() + static_cast<std::ptrdiff_t>(slice.begin),
+      job.groups.begin() + static_cast<std::ptrdiff_t>(slice.end));
   IngestArtifactWriter writer;
-  if (!writer.open(artifact_path, want.artifact_key, range.size())) return 1;
+  if (!writer.open(artifact_path, want.artifact_key, slice.size())) return 1;
   bool append_ok = true;
   ingest_groups_to_blobs(
       world, config, goodput, groups, runtime,
@@ -121,8 +99,98 @@ int run_shard_worker(const World& world, const DatasetConfig& config,
   if (!append_ok || !writer.finish()) return 1;
   // Artifact is live; the manifest is published last so its existence
   // implies a complete artifact.
-  if (!write_shard_manifest(manifest_path, want)) return 1;
-  return 0;
+  return write_shard_manifest(manifest_path(spec.cache_dir, want), want) ? 0 : 1;
+}
+
+std::vector<bool> run_worker_fleet(const World& world,
+                                   const DatasetConfig& config,
+                                   GoodputConfig goodput, const FleetJob& job,
+                                   const FleetOptions& options,
+                                   RunStats* stats, FaultCounters* faults) {
+  FBEDGE_EXPECT(options.workers >= 1, "fleet needs at least one worker");
+  FBEDGE_EXPECT(!options.cache_dir.empty(), "fleet needs a cache dir");
+  // Attempts stop at the first success, so a shard's failures are its
+  // attempts minus its success, and its retries its attempts minus one.
+  struct ShardOutcome {
+    bool published{false};
+    std::uint64_t spawned{0};
+    std::uint64_t crashes{0};
+    std::uint64_t rss_peak{0};
+  };
+  const int max_attempts = std::max(1, options.faults.worker_max_attempts);
+  const RuntimeOptions worker_runtime{options.worker_threads};
+  const auto outcomes = parallel_map(
+      static_cast<std::size_t>(options.workers),
+      RuntimeOptions{options.workers}, [&](std::size_t s) {
+        ShardOutcome out;
+        const int shard = static_cast<int>(s);
+        for (int attempt = 0; attempt < max_attempts && !out.published;
+             ++attempt) {
+          ++out.spawned;
+          WorkerExit exit;
+          if (options.launcher) {
+            exit = options.launcher(job, shard, attempt);
+          } else {
+            WorkerSpec spec;
+            spec.shard = shard;
+            spec.workers = options.workers;
+            spec.attempt = attempt;
+            spec.cache_dir = options.cache_dir;
+            exit.spawned = true;
+            exit.status = run_fleet_worker(world, config, goodput, job, spec,
+                                           options.faults, worker_runtime);
+          }
+          out.rss_peak = std::max(out.rss_peak, exit.max_rss_bytes);
+          out.published = exit.status == 0;
+          // Attribute the failure to the injected site by recomputing the
+          // decision (never by trusting an exit code a real bug could
+          // collide with).
+          if (!out.published &&
+              worker_crash_decision(options.faults, shard, attempt)) {
+            ++out.crashes;
+          }
+        }
+        return out;
+      });
+
+  FaultCounters fleet_faults;
+  std::vector<bool> published;
+  for (const ShardOutcome& out : outcomes) {
+    published.push_back(out.published);
+    fleet_faults.worker_crashes += out.crashes;
+    fleet_faults.worker_retries += out.spawned - 1;
+    if (!out.published) ++fleet_faults.degraded_shards;
+    if (stats) {
+      stats->workers_spawned += out.spawned;
+      stats->worker_failures += out.spawned - (out.published ? 1 : 0);
+      stats->worker_rss_peak_bytes =
+          std::max(stats->worker_rss_peak_bytes, out.rss_peak);
+    }
+  }
+  if (stats) stats->faults.accumulate(fleet_faults);
+  if (faults) faults->accumulate(fleet_faults);
+  return published;
+}
+
+bool open_fleet_shard(const FleetJob& job, int shard,
+                      const FleetOptions& options, IngestArtifactReader& reader,
+                      RunStats* stats) {
+  const ShardRange slice =
+      ShardPlan::make(job.groups.size(), options.workers).shard(shard);
+  const ShardManifest want =
+      fleet_manifest(job, shard, options.workers, slice);
+  const auto start = std::chrono::steady_clock::now();
+  const bool open =
+      shard_published(options.cache_dir, want) &&
+      reader.open_index(ingest_artifact_path(options.cache_dir,
+                                             want.artifact_key),
+                        want.artifact_key, slice.size());
+  if (stats) {
+    stats->cache_load_seconds += std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count();
+  }
+  return open;
 }
 
 EdgeAnalysisResult run_scale_analysis(const World& world,
@@ -130,74 +198,33 @@ EdgeAnalysisResult run_scale_analysis(const World& world,
                                       const AnalysisThresholds& thresholds,
                                       const ComparisonConfig& comparison,
                                       GoodputConfig goodput,
-                                      const ScaleOptions& options,
+                                      const FleetOptions& options,
                                       RunStats* stats) {
-  FBEDGE_EXPECT(options.workers >= 1, "scale run needs at least one worker");
-  FBEDGE_EXPECT(!options.cache_dir.empty(), "scale run needs a cache dir");
   FBEDGE_EXPECT(!options.faults.sampler_faults() && !options.faults.agg_faults(),
                 "scale runs must not inject data faults (shared cache)");
 
-  const std::uint64_t base_key = ingest_cache_key(world, config, goodput);
-  const ShardPlan plan = ShardPlan::make(world.groups.size(), options.workers);
-
-  // ---- Spawn phase: the shared per-shard retry loop (run_worker_fleet),
-  // launching through options.launcher when set, else running the worker
-  // body in-process. Outcomes come back in shard order, so the counters
-  // are independent of completion order.
-  const auto launch = [&](int shard, int attempt) {
-    if (options.launcher) return options.launcher(shard, attempt);
-    WorkerSpec spec;
-    spec.shard = shard;
-    spec.workers = options.workers;
-    spec.attempt = attempt;
-    spec.cache_dir = options.cache_dir;
-    WorkerExit exit;
-    exit.spawned = true;
-    exit.status = run_shard_worker(world, config, goodput, spec, options.faults,
-                                   RuntimeOptions{options.worker_threads});
-    return exit;
-  };
-  const auto outcomes =
-      run_worker_fleet(plan.shard_count(), options.faults, launch);
-
+  const FleetJob job = scale_fleet_job(world, config, goodput);
   FaultCounters worker_faults;
-  std::uint64_t spawned = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t rss_peak = 0;
-  for (const FleetShardOutcome& out : outcomes) {
-    spawned += out.spawned;
-    failures += out.failures;
-    worker_faults.worker_crashes += out.crashes;
-    worker_faults.worker_retries += out.retries;
-    if (!out.published) ++worker_faults.degraded_shards;
-    rss_peak = std::max(rss_peak, out.rss_peak);
-  }
+  run_worker_fleet(world, config, goodput, job, options, stats, &worker_faults);
 
   // ---- Reduce phase: shard by shard in shard order (= ascending group
-  // order, since the plan's blocks are contiguous ascending). Each shard's
-  // artifact is validated once at open(); then every reduce worker reads
-  // and re-checks its own group's blob inside its pool task, so the
-  // coordinator holds one blob per worker — never a whole shard, which at
-  // scale is gigabytes. A shard without a valid manifest + artifact —
-  // degraded, raced, or vandalized — leaves the reader closed, and
-  // EdgeReducer cold-ingests its groups: byte-identical output, honest
-  // cache_misses.
+  // order, since a scale job's slices are contiguous ascending blocks of
+  // group ids). Each shard's index is validated at open; then every reduce
+  // worker reads and checks its own group's blob inside its pool task, so
+  // each blob is read once and the coordinator holds one blob per worker —
+  // never a whole shard, which at scale is gigabytes. A shard without a
+  // valid manifest + index — degraded, raced, or vandalized — leaves the
+  // reader closed, and EdgeReducer cold-ingests its groups; a blob that
+  // fails its checksum cold-ingests its group alone. Output is
+  // byte-identical either way, and cache_misses stay honest.
   EdgeReducer reducer(world, config, thresholds, comparison, goodput,
                       options.faults);
+  const ShardPlan plan = ShardPlan::make(job.groups.size(), options.workers);
   for (int s = 0; s < plan.shard_count(); ++s) {
     const ShardRange& range = plan.shard(s);
     if (range.empty()) continue;
-    const ShardManifest want =
-        expected_manifest(base_key, s, options.workers, range);
     IngestArtifactReader reader;
-    const auto open_start = std::chrono::steady_clock::now();
-    if (shard_published(shard_manifest_path(options.cache_dir, base_key, s,
-                                            options.workers),
-                        want)) {
-      reader.open(ingest_artifact_path(options.cache_dir, want.artifact_key),
-                  want.artifact_key, range.size());
-    }
-    if (stats) stats->cache_load_seconds += seconds_since(open_start);
+    open_fleet_shard(job, s, options, reader, stats);
     reducer.reduce_range(range, reader, options.reduce_runtime, stats);
     if (stats) stats->cache_read_bytes += reader.bytes_read();
   }
@@ -205,11 +232,6 @@ EdgeAnalysisResult run_scale_analysis(const World& world,
   if (stats) {
     stats->cache_hits += reducer.blob_groups();
     stats->cache_misses += world.groups.size() - reducer.blob_groups();
-    stats->workers_spawned += spawned;
-    stats->worker_failures += failures;
-    stats->worker_rss_peak_bytes =
-        std::max(stats->worker_rss_peak_bytes, rss_peak);
-    stats->faults.accumulate(worker_faults);
   }
   EdgeAnalysisResult result = reducer.finish();
   result.faults.accumulate(worker_faults);

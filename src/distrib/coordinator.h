@@ -1,25 +1,34 @@
-// Multi-process shard coordinator: 100x scale over the ingest-artifact
-// cache.
+// Worker fleets over the ingest-artifact cache, and the multi-process
+// shard coordinator built on them: 100x scale.
 //
-// The group space is partitioned into ShardPlan's contiguous ascending
-// blocks, one per worker. Each worker — an OS process by default, an
-// in-process call in tests — ingests its block, streams the per-group
-// blobs into a shard ingest artifact (bounded memory: one chunk of groups
-// at a time, via ingest_groups_to_blobs + IngestArtifactWriter), publishes
-// the artifact atomically, and only then writes its shard manifest. The
-// coordinator retries crashed workers up to the fault plan's attempt
-// budget, then reduces shard by shard in shard order: open (validate) one
-// shard's artifact, fold its groups through EdgeReducer with each reduce
-// worker reading its own group's blob, close the artifact, move on.
-// Because shards are ascending blocks and EdgeReducer folds partials
-// in ascending group order, the finished result is byte-identical to a
-// single-process run_edge_analysis over the same world — for any worker
-// count, any worker thread count, and any reduce thread count.
+// A fleet's work is one FleetJob: an ascending list of group ids plus a
+// base key. A scale run takes every group of the world, keyed by its
+// ingest_cache_key (scale_fleet_job); a scenario sweep takes one
+// scenario's affected groups under the perturbed world (sweep_fleet_job,
+// sweep_fleet.h). ShardPlan splits the list into contiguous slices, one
+// per worker. Each worker — an OS process by default, an in-process call
+// in tests — runs run_fleet_worker: it streams its slice's per-group blobs
+// into a shard ingest artifact (bounded memory: one chunk of groups at a
+// time, via ingest_groups_to_blobs + IngestArtifactWriter), publishes the
+// artifact atomically, and only then writes its shard manifest. Manifests
+// record slice indices into the list; for a scale job those equal the
+// group ids. run_worker_fleet retries crashed workers up to the fault
+// plan's attempt budget.
+//
+// The coordinator (run_scale_analysis) then reduces shard by shard in
+// shard order: open_fleet_shard reads one shard's index, EdgeReducer folds
+// its groups with each reduce worker reading and checking its own group's
+// blob, the artifact closes, and the next shard opens. Because shards are
+// ascending blocks and EdgeReducer folds partials in ascending group
+// order, the finished result is byte-identical to a single-process
+// run_edge_analysis over the same world — for any worker count, any worker
+// thread count, and any reduce thread count.
 //
 // Failure policy mirrors the ingest cache: a shard whose worker exhausted
-// every attempt (or whose manifest/artifact fails validation) is reduced
-// via cold ingest in the coordinator instead — slower, never wrong. The
-// loss is counted (FaultCounters::degraded_shards), never silent.
+// every attempt, or whose manifest or index fails validation, is reduced
+// via cold ingest in the coordinator instead, and a blob that fails its
+// checksum cold-ingests just its group — slower, never wrong. The loss is
+// counted (FaultCounters::degraded_shards, cache_misses), never silent.
 #pragma once
 
 #include <functional>
@@ -37,8 +46,20 @@ namespace fbedge {
 /// not by trusting exit codes.
 inline constexpr int kWorkerCrashExit = 43;
 
+/// One fleet's work: the ascending group ids its workers ingest, and the
+/// base key their manifests and shard artifacts are keyed by.
+struct FleetJob {
+  std::vector<std::size_t> groups;
+  std::uint64_t base_key{0};
+};
+
+/// A scale run's job: every group of `world`, keyed by its
+/// ingest_cache_key.
+FleetJob scale_fleet_job(const World& world, const DatasetConfig& config,
+                         const GoodputConfig& goodput);
+
 /// Identity of one worker attempt: shard `shard` of a `workers`-way
-/// partition of the world's groups, attempt number `attempt`.
+/// partition of a job's group list, attempt number `attempt`.
 struct WorkerSpec {
   int shard{0};
   int workers{1};
@@ -46,46 +67,23 @@ struct WorkerSpec {
   std::string cache_dir;
 };
 
-/// The worker body (also run directly by fbedge_scale's hidden worker
-/// mode). Checks the injected-crash decision FIRST — before touching the
-/// cache directory — so a crashed attempt can never publish a partial
-/// artifact or manifest. Otherwise: if a valid manifest + artifact for
-/// this shard already exist, returns 0 immediately (idempotent re-spawn);
-/// else ingests the shard's group range, streams it into the shard
-/// artifact, publishes it, then publishes the manifest. Returns 0 on
-/// success, kWorkerCrashExit on injected crash, 1 on I/O failure.
-int run_shard_worker(const World& world, const DatasetConfig& config,
-                     GoodputConfig goodput, const WorkerSpec& spec,
-                     const FaultPlan& faults = {},
+/// The worker body (also run directly by the tools' hidden worker modes).
+/// `world` is the world the job's groups are ingested from. Checks the
+/// injected-crash decision FIRST — before touching the cache directory —
+/// so a crashed attempt can never publish a partial artifact or manifest.
+/// Otherwise: if a valid manifest + artifact for this shard already exist,
+/// returns 0 immediately (idempotent re-spawn); else ingests the shard's
+/// slice, streams it into the shard artifact, publishes it, then publishes
+/// the manifest. Returns 0 on success, kWorkerCrashExit on injected crash,
+/// 1 on I/O failure.
+int run_fleet_worker(const World& world, const DatasetConfig& config,
+                     GoodputConfig goodput, const FleetJob& job,
+                     const WorkerSpec& spec, const FaultPlan& faults = {},
                      const RuntimeOptions& runtime = RuntimeOptions::sequential(),
                      RunStats* stats = nullptr);
 
-/// Outcome of one shard's spawn-retry loop (run_worker_fleet).
-struct FleetShardOutcome {
-  bool published{false};
-  std::uint64_t spawned{0};
-  std::uint64_t failures{0};
-  std::uint64_t crashes{0};
-  std::uint64_t retries{0};
-  std::uint64_t rss_peak{0};
-};
-
-/// The shared spawn phase: runs `shards` independent retry loops in
-/// parallel (one slot per shard; a slot blocks while its worker attempt
-/// runs), each retrying up to the fault plan's worker_max_attempts.
-/// `launch(shard, attempt)` runs one attempt and blocks until it exits;
-/// status 0 marks the shard published. Injected crashes are attributed by
-/// recomputing worker_crash_decision — never by trusting an exit code a
-/// real bug could collide with. Outcomes come back in shard order, so
-/// folding them is independent of completion order. Both the scale
-/// coordinator and the scenario-sweep fleet (sweep_fleet.h) run their
-/// workers through this loop.
-std::vector<FleetShardOutcome> run_worker_fleet(
-    int shards, const FaultPlan& faults,
-    const std::function<WorkerExit(int shard, int attempt)>& launch);
-
-/// Coordinator knobs.
-struct ScaleOptions {
+/// Fleet knobs, shared by scale runs and scenario sweeps.
+struct FleetOptions {
   /// Worker count = shard count. 1 still exercises the full
   /// spawn/manifest/reduce machinery.
   int workers{1};
@@ -93,28 +91,53 @@ struct ScaleOptions {
   int worker_threads{1};
   /// Shared artifact + manifest directory. Required.
   std::string cache_dir;
-  /// Threads for the coordinator's reduce (and any cold-ingest fallback).
+  /// Threads for the reduce (and any cold-ingest fallback).
   RuntimeOptions reduce_runtime = RuntimeOptions::sequential();
   /// Fault plan; worker_crash_rate / worker_max_attempts drive the
-  /// spawn-retry loop. Sampler/agg rates must stay zero (the shared cache
-  /// must never hold faulted series; fbedge_scale enforces this at the CLI).
+  /// spawn-retry loop. Data-fault rates must stay zero (the shared cache
+  /// must never hold faulted series).
   FaultPlan faults;
-  /// Launches one worker attempt and blocks until it exits (the tool wires
-  /// this to spawn_worker on its own binary in worker mode). Null = run the
-  /// worker in-process, which tests use to exercise coordinator logic
-  /// without a binary path.
-  std::function<WorkerExit(int shard, int attempt)> launcher;
+  /// Launches one worker attempt for shard `shard` of `job` and blocks
+  /// until it exits (the tools wire this to spawn_worker on their own
+  /// binary in worker mode). Null = run the worker in-process, which tests
+  /// use to exercise fleet logic without a binary path.
+  std::function<WorkerExit(const FleetJob& job, int shard, int attempt)>
+      launcher;
 };
 
+/// The spawn phase: runs one retry loop per shard of `job` in parallel
+/// (one slot per shard; a slot blocks while its worker attempt runs), each
+/// retrying up to the fault plan's worker_max_attempts. Each attempt goes
+/// through options.launcher, or run_fleet_worker over `world` in-process;
+/// status 0 marks the shard published. Injected crashes are attributed by
+/// recomputing worker_crash_decision — never by trusting an exit code a
+/// real bug could collide with. The per-shard tallies (spawned, failures,
+/// crashes, retries, degraded shards, worker peak RSS) fold in shard order
+/// into `stats` and `faults`, so they are independent of completion order.
+/// Returns whether each shard published.
+std::vector<bool> run_worker_fleet(const World& world,
+                                   const DatasetConfig& config,
+                                   GoodputConfig goodput, const FleetJob& job,
+                                   const FleetOptions& options,
+                                   RunStats* stats,
+                                   FaultCounters* faults = nullptr);
+
+/// Opens the index of shard `shard`'s artifact into `reader` when a
+/// manifest vouching for exactly that slice of `job` is published in
+/// options.cache_dir. No blob is read here: each read() checks its own
+/// blob. Returns false, leaving `reader` closed, otherwise. The open's
+/// time goes to stats->cache_load_seconds.
+bool open_fleet_shard(const FleetJob& job, int shard,
+                      const FleetOptions& options, IngestArtifactReader& reader,
+                      RunStats* stats);
+
 /// Runs the partition/spawn/retry/reduce sequence described above and
-/// returns the finished analysis. Worker attempts are launched in
-/// parallel (one slot per worker); all spawn-phase counters — crashes,
-/// retries, degraded shards, processes spawned, per-worker peak RSS — are
-/// folded in shard order into `stats` and the result's FaultCounters.
+/// returns the finished analysis. Spawn-phase counters fold into `stats`
+/// and the result's FaultCounters.
 EdgeAnalysisResult run_scale_analysis(
     const World& world, const DatasetConfig& config,
     const AnalysisThresholds& thresholds = {},
     const ComparisonConfig& comparison = {}, GoodputConfig goodput = {},
-    const ScaleOptions& options = {}, RunStats* stats = nullptr);
+    const FleetOptions& options = {}, RunStats* stats = nullptr);
 
 }  // namespace fbedge

@@ -401,7 +401,8 @@ TEST(ShardWorker, PublishesArtifactThenManifestAndIsIdempotent) {
   spec.shard = 1;
   spec.workers = 3;
   spec.cache_dir = dir;
-  ASSERT_EQ(run_shard_worker(world, dc, {}, spec), 0);
+  ASSERT_EQ(
+      run_fleet_worker(world, dc, {}, scale_fleet_job(world, dc, {}), spec), 0);
 
   const std::uint64_t base_key = ingest_cache_key(world, dc, {});
   const ShardRange range = ShardPlan::make(world.groups.size(), 3).shard(1);
@@ -420,7 +421,8 @@ TEST(ShardWorker, PublishesArtifactThenManifestAndIsIdempotent) {
   // Re-running the worker (a coordinator re-spawn) succeeds without
   // disturbing the published files.
   spec.attempt = 1;
-  ASSERT_EQ(run_shard_worker(world, dc, {}, spec), 0);
+  ASSERT_EQ(
+      run_fleet_worker(world, dc, {}, scale_fleet_job(world, dc, {}), spec), 0);
   IngestArtifact again;
   ASSERT_TRUE(read_ingest_artifact(ingest_artifact_path(dir, key), key,
                                    range.size(), again));
@@ -439,7 +441,9 @@ TEST(ShardWorker, InjectedCrashExitsBeforeTouchingTheCache) {
   spec.shard = 0;
   spec.workers = 2;
   spec.cache_dir = dir;
-  EXPECT_EQ(run_shard_worker(world, dc, {}, spec, plan), kWorkerCrashExit);
+  EXPECT_EQ(run_fleet_worker(world, dc, {}, scale_fleet_job(world, dc, {}),
+                             spec, plan),
+            kWorkerCrashExit);
 
   const std::uint64_t base_key = ingest_cache_key(world, dc, {});
   const ShardRange range = ShardPlan::make(world.groups.size(), 2).shard(0);
@@ -462,7 +466,7 @@ TEST(ScaleAnalysis, MatchesInProcessRunForAnyWorkerCount) {
   // 13 > the 12-group world, so the last shard is empty — the partition
   // edge cases ride along.
   for (const int workers : {1, 2, 3, 13}) {
-    ScaleOptions options;
+    FleetOptions options;
     options.workers = workers;
     options.cache_dir = dir;
     options.reduce_runtime = RuntimeOptions{workers % 3 + 1};
@@ -486,7 +490,7 @@ TEST(ScaleAnalysis, AllWorkersCrashedStillMatchesBaseline) {
                                           RuntimeOptions::sequential());
   const std::string dir = fresh_dir("coordinator-all-crash");
 
-  ScaleOptions options;
+  FleetOptions options;
   options.workers = 3;
   options.cache_dir = dir;
   options.faults.seed = 17;
@@ -524,10 +528,10 @@ TEST(ScaleAnalysis, LauncherThatPublishesNothingFallsBackCold) {
   // A launcher that reports success but never writes anything models a
   // worker fleet whose shared filesystem silently dropped the artifacts:
   // the reduce must fall back to cold ingest for every shard.
-  ScaleOptions options;
+  FleetOptions options;
   options.workers = 2;
   options.cache_dir = dir;
-  options.launcher = [](int, int) {
+  options.launcher = [](const FleetJob&, int, int) {
     WorkerExit exit;
     exit.spawned = true;
     exit.status = 0;
@@ -546,7 +550,7 @@ TEST(ScaleAnalysis, WarmRerunServesEveryGroupFromShardArtifacts) {
   const DatasetConfig dc = small_dataset();
   const std::string dir = fresh_dir("coordinator-warm");
 
-  ScaleOptions options;
+  FleetOptions options;
   options.workers = 2;
   options.cache_dir = dir;
   RunStats cold_stats;
@@ -571,6 +575,79 @@ TEST(ScaleAnalysis, WarmRerunServesEveryGroupFromShardArtifacts) {
                                            &repaired_stats);
   expect_results_eq(cold, repaired);
   EXPECT_EQ(repaired_stats.cache_hits, world.groups.size());
+}
+
+TEST(ScaleAnalysis, WarmRerunReadsEachShardBlobOnce) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const std::string dir = fresh_dir("coordinator-read-once");
+
+  FleetOptions options;
+  options.workers = 3;
+  options.cache_dir = dir;
+  options.reduce_runtime = RuntimeOptions{2};
+  run_scale_analysis(world, dc, {}, {}, {}, options);
+  RunStats warm_stats;
+  run_scale_analysis(world, dc, {}, {}, {}, options, &warm_stats);
+
+  // A shard artifact of n blobs is a 28-byte header, the blobs, a 16-byte
+  // index entry per blob and an 8-byte footer. The reduce reads each blob
+  // once, where it is used.
+  const std::uint64_t base_key = ingest_cache_key(world, dc, {});
+  const ShardPlan plan = ShardPlan::make(world.groups.size(), 3);
+  std::uint64_t blob_bytes = 0;
+  for (int s = 0; s < plan.shard_count(); ++s) {
+    const ShardRange& range = plan.shard(s);
+    struct stat st{};
+    ASSERT_EQ(::stat(ingest_artifact_path(dir, shard_artifact_key(
+                                                   base_key, range.begin,
+                                                   range.end))
+                         .c_str(),
+                     &st),
+              0);
+    blob_bytes += static_cast<std::uint64_t>(st.st_size) - 28 -
+                  16 * range.size() - 8;
+  }
+  EXPECT_EQ(warm_stats.cache_hits, world.groups.size());
+  EXPECT_EQ(warm_stats.cache_read_bytes, blob_bytes);
+}
+
+TEST(ScaleAnalysis, CorruptBlobColdIngestsOnlyItsGroup) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const std::string dir = fresh_dir("coordinator-corrupt-blob");
+
+  FleetOptions options;
+  options.workers = 2;
+  options.cache_dir = dir;
+  const auto cold = run_scale_analysis(world, dc, {}, {}, {}, options);
+
+  // Flip the first byte of shard 0's first blob (group 0), behind a
+  // launcher that leaves the published files alone: the index still
+  // validates, so only group 0's read fails its checksum.
+  const std::uint64_t base_key = ingest_cache_key(world, dc, {});
+  const ShardRange range = ShardPlan::make(world.groups.size(), 2).shard(0);
+  const std::string artifact_path = ingest_artifact_path(
+      dir, shard_artifact_key(base_key, range.begin, range.end));
+  std::FILE* f = std::fopen(artifact_path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 28, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, 28, SEEK_SET), 0);
+  ASSERT_NE(std::fputc(byte ^ 0x40, f), EOF);
+  std::fclose(f);
+  options.launcher = [](const FleetJob&, int, int) {
+    WorkerExit exit;
+    exit.spawned = true;
+    exit.status = 0;
+    return exit;
+  };
+  RunStats stats;
+  const auto warm = run_scale_analysis(world, dc, {}, {}, {}, options, &stats);
+  expect_results_eq(cold, warm);
+  EXPECT_EQ(stats.cache_hits, world.groups.size() - 1);
+  EXPECT_EQ(stats.cache_misses, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -622,7 +699,7 @@ TEST(SweepFleet, MatchesIndependentRunsForAnyWorkerCount) {
   for (const int workers : {1, 2, 3}) {
     const std::string dir =
         fresh_dir("sweep-fleet-eq-" + std::to_string(workers));
-    SweepFleetOptions options;
+    FleetOptions options;
     options.workers = workers;
     options.cache_dir = dir;
     options.reduce_runtime = RuntimeOptions{workers % 3 + 1};
@@ -662,7 +739,7 @@ TEST(SweepFleet, AllWorkersCrashedStillMatchesIndependentRuns) {
                                             nullptr, {}, {}, pack));
   }
 
-  SweepFleetOptions options;
+  FleetOptions options;
   options.workers = 2;
   options.cache_dir = fresh_dir("sweep-fleet-crash");
   options.faults.seed = 17;
@@ -695,7 +772,7 @@ TEST(SweepFleet, WarmRerunIsIdempotentAndVandalismIsRepaired) {
   const std::vector<ScenarioPack> packs = {sweep_drain_pack()};
   const std::string dir = fresh_dir("sweep-fleet-warm");
 
-  SweepFleetOptions options;
+  FleetOptions options;
   options.workers = 2;
   options.cache_dir = dir;
   RunStats cold_stats;
@@ -711,12 +788,13 @@ TEST(SweepFleet, WarmRerunIsIdempotentAndVandalismIsRepaired) {
   EXPECT_EQ(warm_stats.faults.degraded_shards, 0u);
 
   // Truncate the first published slice artifact in place: the idempotence
-  // probe rejects it (size change misses the reader memo), the worker
-  // rebuilds both files, and the result is unchanged.
+  // probe's open() rejects it, the worker rebuilds both files, and the
+  // result is unchanged.
   const World perturbed = apply_scenario(world, packs[0]);
   const std::vector<std::size_t> affected = affected_groups(world, packs[0]);
   ASSERT_GT(affected.size(), 0u);
-  const std::uint64_t base_key = sweep_base_key(perturbed, dc, {}, packs[0]);
+  const std::uint64_t base_key =
+      sweep_fleet_job(world, perturbed, dc, {}, packs[0]).base_key;
   const ShardRange slice = ShardPlan::make(affected.size(), 2).shard(0);
   ASSERT_FALSE(slice.empty());
   const std::string artifact_path = ingest_artifact_path(

@@ -959,7 +959,7 @@ TEST(FaultsimEndToEnd, WorkerCrashCountersMatchInjectedFaultsExactly) {
   }
   EXPECT_GT(expected.worker_crashes, 0u);
 
-  ScaleOptions options;
+  FleetOptions options;
   options.workers = workers;
   options.cache_dir = ::testing::TempDir() + "fbedge-workercrash-recount";
   options.faults = plan;

@@ -1,13 +1,14 @@
 // fbedge_scale: multi-process shard coordinator over the ingest-artifact
 // cache (src/distrib/).
 //
-// Coordinator mode partitions the group space across N worker processes
-// (re-invocations of this binary in hidden --shard-worker mode), each of
-// which ingests its contiguous group block and publishes a shard ingest
-// artifact + manifest into the shared cache directory; the coordinator
-// then reduces shard by shard in shard order. stdout is byte-identical
-// for any worker count — including --workers 0, which runs the plain
-// in-process run_edge_analysis — so equivalence is checked with `diff`.
+// Coordinator mode runs the scale fleet job (every group of the world) on
+// N worker processes, re-invocations of this binary in hidden
+// --shard-worker mode. Each ingests its contiguous group block and
+// publishes a shard ingest artifact + manifest into the shared cache
+// directory; the coordinator then reduces shard by shard in shard order.
+// stdout is byte-identical for any worker count — including --workers 0,
+// which runs the plain in-process run_edge_analysis — so equivalence is
+// checked with `diff`.
 //
 //   fbedge_scale [groups] [--days D] [--workers N] [--threads R]
 //                [--worker-threads T] [--cache-dir DIR] [--max-attempts M]
@@ -24,15 +25,16 @@
 //                      wall time / sessions-per-second / per-worker RSS
 //                      per count (the BENCH_scale.json generator)
 //
-// Worker mode (spawned by the coordinator, not for direct use):
+// Worker mode (spawned by the coordinator, not for direct use): build the
+// world, build the scale fleet job, run_fleet_worker.
 //   fbedge_scale --shard-worker S/N --attempt A ... --cache-dir DIR
 //
 // Values are checked whole: groups, --days and --max-attempts must be
 // integers >= 1, --workers, --threads, --worker-threads and --attempt
 // integers >= 0, --worker-crash-rate a number in [0, 1], --fault-seed an
 // unsigned integer, --sweep a comma-separated list of integers >= 0 and
-// --shard-worker S/N two integers with 0 <= S < N; anything else exits 2
-// with the usage line.
+// --shard-worker S/N two integers with 0 <= S < N; --attempt is accepted
+// only with --shard-worker. Anything else exits 2 with the usage line.
 #include <sys/stat.h>
 
 #include <chrono>
@@ -46,7 +48,6 @@
 #include "analysis/format.h"
 #include "bench_common.h"
 #include "distrib/coordinator.h"
-#include "distrib/shard_manifest.h"
 #include "distrib/subprocess.h"
 #include "util/binio.h"
 #include "util/int_flags.h"
@@ -73,6 +74,7 @@ struct ScaleCli {
   int worker_shard{0};
   int worker_count{1};
   int worker_attempt{0};
+  bool attempt_given{false};
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -134,12 +136,14 @@ ScaleCli parse_cli(int argc, char** argv) {
       cli.worker_mode = true;
     } else if (arg == "--attempt") {
       cli.worker_attempt = flags::parse_int(next(), 0, usage, argv[0]);
+      cli.attempt_given = true;
     } else if (!arg.empty() && arg[0] != '-') {
       cli.groups_per_continent = flags::parse_int(arg, 1, usage, argv[0]);
     } else {
       usage(argv[0]);
     }
   }
+  if (cli.attempt_given && !cli.worker_mode) usage(argv[0]);
   return cli;
 }
 
@@ -300,8 +304,9 @@ int run_worker_mode(const ScaleCli& cli) {
   spec.workers = cli.worker_count;
   spec.attempt = cli.worker_attempt;
   spec.cache_dir = cli.cache_dir;
-  return run_shard_worker(world, dataset, {}, spec, cli_faults(cli),
-                          RuntimeOptions{cli.worker_threads});
+  return run_fleet_worker(world, dataset, {},
+                          scale_fleet_job(world, dataset, {}), spec,
+                          cli_faults(cli), RuntimeOptions{cli.worker_threads});
 }
 
 struct ScaleRun {
@@ -321,7 +326,7 @@ ScaleRun run_once(const ScaleCli& cli, const World& world,
                                    RuntimeOptions{cli.threads}, &run.stats, {},
                                    cache);
   } else {
-    ScaleOptions options;
+    FleetOptions options;
     options.workers = workers;
     options.worker_threads = cli.worker_threads;
     options.cache_dir = cache_dir;
@@ -330,7 +335,8 @@ ScaleRun run_once(const ScaleCli& cli, const World& world,
     if (!cli.in_process) {
       ScaleCli worker_cli = cli;
       worker_cli.workers = workers;
-      options.launcher = [&, worker_cli](int shard, int attempt) {
+      options.launcher = [&, worker_cli](const FleetJob&, int shard,
+                                         int attempt) {
         return spawn_worker(
             worker_argv(self, worker_cli, cache_dir, shard, attempt));
       };
@@ -342,20 +348,6 @@ ScaleRun run_once(const ScaleCli& cli, const World& world,
                          std::chrono::steady_clock::now() - start)
                          .count();
   return run;
-}
-
-void add_scale_json(bench::JsonOutput& json, const ScaleRun& run) {
-  bench::add_runtime_json(json, run.stats);
-  json.add("runtime_workers_spawned",
-           static_cast<double>(run.stats.workers_spawned));
-  json.add("runtime_worker_failures",
-           static_cast<double>(run.stats.worker_failures));
-  json.add("runtime_worker_retries",
-           static_cast<double>(run.stats.faults.worker_retries));
-  json.add("runtime_degraded_shards",
-           static_cast<double>(run.stats.faults.degraded_shards));
-  json.add("runtime_worker_rss_peak",
-           static_cast<double>(run.stats.worker_rss_peak_bytes));
 }
 
 int run_sweep(const ScaleCli& cli, const std::string& self) {
@@ -466,6 +458,6 @@ int main(int argc, char** argv) {
                ? static_cast<double>(run.result.sessions_analyzed) /
                      run.wall_seconds
                : 0);
-  add_scale_json(json, run);
+  bench::add_runtime_json(json, run.stats);
   return json.write() ? 0 : 1;
 }

@@ -24,12 +24,15 @@
 // reused/recomputed" line (pure functions of world x pack, so still
 // thread-count invariant). --workers N > 0 additionally fans each
 // scenario's affected ingest across N worker processes through the distrib
-// sweep fleet (requires --cache-dir; workers are this binary re-invoked in
-// the hidden --sweep-worker mode).
+// sweep fleet (requires --sweep and --cache-dir; workers are this binary
+// re-invoked in the hidden --sweep-worker mode, which builds the perturbed
+// world, builds the scenario's fleet job and runs run_fleet_worker).
 //
 // Numbers are checked whole: groups and --days must be integers >= 1,
 // --threads, --workers and --attempt integers >= 0, and --sweep-worker S/N
-// two integers with 0 <= S < N; anything else exits 2 with the usage line.
+// two integers with 0 <= S < N. --workers above 0 needs --sweep, and
+// --attempt needs --sweep-worker. Anything else exits 2 with the usage
+// line.
 #include <dirent.h>
 
 #include <algorithm>
@@ -146,6 +149,7 @@ int main(int argc, char** argv) {
   int worker_shard = -1;
   int worker_count = 0;
   int worker_attempt = 0;
+  bool attempt_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
@@ -170,11 +174,16 @@ int main(int argc, char** argv) {
       worker_count = spec.count;
     } else if (arg == "--attempt" && i + 1 < argc) {
       worker_attempt = flags::parse_int(argv[++i], 0, usage, argv[0]);
+      attempt_given = true;
     } else if (!arg.empty() && arg[0] != '-') {
       rc.world.groups_per_continent = flags::parse_int(arg, 1, usage, argv[0]);
     } else {
       usage(argv[0]);
     }
+  }
+  if ((sweep_workers > 0 && sweep_dir.empty()) ||
+      (attempt_given && worker_shard < 0)) {
+    usage(argv[0]);
   }
 
   if (!sweep_dir.empty()) {
@@ -202,13 +211,16 @@ int main(int argc, char** argv) {
                    "--scenario and a --cache-dir\n");
       return 2;
     }
-    SweepWorkerSpec spec;
+    const World perturbed = apply_scenario(world, packs[0]);
+    WorkerSpec spec;
     spec.shard = worker_shard;
     spec.workers = worker_count;
     spec.attempt = worker_attempt;
     spec.cache_dir = rc.cache.dir;
-    return run_sweep_worker(world, rc.dataset, {}, packs[0], spec, {},
-                            rc.runtime);
+    return run_fleet_worker(
+        perturbed, rc.dataset, {},
+        sweep_fleet_job(world, perturbed, rc.dataset, {}, packs[0]), spec, {},
+        rc.runtime);
   }
 
   // ---- sweep mode: one pass over the baseline and every pack's footprint --
@@ -219,13 +231,23 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "fbedge_whatif: --workers needs --cache-dir\n");
         return 2;
       }
-      SweepFleetOptions options;
+      FleetOptions options;
       options.workers = sweep_workers;
       options.worker_threads = rc.runtime.threads;
       options.cache_dir = rc.cache.dir;
       options.reduce_runtime = rc.runtime;
       const std::string self = self_executable_path(argv[0]);
-      options.launcher = [&](int scenario, int shard, int attempt) {
+      // A fleet job names its scenario by base key.
+      std::vector<std::uint64_t> job_keys;
+      for (const ScenarioPack& pack : packs) {
+        job_keys.push_back(sweep_fleet_job(world, apply_scenario(world, pack),
+                                           rc.dataset, {}, pack)
+                               .base_key);
+      }
+      options.launcher = [&](const FleetJob& job, int shard, int attempt) {
+        const auto scenario =
+            std::find(job_keys.begin(), job_keys.end(), job.base_key) -
+            job_keys.begin();
         char shard_arg[32];
         std::snprintf(shard_arg, sizeof(shard_arg), "%d/%d", shard,
                       sweep_workers);
