@@ -936,6 +936,49 @@ void ingest_groups_to_blobs(
   }
 }
 
+void run_cached_pass(const World& world, const DatasetConfig& config,
+                     const GoodputConfig& goodput,
+                     const IngestCacheOptions& cache, RunStats* stats,
+                     const CachedPassFn& pass) {
+  IngestArtifactReader artifact;
+  if (!cache.enabled()) {
+    pass(artifact, nullptr);
+    return;
+  }
+  const std::uint64_t n = world.groups.size();
+  const std::uint64_t key = ingest_cache_key(world, config, goodput);
+  const std::string path = ingest_artifact_path(cache.dir, key);
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool warm = artifact.open_index(path, key, n);
+  if (stats) stats->cache_load_seconds += seconds_since(t0);
+  // Each pool task reads and checks its group's blob, so every blob is
+  // read once, where it is used. A blob that failed its checksum or its
+  // summary cold-ingested its group; then the pass is redone cold.
+  if (warm) {
+    const std::uint64_t served = pass(artifact, nullptr);
+    if (stats) stats->cache_read_bytes += artifact.bytes_read();
+    if (served == n) {
+      if (stats) stats->cache_hits += n;
+      return;
+    }
+    artifact.close();
+  }
+  // Each task saves into its group's own slot, so the artifact's bytes do
+  // not depend on the thread count.
+  std::vector<std::string> blobs(n);
+  const EdgeReducer::SaveFn save = [&blobs](std::size_t g, std::string&& blob) {
+    blobs[g] = std::move(blob);
+  };
+  pass(artifact, &save);
+  const auto t1 = std::chrono::steady_clock::now();
+  const bool written = write_ingest_artifact(path, key, blobs);
+  if (stats) {
+    stats->cache_misses += n;
+    stats->cache_save_seconds += seconds_since(t1);
+    if (!written) ++stats->cache_write_failures;
+  }
+}
+
 EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& config,
                                      const AnalysisThresholds& thresholds,
                                      const ComparisonConfig& comparison,
@@ -961,63 +1004,19 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
   // Faulted runs bypass the cache entirely — no read, no write. A faulted
   // series must never be persisted (it would poison fault-free runs), and
   // serving a clean artifact to a faulted run would silently disable the
-  // injection under test.
-  const bool use_cache = cache.enabled() && !faults.enabled();
-  const std::size_t group_count = world.groups.size();
-  std::uint64_t cache_key = 0;
-  std::string artifact_path;
-  IngestArtifactReader artifact;
-  bool warm = false;
-  if (use_cache) {
-    cache_key = ingest_cache_key(world, config, goodput);
-    artifact_path = ingest_artifact_path(cache.dir, cache_key);
-    const auto t0 = std::chrono::steady_clock::now();
-    warm = artifact.open_index(artifact_path, cache_key, group_count);
-    if (stats) stats->cache_load_seconds += seconds_since(t0);
-  }
-
-  // One EdgeReducer pass over [0, n): partials fold in group-id order, so
-  // the result does not depend on the thread count. A faulted run is the
-  // uncached cold pass, task-abort retries included.
-  const ShardRange all{0, group_count};
-  if (warm) {
-    // Each pool task reads and checks its group's blob, so every blob is
-    // read once, where it is used. The artifact is served whole or not at
-    // all: if any blob failed its checksum or load_group_series (that group
-    // cold-ingested in the pass), the run is redone cold below and the
-    // artifact rewritten.
-    EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
-    reducer.reduce_range(all, artifact, runtime, stats);
-    if (stats) stats->cache_read_bytes += artifact.bytes_read();
-    if (reducer.blob_groups() == group_count) {
-      if (stats) stats->cache_hits += group_count;
-      return reducer.finish();
-    }
-  }
-  // Cold: on a cache-enabled run each group additionally serializes its
-  // series into `blobs[g]` (each slot written by exactly one task), so warm,
-  // cold, and uncached runs stay byte-identical.
-  EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
-  std::vector<std::string> blobs;
-  EdgeReducer::SaveFn save_fn;
-  if (use_cache) {
-    blobs.resize(group_count);
-    save_fn = [&blobs](std::size_t g, std::string&& blob) {
-      blobs[g] = std::move(blob);
-    };
-  }
-  reducer.reduce_range(all, EdgeReducer::BlobFn{}, runtime, stats,
-                       use_cache ? &save_fn : nullptr);
-  if (use_cache) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
-    if (stats) {
-      stats->cache_misses += group_count;
-      stats->cache_save_seconds += seconds_since(t0);
-      if (!written) ++stats->cache_write_failures;
-    }
-  }
-  return reducer.finish();
+  // injection under test. One EdgeReducer pass over [0, n), task-abort
+  // retries included: partials fold in group-id order at any thread count.
+  EdgeAnalysisResult out;
+  run_cached_pass(
+      world, config, goodput, faults.enabled() ? IngestCacheOptions{} : cache,
+      stats, [&](const IngestArtifactReader& reader, const EdgeReducer::SaveFn* save) {
+        EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
+        reducer.reduce_range(ShardRange{0, world.groups.size()}, reader, runtime,
+                             stats, save);
+        out = reducer.finish();
+        return reducer.blob_groups();
+      });
+  return out;
 }
 
 }  // namespace fbedge

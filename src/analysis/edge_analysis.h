@@ -142,7 +142,7 @@ struct EdgeAnalysisResult {
 /// generation entirely. Warm runs are byte-identical to cold runs at any
 /// thread count. An artifact is served whole or not at all: any unusable
 /// artifact, or one blob that fails its checksum or its load during the
-/// warm pass, silently falls back to a cold run that rewrites it.
+/// warm pass, falls back to a cold run that rewrites it (run_cached_pass).
 /// Runs with any fault injected bypass the cache completely (no read, no
 /// write) — faulted series must never poison or be served from the cache.
 ///

@@ -115,6 +115,24 @@ class EdgeReducer {
   std::unique_ptr<Impl> impl_;
 };
 
+/// One reduce over every group of a world: group g reads blob g of
+/// `reader` (a closed reader serves none), and `save`, when non-null,
+/// receives each cold-ingested group's series. Returns the groups a blob
+/// served.
+using CachedPassFn = std::function<std::uint64_t(
+    const IngestArtifactReader& reader, const EdgeReducer::SaveFn* save)>;
+
+/// The local ingest cache's one rule (DESIGN.md §4e), for run_edge_analysis
+/// and run_scenario_sweep. Without a cache dir, runs `pass` once. With one,
+/// opens the index of `world`'s artifact and runs `pass` warm; unless that
+/// served every group, runs `pass` again cold with a save hook and rewrites
+/// the artifact (write_ingest_artifact). Counts n hits or n misses, read
+/// bytes, load and save time and write failures into `stats`.
+void run_cached_pass(const World& world, const DatasetConfig& config,
+                     const GoodputConfig& goodput,
+                     const IngestCacheOptions& cache, RunStats* stats,
+                     const CachedPassFn& pass);
+
 /// One perturbed world of a sweep pass: a scenario applied to the
 /// baseline world, which differs from the baseline only in the groups
 /// listed in `affected` (scenario/sweep.h affected_groups()).

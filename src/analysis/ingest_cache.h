@@ -14,7 +14,7 @@
 // Failure policy: the cache can only ever make a run faster, never wrong
 // and never dead. A missing, truncated, checksum-failing, wrong-epoch, or
 // wrong-key artifact reads as a miss and the run falls back to cold
-// ingest (run_edge_analysis decides after its pass: one bad blob makes the
+// ingest (run_cached_pass decides after its pass: one bad blob makes the
 // whole artifact a miss); a failed write is counted
 // (RunStats::cache_write_failures) and otherwise ignored.
 #pragma once
@@ -34,7 +34,7 @@
 namespace fbedge {
 
 /// Cache knobs threaded from the CLI (`--cache-dir`, FBEDGE_CACHE_DIR)
-/// into run_edge_analysis. Default (empty dir) disables caching entirely.
+/// into run_cached_pass. Default (empty dir) disables caching entirely.
 struct IngestCacheOptions {
   /// Directory holding artifacts; created, with any missing parents, on
   /// first write. Empty = off.
@@ -53,9 +53,9 @@ std::uint64_t ingest_cache_key(const World& world, const DatasetConfig& config,
 /// Artifact file path for a key inside `dir`.
 std::string ingest_artifact_path(const std::string& dir, std::uint64_t key);
 
-/// A loaded artifact: `bytes` holds every group's serialized GroupSeries
-/// back to back, and `blobs` each one's (offset, length) into `bytes`, in
-/// group-id order.
+/// A loaded artifact (read_ingest_artifact): `bytes` holds every group's
+/// serialized GroupSeries back to back, and `blobs` each one's (offset,
+/// length) into `bytes`, in group-id order.
 struct IngestArtifact {
   std::string bytes;
   std::vector<std::pair<std::size_t, std::size_t>> blobs;
@@ -70,15 +70,15 @@ inline constexpr std::size_t kAnyGroupCount = static_cast<std::size_t>(-1);
 /// IngestArtifactReader open_index() followed by read() of each blob, so
 /// each blob is read and checked exactly once and the validation is
 /// exactly open()'s. Returns false — leaving `artifact` empty — on any
-/// failure. For callers that need all blobs resident at once
-/// (tools/fbedge_analyze).
+/// failure. No library or tool path holds a whole artifact any more; the
+/// benchmark's traced edge calls (perfbench/) still do.
 bool read_ingest_artifact(const std::string& path, std::uint64_t key,
                           std::size_t expected_groups, IngestArtifact& artifact);
 
 /// Atomically writes an artifact (temp file + rename, so readers never see
-/// a partial file) containing one blob per group in group-id order.
-/// Returns false on I/O failure (the run simply stays uncached; callers
-/// count it in RunStats::cache_write_failures).
+/// a partial file) of one blob per group in group-id order: the cold
+/// write of run_cached_pass. Returns false on I/O failure (the run simply
+/// stays uncached; callers count it in RunStats::cache_write_failures).
 bool write_ingest_artifact(const std::string& path, std::uint64_t key,
                            const std::vector<std::string>& blobs);
 
@@ -99,13 +99,12 @@ bool write_ingest_artifact(const std::string& path, std::uint64_t key,
 /// it. Memory stays at the index plus the largest blob, whatever the
 /// artifact's size.
 ///
-/// Access paths: the warm run_edge_analysis, read_ingest_artifact and the
-/// worker fleet's shard open (open_fleet_shard: the scale coordinator's
-/// reduce and the sweep's slice collection) use open_index() and check
-/// each blob where they read it, so every blob is read and hashed once.
-/// Callers that must vouch for the whole artifact before any blob is used
-/// — the fleet workers' idempotence probes and the scenario sweep's
-/// baseline — use open().
+/// Access paths: every reader of blobs opens the index only and checks
+/// each blob where it reads it, so every blob is read and hashed once:
+/// run_cached_pass (the warm run_edge_analysis and sweep baseline), the
+/// fleet's shard open (open_fleet_shard), tools/fbedge_analyze and
+/// read_ingest_artifact. open() serves only the fleet worker's idempotence
+/// probe, which vouches for a whole shard before it skips rebuilding it.
 ///
 /// After either open, read(i) may be called from any number of threads at
 /// once, in any order: it preads blob i (no mmap, so a file truncated

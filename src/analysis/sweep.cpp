@@ -3,23 +3,12 @@
 // the groups it does not touch.
 #include "analysis/sweep.h"
 
-#include <chrono>
 #include <utility>
 
 #include "analysis/edge_reduce.h"
-#include "analysis/ingest_cache.h"
 #include "util/expect.h"
 
 namespace fbedge {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 SweepOutcome run_scenario_sweep(
     const World& world, const DatasetConfig& config,
@@ -52,19 +41,6 @@ SweepOutcome run_scenario_sweep(
 
   const std::size_t n = world.groups.size();
 
-  // ---- baseline artifact: open and validate; blobs are read in the pass ---
-  std::uint64_t cache_key = 0;
-  std::string artifact_path;
-  IngestArtifactReader artifact;
-  bool warm = false;
-  if (cache.enabled()) {
-    cache_key = ingest_cache_key(world, config, goodput);
-    artifact_path = ingest_artifact_path(cache.dir, cache_key);
-    const auto t0 = std::chrono::steady_clock::now();
-    warm = artifact.open(artifact_path, cache_key, n);
-    if (stats) stats->cache_load_seconds += seconds_since(t0);
-  }
-
   // ---- scenarios: perturbed world, footprint, fleet blobs -----------------
   std::vector<SweepPassWorld> worlds(packs.size());
   std::vector<FaultCounters> applied(packs.size());
@@ -83,31 +59,24 @@ SweepOutcome run_scenario_sweep(
   }
 
   // ---- one pass: every baseline group plus every affected group -----------
-  std::vector<std::string> blobs;
-  EdgeReducer::SaveFn save_fn;
-  if (cache.enabled() && !warm) {
-    blobs.resize(n);
-    save_fn = [&blobs](std::size_t g, std::string&& blob) {
-      blobs[g] = std::move(blob);
-    };
-  }
-  SweepPassResult pass =
-      reduce_sweep_pass(world, worlds, config, thresholds, comparison, goodput,
-                        artifact, runtime, stats, save_fn ? &save_fn : nullptr);
-  if (cache.enabled() && stats) {
-    stats->cache_read_bytes += artifact.bytes_read();
-    stats->cache_hits += pass.baseline_blob_groups;
-    stats->cache_misses +=
-        static_cast<std::uint64_t>(n) - pass.baseline_blob_groups;
-  }
-  if (cache.enabled() && !warm) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool written = write_ingest_artifact(artifact_path, cache_key, blobs);
-    if (stats) {
-      stats->cache_save_seconds += seconds_since(t0);
-      if (!written) ++stats->cache_write_failures;
-    }
-  }
+  // When a warm pass met a bad baseline blob, its results are still exact
+  // (that group was cold-ingested in its task), so the cold rerun that
+  // rewrites the artifact redoes the baseline alone and keeps the warm
+  // pass's scenario results.
+  SweepPassResult pass;
+  bool scenarios_done = false;
+  const std::vector<SweepPassWorld> baseline_only;
+  run_cached_pass(
+      world, config, goodput, cache, stats,
+      [&](const IngestArtifactReader& reader, const EdgeReducer::SaveFn* save) {
+        SweepPassResult next = reduce_sweep_pass(
+            world, scenarios_done ? baseline_only : worlds, config, thresholds,
+            comparison, goodput, reader, runtime, stats, save);
+        if (scenarios_done) next.scenarios = std::move(pass.scenarios);
+        pass = std::move(next);
+        scenarios_done = true;
+        return pass.baseline_blob_groups;
+      });
 
   out.baseline = std::move(pass.baseline);
   for (std::size_t k = 0; k < packs.size(); ++k) {

@@ -9,13 +9,13 @@
 // affected_groups(world, pack) produce bitwise-identical series under the
 // perturbed world. run_scenario_sweep() exploits that:
 //
-//   1. Open the baseline's ingest artifact when a cache dir is configured,
-//      apply every pack and resolve its footprint, and ask the fleet hook
-//      (if any) for each scenario's affected blobs.
+//   1. Apply every pack, resolve its footprint, and ask the fleet hook (if
+//      any) for each scenario's affected blobs.
 //   2. Run one pool pass (analysis/edge_reduce.h reduce_sweep_pass) over
-//      every baseline group — a warm blob read or a cold ingest — plus
-//      every (scenario, affected group) pair under its perturbed world,
-//      heaviest first, so the slow groups of every scenario overlap.
+//      every baseline group — its artifact served whole or not at all by
+//      run_cached_pass — plus every (scenario, affected group) pair under
+//      its perturbed world, heaviest first, so the slow groups of every
+//      scenario overlap.
 //   3. Fold the baseline's partials in ascending group-id order, and each
 //      scenario's the same way with its affected partials in place of the
 //      baseline's. An unaffected group's baseline partial is exactly what
@@ -87,10 +87,11 @@ using SweepAffectedBlobFn = std::function<bool(
 /// scenarios[k].result to run_edge_analysis with packs[k], for any
 /// --threads — whether each baseline group came from a warm artifact
 /// blob or a cold ingest, and whether affected blobs came from
-/// `affected_blobs` or in-process ingest. With a cache dir, a cold
-/// baseline writes its artifact and RunStats counts baseline cache hits
-/// and misses. `faults` enabled degrades to independent full runs (reuse
-/// bypassed, counters zero).
+/// `affected_blobs` or in-process ingest. With a cache dir the baseline is
+/// served whole from its artifact or not at all (run_cached_pass), and
+/// RunStats counts n baseline cache hits or n misses; when a bad blob
+/// sends the baseline back cold, the warm pass's scenario results stand. `faults` enabled
+/// degrades to independent full runs (reuse bypassed, counters zero).
 SweepOutcome run_scenario_sweep(
     const World& world, const DatasetConfig& config,
     const AnalysisThresholds& thresholds, const ComparisonConfig& comparison,

@@ -119,6 +119,7 @@ std::vector<bool> run_worker_fleet(const World& world,
   };
   const int max_attempts = std::max(1, options.faults.worker_max_attempts);
   const RuntimeOptions worker_runtime{options.worker_threads};
+  RunStats spawn;  // its wall: no pool pass of the run covers this phase
   const auto outcomes = parallel_map(
       static_cast<std::size_t>(options.workers),
       RuntimeOptions{options.workers}, [&](std::size_t s) {
@@ -151,7 +152,8 @@ std::vector<bool> run_worker_fleet(const World& world,
           }
         }
         return out;
-      });
+      },
+      &spawn);
 
   FaultCounters fleet_faults;
   std::vector<bool> published;
@@ -167,6 +169,7 @@ std::vector<bool> run_worker_fleet(const World& world,
           std::max(stats->worker_rss_peak_bytes, out.rss_peak);
     }
   }
+  if (stats) stats->wall_seconds += spawn.wall_seconds;
   if (stats) stats->faults.accumulate(fleet_faults);
   if (faults) faults->accumulate(fleet_faults);
   return published;

@@ -113,8 +113,9 @@ struct FleetOptions {
 /// recomputing worker_crash_decision — never by trusting an exit code a
 /// real bug could collide with. The per-shard tallies (spawned, failures,
 /// crashes, retries, degraded shards, worker peak RSS) fold in shard order
-/// into `stats` and `faults`, so they are independent of completion order.
-/// Returns whether each shard published.
+/// into `stats` and `faults`, so they are independent of completion order,
+/// and the phase's wall time adds to stats->wall_seconds. Returns whether
+/// each shard published.
 std::vector<bool> run_worker_fleet(const World& world,
                                    const DatasetConfig& config,
                                    GoodputConfig goodput, const FleetJob& job,

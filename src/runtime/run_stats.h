@@ -142,13 +142,13 @@ struct RunStats {
   std::uint64_t cache_hits{0};
   std::uint64_t cache_misses{0};
   /// Artifact blob bytes read and checked against their checksums
-  /// (IngestArtifactReader::read(), an eager open() pass included). A warm
-  /// run_edge_analysis reads each blob once: the artifact's blob bytes.
+  /// (IngestArtifactReader::read()): a warm run reads each blob once, so
+  /// this is the artifact's blob bytes.
   std::uint64_t cache_read_bytes{0};
-  /// Wall time spent opening and writing cache artifacts. Blob reads
-  /// happen inside the reduce's pool tasks, so their time is part of
-  /// wall_seconds, not cache_load_seconds; on the warm run_edge_analysis
-  /// path the open reads only the index.
+  /// Wall time spent opening and writing cache artifacts. Library opens
+  /// read only the index; blob reads happen inside the reduce's pool
+  /// tasks, so their time is part of wall_seconds (fbedge_analyze, which
+  /// reads its blobs outside any pool, counts them here).
   double cache_load_seconds{0};
   double cache_save_seconds{0};
   /// Artifact writes that failed (unwritable or unreachable cache dir):

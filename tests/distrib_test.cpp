@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -648,6 +649,28 @@ TEST(ScaleAnalysis, CorruptBlobColdIngestsOnlyItsGroup) {
   expect_results_eq(cold, warm);
   EXPECT_EQ(stats.cache_hits, world.groups.size() - 1);
   EXPECT_EQ(stats.cache_misses, 1u);
+}
+
+TEST(WorkerFleet, WallCoversTheSpawnPhase) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  // Each worker attempt takes 0.3 s and publishes nothing. The two shards
+  // run side by side, so the spawn phase takes at least 0.3 s, and no
+  // pool pass covers it.
+  FleetOptions options;
+  options.workers = 2;
+  options.cache_dir = fresh_dir("fleet-wall");
+  options.launcher = [](const FleetJob&, int, int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    WorkerExit exit;
+    exit.spawned = true;
+    exit.status = 0;
+    return exit;
+  };
+  RunStats stats;
+  run_worker_fleet(world, dc, {}, scale_fleet_job(world, dc, {}), options, &stats);
+  EXPECT_EQ(stats.workers_spawned, 2u);
+  EXPECT_GE(stats.wall_seconds, 0.3);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,29 +19,7 @@
 # EXPERIMENTS.md in the same change, and says why. A change that is not
 # meant to move one must leave every golden file as it is.
 
-# Runs the command in ARGN, fails unless it exits 0, and stores its stdout
-# in `out_var`.
-function(run_ok out_var)
-  execute_process(COMMAND ${ARGN}
-                  RESULT_VARIABLE status
-                  OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err
-                  TIMEOUT 120)
-  if(NOT status STREQUAL "0")
-    string(REPLACE ";" " " command "${ARGN}")
-    message(FATAL_ERROR "${command}: exit status '${status}'\n${err}")
-  endif()
-  set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
-
-# Fails unless the JSON file `path` holds `key` equal to `want`.
-function(expect_json path key want)
-  file(READ "${path}" json)
-  string(JSON got GET "${json}" "${key}")
-  if(NOT got EQUAL want)
-    message(FATAL_ERROR "${path}: ${key} = ${got}, expected ${want}")
-  endif()
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/equivalence_lib.cmake)
 
 # Fails unless `got` is the golden stdout of `bench`, leaving `got` in WORK
 # for a diff.

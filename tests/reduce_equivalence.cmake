@@ -1,12 +1,9 @@
 # Every caller of the edge reduce prints the same stdout however the reduce
 # is reached. Registered as the reduce_equivalence ctest in
 # tests/CMakeLists.txt, mostly at reduced size; CI's full-size jobs run the
-# same comparisons at default size.
+# same comparisons at default size. fig9_opportunity's uncached, cold and
+# warm runs are checked in cache_equivalence.cmake.
 #
-#   FIG9      the built fig9_opportunity: no cache, a cold --cache-dir run
-#             and the warm run after it, at --threads 1 and 4. Warm must be
-#             served from the artifact (runtime_cache_hits = groups, no
-#             misses).
 #   SCALE     the built fbedge_scale: --workers 0 --threads 4 (in process)
 #             against 1 and 3 worker subprocesses, each spawned once with
 #             no failure; then, at full size (6 groups per continent, 2
@@ -21,46 +18,7 @@
 #             in-process sweep's stdout, spawning each shard once.
 #   WORK      a directory this script may empty and fill.
 
-# Runs the command in ARGN, fails unless it exits 0, and stores its stdout
-# in `out_var`.
-function(run_ok out_var)
-  execute_process(COMMAND ${ARGN}
-                  RESULT_VARIABLE status
-                  OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err
-                  TIMEOUT 120)
-  if(NOT status STREQUAL "0")
-    string(REPLACE ";" " " command "${ARGN}")
-    message(FATAL_ERROR "${command}: exit status '${status}'\n${err}")
-  endif()
-  set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
-
-# Fails unless the JSON file `path` holds `key` equal to `want`.
-function(expect_json path key want)
-  file(READ "${path}" json)
-  string(JSON got GET "${json}" "${key}")
-  if(NOT got EQUAL want)
-    message(FATAL_ERROR "${path}: ${key} = ${got}, expected ${want}")
-  endif()
-endfunction()
-
-# Stores in `out_var` every member of the JSON file `path` outside the
-# runtime_* keys (walls, counters, cache and worker tallies), one per line.
-function(json_without_runtime out_var path)
-  file(READ "${path}" json)
-  string(JSON count LENGTH "${json}")
-  math(EXPR last "${count} - 1")
-  set(kept "")
-  foreach(i RANGE ${last})
-    string(JSON key MEMBER "${json}" ${i})
-    if(NOT key MATCHES "^runtime_")
-      string(JSON value GET "${json}" "${key}")
-      string(APPEND kept "${key}=${value}\n")
-    endif()
-  endforeach()
-  set(${out_var} "${kept}" PARENT_SCOPE)
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/equivalence_lib.cmake)
 
 # Fails unless `got` equals `want`, naming what differs.
 function(expect_same what want got)
@@ -71,25 +29,6 @@ endfunction()
 
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
-
-# ---- fig9_opportunity: no cache, cold, warm ---------------------------------
-set(groups 6)  # 1 group per continent
-foreach(threads 1 4)
-  set(cache "${WORK}/fig9-t${threads}")
-  run_ok(plain ${FIG9} 1 --threads ${threads})
-  if(NOT DEFINED fig9_reference)
-    set(fig9_reference "${plain}")
-  endif()
-  expect_same("fig9 --threads ${threads}, no cache" "${fig9_reference}" "${plain}")
-  run_ok(cold ${FIG9} 1 --threads ${threads} --cache-dir ${cache})
-  expect_same("fig9 --threads ${threads}, cold" "${fig9_reference}" "${cold}")
-  run_ok(warm ${FIG9} 1 --threads ${threads} --cache-dir ${cache}
-         --json ${WORK}/fig9-warm.json)
-  expect_same("fig9 --threads ${threads}, warm" "${fig9_reference}" "${warm}")
-  expect_json(${WORK}/fig9-warm.json runtime_cache_hits ${groups})
-  expect_json(${WORK}/fig9-warm.json runtime_cache_misses 0)
-endforeach()
-message("fig9_opportunity 1: stdout identical uncached, cold and warm at --threads 1 and 4")
 
 # ---- fbedge_scale: in process against worker subprocesses ------------------
 run_ok(scale_reference ${SCALE} 1 --days 1 --workers 0 --threads 4)

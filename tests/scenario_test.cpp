@@ -1131,7 +1131,7 @@ void flip_byte(const std::string& path, std::size_t offset) {
   ASSERT_TRUE(f.good());
 }
 
-TEST(ScenarioSweep, WarmBaselineIsReadBlobByBlobFromTheArtifact) {
+TEST(ScenarioSweep, WarmBaselineIsServedWholeOrNotAtAll) {
   const World world = build_world(small_world());
   const DatasetConfig dc = small_dataset();
   const std::size_t n = world.groups.size();
@@ -1150,16 +1150,18 @@ TEST(ScenarioSweep, WarmBaselineIsReadBlobByBlobFromTheArtifact) {
   EXPECT_EQ(warm_stats.cache_misses, 0u);
   EXPECT_EQ(warm_stats.cache_write_failures, 0u);
 
-  // open() re-hashes every blob, so a byte flipped before the sweep would
-  // make the whole artifact a miss. The fleet hook runs between open() and
-  // the pass: flip one byte of blob 1 there, and only group 1 cold-ingests.
+  // The fleet hook runs before the pass: flip one byte of blob 1 there.
+  // Only group 1's task finds it, and the baseline is served whole or not
+  // at all, so the baseline reruns cold and the artifact is rewritten. The
+  // rerun redoes the n baseline tasks alone: the scenario results of the
+  // warm pass do not depend on the artifact.
   const std::uint64_t key = ingest_cache_key(world, dc, {});
   const std::string path = ingest_artifact_path(cache.dir, key);
   std::size_t blob1_offset = 28;  // header: magic, epoch, key, count
   std::size_t blob1_size = 0;
   {
     IngestArtifactReader reader;
-    ASSERT_TRUE(reader.open(path, key, n));
+    ASSERT_TRUE(reader.open_index(path, key, n));
     std::string blob;
     ASSERT_TRUE(reader.read(0, blob));
     blob1_offset += blob.size();
@@ -1180,8 +1182,17 @@ TEST(ScenarioSweep, WarmBaselineIsReadBlobByBlobFromTheArtifact) {
                          &flipped_stats, {}, cache, flip_once);
   ASSERT_TRUE(flipped);
   EXPECT_EQ(sweep_verdicts(degraded), cold);
-  EXPECT_EQ(flipped_stats.cache_hits, n - 1);
-  EXPECT_EQ(flipped_stats.cache_misses, 1u);
+  EXPECT_EQ(flipped_stats.cache_hits, 0u);
+  EXPECT_EQ(flipped_stats.cache_misses, n);
+  EXPECT_EQ(flipped_stats.cache_write_failures, 0u);
+  EXPECT_EQ(flipped_stats.tasks, warm_stats.tasks + n);
+
+  RunStats again;
+  EXPECT_EQ(sweep_verdicts(run_scenario_sweep(world, dc, {}, {}, {}, packs,
+                                              threads(2), &again, {}, cache)),
+            cold);
+  EXPECT_EQ(again.cache_hits, n);
+  EXPECT_EQ(again.cache_misses, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // (always a clean miss, never a crash); concurrent, post-open-corrupted and
 // index-only IngestArtifactReader reads; and end-to-end warm == cold
 // equivalence through run_edge_analysis, including each blob read once,
-// the whole-or-nothing corruption fallback and failed artifact writes.
+// the whole-or-nothing corruption fallback and failed artifact writes —
+// the first two for run_scenario_sweep's baseline too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "analysis/edge_analysis.h"
 #include "analysis/edge_reduce.h"
 #include "analysis/ingest_cache.h"
+#include "analysis/sweep.h"
 #include "util/binio.h"
 #include "util/rng.h"
 
@@ -1066,6 +1068,21 @@ std::pair<std::size_t, std::size_t> blob_span(const std::string& image,
   return {offset, length};
 }
 
+/// A cached run through one of the local cache's two library users:
+/// run_edge_analysis, or (`sweep`) run_scenario_sweep with no pack, which
+/// is its baseline alone.
+EdgeAnalysisResult run_cached(bool sweep, const World& w, const DatasetConfig& dc,
+                              int threads, RunStats* stats,
+                              const IngestCacheOptions& cache) {
+  if (!sweep) {
+    return run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions{threads}, stats,
+                             {}, cache);
+  }
+  return run_scenario_sweep(w, dc, {}, {}, {}, {}, RuntimeOptions{threads}, stats,
+                            {}, cache)
+      .baseline;
+}
+
 TEST_F(IngestCacheEndToEnd, WarmRunReadsEachBlobOnce) {
   const World w = world();
   const DatasetConfig dc = dataset();
@@ -1073,18 +1090,19 @@ TEST_F(IngestCacheEndToEnd, WarmRunReadsEachBlobOnce) {
   const IngestCacheOptions cache{artifact_dir("read-once")};
   const std::string path =
       ingest_artifact_path(cache.dir, ingest_cache_key(w, dc, {}));
-  std::remove(path.c_str());
-  RunStats cold_stats;
-  run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential(), &cold_stats,
-                    {}, cache);
-  EXPECT_EQ(cold_stats.cache_read_bytes, 0u);  // nothing to read yet
-  const std::size_t file_size = slurp(path).size();
-  for (const int threads : {1, 3}) {
-    RunStats stats;
-    run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions{threads}, &stats, {},
-                      cache);
-    EXPECT_EQ(stats.cache_hits, n) << threads;
-    EXPECT_EQ(stats.cache_read_bytes, file_size - 28 - 16 * n - 8) << threads;
+  for (const bool sweep : {false, true}) {
+    SCOPED_TRACE(sweep ? "run_scenario_sweep" : "run_edge_analysis");
+    std::remove(path.c_str());
+    RunStats cold_stats;
+    run_cached(sweep, w, dc, 1, &cold_stats, cache);
+    EXPECT_EQ(cold_stats.cache_read_bytes, 0u);  // nothing to read yet
+    const std::size_t file_size = slurp(path).size();
+    for (const int threads : {1, 3}) {
+      RunStats stats;
+      run_cached(sweep, w, dc, threads, &stats, cache);
+      EXPECT_EQ(stats.cache_hits, n) << threads;
+      EXPECT_EQ(stats.cache_read_bytes, file_size - 28 - 16 * n - 8) << threads;
+    }
   }
 }
 
@@ -1095,39 +1113,37 @@ TEST_F(IngestCacheEndToEnd, BlobCorruptAtRestRerunsColdAndRewrites) {
   const IngestCacheOptions cache{artifact_dir("blob-at-rest")};
   const std::string path =
       ingest_artifact_path(cache.dir, ingest_cache_key(w, dc, {}));
-  const auto cold_run = [&] {
+  const auto cold_run = [&](bool sweep) {
     std::remove(path.c_str());
-    return run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential(),
-                             nullptr, {}, cache);
+    return run_cached(sweep, w, dc, 1, nullptr, cache);
   };
-  const EdgeAnalysisResult cold = cold_run();
+  const EdgeAnalysisResult cold = cold_run(false);
 
   // The header, index and footer stay intact, so the index-only open
   // succeeds and the bad blob is found only when its task reads it.
-  for (const std::size_t victim : {std::size_t{0}, n - 1}) {
-    for (const int threads : {1, 3}) {
-      SCOPED_TRACE(::testing::Message() << "blob " << victim << " threads " << threads);
-      cold_run();
-      const auto [offset, length] = blob_span(slurp(path), n, victim);
-      ASSERT_GT(length, 0u);
-      flip_byte_in_place(path, offset + length / 2);
+  for (const bool sweep : {false, true}) {
+    for (const std::size_t victim : {std::size_t{0}, n - 1}) {
+      for (const int threads : {1, 3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (sweep ? "run_scenario_sweep" : "run_edge_analysis")
+                     << " blob " << victim << " threads " << threads);
+        cold_run(sweep);
+        const auto [offset, length] = blob_span(slurp(path), n, victim);
+        ASSERT_GT(length, 0u);
+        flip_byte_in_place(path, offset + length / 2);
 
-      RunStats stats;
-      const auto out = run_edge_analysis(w, dc, {}, {}, {},
-                                         RuntimeOptions{threads}, &stats, {},
-                                         cache);
-      expect_results_eq(cold, out);
-      EXPECT_EQ(stats.cache_hits, 0u);
-      EXPECT_EQ(stats.cache_misses, n);
-      EXPECT_EQ(stats.cache_write_failures, 0u);
+        RunStats stats;
+        expect_results_eq(cold, run_cached(sweep, w, dc, threads, &stats, cache));
+        EXPECT_EQ(stats.cache_hits, 0u);
+        EXPECT_EQ(stats.cache_misses, n);
+        EXPECT_EQ(stats.cache_write_failures, 0u);
 
-      // The same run rewrote the artifact: the next one is served whole.
-      RunStats again;
-      expect_results_eq(cold, run_edge_analysis(w, dc, {}, {}, {},
-                                                RuntimeOptions{threads}, &again,
-                                                {}, cache));
-      EXPECT_EQ(again.cache_hits, n);
-      EXPECT_EQ(again.cache_misses, 0u);
+        // The same run rewrote the artifact: the next one is served whole.
+        RunStats again;
+        expect_results_eq(cold, run_cached(sweep, w, dc, threads, &again, cache));
+        EXPECT_EQ(again.cache_hits, n);
+        EXPECT_EQ(again.cache_misses, 0u);
+      }
     }
   }
 }

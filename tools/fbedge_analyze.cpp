@@ -17,6 +17,7 @@
 // over the same file skips parsing entirely and prints identical output.
 // Stdin input is never cached (no stable identity to key on).
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -66,20 +67,12 @@ bool load_cdf(ByteReader& r, WeightedCdf& cdf) {
   return true;
 }
 
-/// Artifact layout: blob 0 is the header (counters + summary CDFs), blobs
-/// 1..N each hold one group's key followed by its serialized series, in
-/// ascending key order so the artifact bytes are independent of the
-/// unordered_map's iteration order.
-std::vector<std::string> serialize_state(const IngestState& state) {
-  std::vector<std::string> blobs;
-  ByteWriter w;
-  w.u64(state.sessions);
-  w.u64(state.filtered);
-  w.u64(state.malformed);
-  save_cdf(state.minrtt, w);
-  save_cdf(state.hdratio, w);
-  blobs.push_back(w.take());
-
+/// Streams the state into the artifact at `path`: blob 0 is the header
+/// (counters + summary CDFs), blobs 1..N each hold one group's key followed
+/// by its serialized series, in ascending key order so the artifact bytes
+/// are independent of the unordered_map's iteration order.
+bool write_state(const std::string& path, std::uint64_t key,
+                 const IngestState& state) {
   std::vector<const std::pair<const UserGroupKey, GroupSeries>*> entries;
   entries.reserve(state.store.group_count());
   for (const auto& entry : state.store.groups()) entries.push_back(&entry);
@@ -91,6 +84,15 @@ std::vector<std::string> serialize_state(const IngestState& state) {
     if (ka.prefix.length != kb.prefix.length) return ka.prefix.length < kb.prefix.length;
     return ka.country.value < kb.country.value;
   });
+  IngestArtifactWriter writer;
+  if (!writer.open(path, key, 1 + entries.size())) return false;
+  ByteWriter w;
+  w.u64(state.sessions);
+  w.u64(state.filtered);
+  w.u64(state.malformed);
+  save_cdf(state.minrtt, w);
+  save_cdf(state.hdratio, w);
+  if (!writer.append(w.data())) return false;
   for (const auto* entry : entries) {
     w.clear();
     w.u32(entry->first.pop.value);
@@ -98,39 +100,41 @@ std::vector<std::string> serialize_state(const IngestState& state) {
     w.u32(static_cast<std::uint32_t>(entry->first.prefix.length));
     w.u32(entry->first.country.value);
     save_group_series(entry->second, w);
-    blobs.push_back(w.take());
+    if (!writer.append(w.data())) return false;
   }
-  return blobs;
+  return writer.finish();
 }
 
-bool deserialize_state(const IngestArtifact& artifact, IngestState& state) {
-  if (artifact.blobs.empty()) return false;
-  {
-    const auto [offset, length] = artifact.blobs.front();
-    ByteReader r(artifact.bytes.data() + offset, length);
-    state.sessions = r.u64();
-    state.filtered = r.u64();
-    state.malformed = r.u64();
-    if (!load_cdf(r, state.minrtt) || !load_cdf(r, state.hdratio) || !r.ok() ||
-        r.remaining() != 0) {
-      return false;
+/// Reads the artifact at `path` blob by blob into `state`, each blob read
+/// and checked once; the bytes read go to `stats`. False on any failure,
+/// with `state` partly filled.
+bool load_state(const std::string& path, std::uint64_t key, IngestState& state,
+                RunStats& stats) {
+  IngestArtifactReader reader;
+  if (!reader.open_index(path, key, kAnyGroupCount)) return false;
+  std::string blob;
+  bool ok = reader.groups() > 0;
+  for (std::size_t i = 0; ok && i < reader.groups(); ++i) {
+    ok = reader.read(i, blob);
+    ByteReader r(blob.data(), blob.size());
+    if (i == 0) {
+      state.sessions = r.u64();
+      state.filtered = r.u64();
+      state.malformed = r.u64();
+      ok = ok && load_cdf(r, state.minrtt) && load_cdf(r, state.hdratio);
+    } else {
+      UserGroupKey group;
+      group.pop = PopId{r.u32()};
+      group.prefix.addr = r.u32();
+      group.prefix.length = static_cast<int>(r.u32());
+      group.country = CountryId{r.u32()};
+      ok = ok && r.ok() &&
+           load_group_series(r, state.store.series_for(group), nullptr);
     }
+    ok = ok && r.ok() && r.remaining() == 0;
   }
-  for (std::size_t i = 1; i < artifact.blobs.size(); ++i) {
-    const auto [offset, length] = artifact.blobs[i];
-    ByteReader r(artifact.bytes.data() + offset, length);
-    UserGroupKey key;
-    key.pop = PopId{r.u32()};
-    key.prefix.addr = r.u32();
-    key.prefix.length = static_cast<int>(r.u32());
-    key.country = CountryId{r.u32()};
-    if (!r.ok() ||
-        !load_group_series(r, state.store.series_for(key), nullptr) ||
-        r.remaining() != 0) {
-      return false;
-    }
-  }
-  return true;
+  stats.cache_read_bytes += reader.bytes_read();
+  return ok;
 }
 
 /// Content hash of the input dataset bytes (plus the format epoch and a
@@ -206,10 +210,8 @@ int main(int argc, char** argv) {
                  simd::cpu_supports_avx2() ? 1 : 0);
   }
 
+  RunStats stats;
   IngestState state;
-  bool warm = false;
-  bool write_failed = false;
-  std::uint64_t read_bytes = 0;
   if (cache.enabled() && !path.empty()) {
     // Cached mode: the file is the cache identity, so read it whole.
     std::ifstream file(path, std::ios::binary);
@@ -222,16 +224,22 @@ int main(int argc, char** argv) {
     const std::string data = buffer.str();
     const std::uint64_t key = dataset_cache_key(data);
     const std::string artifact_path = ingest_artifact_path(cache.dir, key);
-    IngestArtifact artifact;
-    if (read_ingest_artifact(artifact_path, key, kAnyGroupCount, artifact) &&
-        deserialize_state(artifact, state)) {
-      warm = true;
-      read_bytes = artifact.bytes.size();
+    using Clock = std::chrono::steady_clock;
+    const auto load_start = Clock::now();
+    const bool warm = load_state(artifact_path, key, state, stats);
+    stats.cache_load_seconds +=
+        std::chrono::duration<double>(Clock::now() - load_start).count();
+    if (warm) {
+      stats.cache_hits += state.store.group_count();
     } else {
-      state = IngestState{};  // discard any partial deserialization
+      state = IngestState{};  // discard any partial load
       std::istringstream in(data);
       ingest_lines(in, state);
-      write_failed = !write_ingest_artifact(artifact_path, key, serialize_state(state));
+      const auto save_start = Clock::now();
+      if (!write_state(artifact_path, key, state)) ++stats.cache_write_failures;
+      stats.cache_save_seconds +=
+          std::chrono::duration<double>(Clock::now() - save_start).count();
+      stats.cache_misses += state.store.group_count();
     }
   } else {
     std::ifstream file;
@@ -272,7 +280,6 @@ int main(int argc, char** argv) {
   series_list.reserve(state.store.group_count());
   for (const auto& [key, series] : state.store.groups()) series_list.push_back(&series);
 
-  RunStats stats;
   const std::vector<int> window_hits = parallel_map(
       series_list.size(), runtime,
       [&](std::size_t i) {
@@ -294,13 +301,6 @@ int main(int argc, char** argv) {
               "(%d window hits)\n",
               groups_with_opportunity, state.store.group_count(),
               windows_with_opportunity);
-  if (warm) {
-    stats.cache_hits += state.store.group_count();
-    stats.cache_read_bytes += read_bytes;
-  } else if (cache.enabled() && !path.empty()) {
-    stats.cache_misses += state.store.group_count();
-    if (write_failed) ++stats.cache_write_failures;
-  }
   stats.print("fbedge_analyze");
   return 0;
 }
