@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -141,7 +142,7 @@ void make_observations_into(const SeriesSummary& series,
 /// per-session allocations. reduce_group builds one for each group it
 /// ingests cold and drops it when the group is done, so the arenas of the
 /// heaviest groups do not stay resident for the whole pass;
-/// ingest_groups_to_blobs keeps one per pool worker (parallel_map_scratch).
+/// ingest_groups_to_blobs keeps one per pool worker.
 /// Either way a result never depends on the scratch's history, because
 /// every field is rebuilt before use.
 struct IngestScratch {
@@ -911,29 +912,26 @@ SweepPassResult reduce_sweep_pass(
 void ingest_groups_to_blobs(
     const World& world, const DatasetConfig& config, GoodputConfig goodput,
     const std::vector<std::size_t>& groups, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t group, std::string&& blob)>& sink,
-    RunStats* stats, std::size_t chunk_groups) {
-  FBEDGE_EXPECT(chunk_groups >= 1, "ingest chunk must hold at least one group");
+    const std::function<void(std::size_t i, std::string&& blob)>& sink,
+    RunStats* stats) {
   DatasetGenerator generator(world, config);
   const FaultPlan no_faults;
-  for (std::size_t at = 0; at < groups.size(); at += chunk_groups) {
-    const std::size_t n = std::min(chunk_groups, groups.size() - at);
-    auto blobs = parallel_map_scratch<IngestScratch>(
-        n, runtime,
-        [&](IngestScratch& scratch, std::size_t i) {
-          const std::size_t g = groups[at + i];
-          FBEDGE_EXPECT(g < world.groups.size(),
-                        "ingest group id exceeds the world's group count");
-          FaultCounters none;
-          ingest_group(scratch, generator, world.groups[g], goodput, no_faults,
-                       none);
-          scratch.writer.clear();
-          save_group_series(scratch.series, scratch.writer);
-          return std::string(scratch.writer.data());
-        },
-        stats);
-    for (std::size_t i = 0; i < n; ++i) sink(groups[at + i], std::move(blobs[i]));
-  }
+  ThreadPool pool(resolve_threads(runtime.threads));
+  std::vector<IngestScratch> scratch(static_cast<std::size_t>(pool.threads()));
+  const RunStats rs = pool.parallel_for_workers(
+      ShardPlan::make(groups.size(), pool.threads()),
+      [&](int worker, std::size_t i) {
+        const std::size_t g = groups[i];
+        FBEDGE_EXPECT(g < world.groups.size(),
+                      "ingest group id exceeds the world's group count");
+        IngestScratch& mine = scratch[static_cast<std::size_t>(worker)];
+        FaultCounters none;
+        ingest_group(mine, generator, world.groups[g], goodput, no_faults, none);
+        mine.writer.clear();
+        save_group_series(mine.series, mine.writer);
+        sink(i, std::string(mine.writer.data()));
+      });
+  if (stats) stats->accumulate(rs);
 }
 
 void run_cached_pass(const World& world, const DatasetConfig& config,
@@ -963,18 +961,25 @@ void run_cached_pass(const World& world, const DatasetConfig& config,
     }
     artifact.close();
   }
-  // Each task saves into its group's own slot, so the artifact's bytes do
-  // not depend on the thread count.
-  std::vector<std::string> blobs(n);
-  const EdgeReducer::SaveFn save = [&blobs](std::size_t g, std::string&& blob) {
-    blobs[g] = std::move(blob);
+  // Each task puts its group's blob as soon as it is ingested; the writer
+  // orders the artifact by group id, so its bytes do not depend on the
+  // thread count. A writer that could not open drops every put and fails
+  // its finish(). The save time is the time inside every put plus finish().
+  const auto t1 = std::chrono::steady_clock::now();
+  IngestArtifactWriter writer;
+  writer.open(path, key, n);
+  std::atomic<double> save_seconds{seconds_since(t1)};
+  const EdgeReducer::SaveFn save = [&](std::size_t g, std::string&& blob) {
+    const auto t = std::chrono::steady_clock::now();
+    writer.put(g, blob);
+    save_seconds += seconds_since(t);
   };
   pass(artifact, &save);
-  const auto t1 = std::chrono::steady_clock::now();
-  const bool written = write_ingest_artifact(path, key, blobs);
+  const auto t2 = std::chrono::steady_clock::now();
+  const bool written = writer.finish();
   if (stats) {
     stats->cache_misses += n;
-    stats->cache_save_seconds += seconds_since(t1);
+    stats->cache_save_seconds += save_seconds.load() + seconds_since(t2);
     if (!written) ++stats->cache_write_failures;
   }
 }

@@ -125,9 +125,11 @@ using CachedPassFn = std::function<std::uint64_t(
 /// The local ingest cache's one rule (DESIGN.md §4e), for run_edge_analysis
 /// and run_scenario_sweep. Without a cache dir, runs `pass` once. With one,
 /// opens the index of `world`'s artifact and runs `pass` warm; unless that
-/// served every group, runs `pass` again cold with a save hook and rewrites
-/// the artifact (write_ingest_artifact). Counts n hits or n misses, read
-/// bytes, load and save time and write failures into `stats`.
+/// served every group, runs `pass` again cold with a save hook that puts
+/// each group's blob into an IngestArtifactWriter as soon as it is ingested,
+/// and publishes the artifact once the pass ends. Counts n hits or n
+/// misses, read bytes, load and save time (every put plus the finish) and
+/// write failures into `stats`.
 void run_cached_pass(const World& world, const DatasetConfig& config,
                      const GoodputConfig& goodput,
                      const IngestCacheOptions& cache, RunStats* stats,
@@ -179,19 +181,20 @@ SweepPassResult reduce_sweep_pass(
 /// The ingest half for one shard: generates sessions for `groups` (any
 /// ascending or unordered list of group ids — a scale shard's contiguous
 /// range or a sweep shard's slice of an affected list), serializes each
-/// group's series, and hands the blobs to `sink` in list order, with their
-/// global group ids, on the calling thread. Work is chunked
-/// (`chunk_groups` per parallel batch) so at most one chunk of blobs is in
-/// memory at a time — per-process RSS stays flat in the list size, which
-/// is what lets a shard worker process thousands of groups in a small
-/// footprint. Ingest is fault-free (the distributed cache must never hold
-/// faulted series), and per-group ingest is seeded from the group key
-/// alone, so the blobs are identical to what a whole-world ingest would
-/// produce for those groups.
+/// group's series, and hands each blob to `sink` with its position `i` in
+/// the list, from the pool worker that ingested it, as soon as it is done:
+/// in no fixed order, and from several threads at once, so the sink must
+/// tolerate that (IngestArtifactWriter::put with the position as the
+/// artifact index does). Nothing waits for a later group, so a worker holds
+/// only the blobs its threads are handing over — per-process RSS stays
+/// flat in the list size. Ingest is fault-free (the distributed cache must
+/// never hold faulted series), and per-group ingest is seeded from the
+/// group key alone, so the blobs are identical to what a whole-world
+/// ingest would produce for those groups.
 void ingest_groups_to_blobs(
     const World& world, const DatasetConfig& config, GoodputConfig goodput,
     const std::vector<std::size_t>& groups, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t group, std::string&& blob)>& sink,
-    RunStats* stats = nullptr, std::size_t chunk_groups = 64);
+    const std::function<void(std::size_t i, std::string&& blob)>& sink,
+    RunStats* stats = nullptr);
 
 }  // namespace fbedge

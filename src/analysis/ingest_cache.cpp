@@ -1,5 +1,6 @@
 #include "analysis/ingest_cache.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -24,6 +25,9 @@ constexpr std::size_t kIndexEntryBytes = 8 + 8;
 // u64 XXH64 of header + index.
 constexpr std::size_t kFooterBytes = 8;
 
+// The writer's copy buffer: finish() moves spilled blobs through it.
+constexpr std::size_t kCopyBufferBytes = std::size_t{1} << 20;
+
 /// pread()s exactly `n` bytes at `offset`; false on error or end of file.
 bool pread_full(int fd, char* dst, std::uint64_t n, std::uint64_t offset) {
   while (n > 0) {
@@ -36,6 +40,34 @@ bool pread_full(int fd, char* dst, std::uint64_t n, std::uint64_t offset) {
     offset += static_cast<std::uint64_t>(got);
   }
   return true;
+}
+
+/// pwrite()s exactly `n` bytes at `offset`; false on error.
+bool pwrite_full(int fd, const char* src, std::uint64_t n, std::uint64_t offset) {
+  while (n > 0) {
+    const ssize_t put = ::pwrite(fd, src, static_cast<std::size_t>(n),
+                                 static_cast<off_t>(offset));
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) return false;
+    src += put;
+    n -= static_cast<std::uint64_t>(put);
+    offset += static_cast<std::uint64_t>(put);
+  }
+  return true;
+}
+
+/// A name suffix no other writer uses: the pid separates racing processes
+/// and the sequence number racing writers inside one process. A shared
+/// name would let two same-key writers interleave into one file and
+/// publish a corrupt (checksum-rejected) artifact.
+std::string unique_suffix(const char* kind) {
+  static std::atomic<std::uint64_t> sequence{0};
+  char suffix[64];
+  std::snprintf(suffix, sizeof(suffix), ".%s.%ld.%llu", kind,
+                static_cast<long>(::getpid()),
+                static_cast<unsigned long long>(
+                    sequence.fetch_add(1, std::memory_order_relaxed)));
+  return suffix;
 }
 
 void hash_route(Fnv64& h, const RouteProfile& rp) {
@@ -263,100 +295,114 @@ bool write_ingest_artifact(const std::string& path, std::uint64_t key,
                            const std::vector<std::string>& blobs) {
   IngestArtifactWriter w;
   if (!w.open(path, key, blobs.size())) return false;
-  for (const std::string& blob : blobs) {
-    if (!w.append(blob)) return false;
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    if (!w.put(i, blobs[i])) return false;
   }
   return w.finish();
 }
 
-IngestArtifactWriter::~IngestArtifactWriter() { abandon(); }
-
-void IngestArtifactWriter::abandon() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-    std::remove(tmp_.c_str());
+void IngestArtifactWriter::close_spill() {
+  if (spill_ >= 0) {
+    ::close(spill_);
+    spill_ = -1;
   }
+  index_.clear();
 }
 
 bool IngestArtifactWriter::open(const std::string& path, std::uint64_t key,
                                 std::uint64_t groups) {
-  abandon();
+  close_spill();
   // Create every missing directory level; a failure (say, a regular file
-  // in the way) surfaces as the fopen below failing.
+  // in the way) surfaces as the spill open below failing.
   const std::size_t slash = path.rfind('/');
   if (slash != std::string::npos && slash > 0) {
     std::error_code ec;
     std::filesystem::create_directories(path.substr(0, slash), ec);
   }
-
-  // Unique temp name per writer: pid separates racing processes, the
-  // sequence number separates racing writers inside one process. A shared
-  // temp name would let two same-key writers interleave into one file and
-  // publish a corrupt (checksum-rejected) artifact.
-  static std::atomic<std::uint64_t> sequence{0};
-  char suffix[64];
-  std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
-                static_cast<long>(::getpid()),
-                static_cast<unsigned long long>(
-                    sequence.fetch_add(1, std::memory_order_relaxed)));
   path_ = path;
-  tmp_ = path + suffix;
-  expected_groups_ = groups;
-  appended_ = 0;
-  failed_ = false;
+  key_ = key;
+  spill_end_.store(0);
+  failed_.store(false);
 
-  file_ = std::fopen(tmp_.c_str(), "wb");
-  if (file_ == nullptr) return false;
-
-  meta_.clear();
-  meta_.bytes(kMagic, sizeof(kMagic));
-  meta_.u32(kIngestArtifactEpoch);
-  meta_.u64(key);
-  meta_.u64(groups);
-  if (std::fwrite(meta_.data().data(), 1, meta_.size(), file_) != meta_.size()) {
-    abandon();
+  // Named only between the open and the unlink, so no *.fbecache glob, no
+  // finished run and no crash after this point ever finds it.
+  const std::string spill = path + unique_suffix("spill");
+  spill_ = ::open(spill.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0600);
+  if (spill_ < 0) return false;
+  if (::unlink(spill.c_str()) != 0) {
+    close_spill();
     return false;
   }
+  index_.assign(static_cast<std::size_t>(groups), Entry{});
   return true;
 }
 
-bool IngestArtifactWriter::append(const std::string& blob) {
-  if (file_ == nullptr || failed_) return false;
-  if (std::fwrite(blob.data(), 1, blob.size(), file_) != blob.size()) {
-    failed_ = true;
-    return false;
+bool IngestArtifactWriter::put(std::size_t i, std::string_view blob) {
+  if (spill_ < 0 || failed_.load()) return false;
+  bool ok = i < index_.size();
+  if (ok) {
+    const std::uint64_t checksum = xxh64(blob.data(), blob.size());
+    const std::uint64_t offset = spill_end_.fetch_add(blob.size());
+    ok = pwrite_full(spill_, blob.data(), blob.size(), offset);
+    std::lock_guard<std::mutex> lock(mutex_);
+    Entry& e = index_[i];
+    ok = ok && !e.put;
+    if (ok) e = Entry{offset, blob.size(), checksum, true};
   }
-  meta_.u64(blob.size());
-  meta_.u64(xxh64(blob.data(), blob.size()));
-  ++appended_;
-  return true;
+  if (!ok) failed_.store(true);
+  return ok;
 }
 
 bool IngestArtifactWriter::finish() {
-  if (file_ == nullptr || failed_ || appended_ != expected_groups_) {
-    abandon();
+  // Header and index, in group-id order: the footer checksum covers
+  // exactly these bytes.
+  ByteWriter meta;
+  meta.bytes(kMagic, sizeof(kMagic));
+  meta.u32(kIngestArtifactEpoch);
+  meta.u64(key_);
+  meta.u64(index_.size());
+  bool ok = spill_ >= 0 && !failed_.load();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Entry& e : index_) {
+      ok = ok && e.put;
+      meta.u64(e.length);
+      meta.u64(e.checksum);
+    }
+  }
+  if (!ok) {
+    close_spill();
     return false;
   }
-  const std::string& meta = meta_.data();
-  ByteWriter footer;
-  footer.u64(xxh64(meta.data(), meta.size()));
-  const std::size_t index_bytes = meta.size() - kHeaderBytes;
-  const bool wrote =
-      std::fwrite(meta.data() + kHeaderBytes, 1, index_bytes, file_) ==
-          index_bytes &&
-      std::fwrite(footer.data().data(), 1, footer.size(), file_) == footer.size();
-  const bool closed = std::fclose(file_) == 0;
-  file_ = nullptr;
-  if (!wrote || !closed) {
-    std::remove(tmp_.c_str());
+  meta.u64(xxh64(meta.data().data(), meta.size()));
+
+  std::string buffer(
+      static_cast<std::size_t>(std::min<std::uint64_t>(kCopyBufferBytes, spill_end_.load())),
+      '\0');
+  const std::string tmp = path_ + unique_suffix("tmp");
+  const int out = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (out < 0) {
+    close_spill();
     return false;
   }
-  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp_.c_str());
-    return false;
+  const std::string& bytes = meta.data();
+  ok = pwrite_full(out, bytes.data(), kHeaderBytes, 0);
+  std::uint64_t at = kHeaderBytes;
+  for (const Entry& e : index_) {
+    for (std::uint64_t done = 0; ok && done < e.length;) {
+      const std::uint64_t n = std::min<std::uint64_t>(buffer.size(), e.length - done);
+      ok = pread_full(spill_, buffer.data(), n, e.offset + done) &&
+           pwrite_full(out, buffer.data(), n, at);
+      done += n;
+      at += n;
+    }
   }
-  return true;
+  ok = ok && pwrite_full(out, bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes, at);
+  ok = ::close(out) == 0 && ok;
+  ok = ok && std::rename(tmp.c_str(), path_.c_str()) == 0;
+  if (!ok) ::unlink(tmp.c_str());
+  close_spill();
+  return ok;
 }
 
 }  // namespace fbedge

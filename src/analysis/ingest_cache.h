@@ -22,7 +22,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,9 +78,10 @@ bool read_ingest_artifact(const std::string& path, std::uint64_t key,
                           std::size_t expected_groups, IngestArtifact& artifact);
 
 /// Atomically writes an artifact (temp file + rename, so readers never see
-/// a partial file) of one blob per group in group-id order: the cold
-/// write of run_cached_pass. Returns false on I/O failure (the run simply
-/// stays uncached; callers count it in RunStats::cache_write_failures).
+/// a partial file) of one blob per group in group-id order, through
+/// IngestArtifactWriter. Returns false on I/O failure. No library or tool
+/// path holds every blob to write them; tests and the benchmark's traced
+/// sweep call (perfbench/) still do.
 bool write_ingest_artifact(const std::string& path, std::uint64_t key,
                            const std::vector<std::string>& blobs);
 
@@ -154,22 +157,36 @@ class IngestArtifactReader {
   mutable std::atomic<std::uint64_t> bytes_read_{0};
 };
 
-/// Streaming writer for the same artifact format: blobs are appended one at
-/// a time (in group-id order) straight to a temp file, so a writer holds
-/// one group's blob plus a 16-byte index entry per group, never the
-/// artifact — the property the multi-process shard workers (src/distrib/)
-/// rely on for flat per-worker RSS. The temp name embeds the pid plus a
-/// process-wide sequence number, so any number of writers racing on the
-/// same destination path each stream into a private file and the winner is
-/// whichever rename lands last — readers only ever observe complete,
-/// checksummed artifacts. open() creates every missing directory level;
-/// finish() writes the index and footer and publishes atomically;
-/// abandoning the writer (destruction without finish) removes the temp
-/// file and leaves the destination untouched.
+/// The one writer of the artifact format. put(i, blob) may be called from
+/// any number of threads at once, in any order: it hashes blob i on the
+/// calling thread and pwrites it at a reserved offset of a private spill
+/// file, so the writer holds its index and never a blob it was given.
+/// finish() copies the blobs into a temp artifact in group-id order through
+/// one bounded buffer, writes the index and footer and renames the temp
+/// file into place: the bytes depend on neither the put order nor the
+/// thread count, so every cold writer (run_cached_pass's save hook, the
+/// fleet workers of src/distrib/, tools/fbedge_analyze) puts each blob as
+/// soon as its group is ingested.
+///
+/// The spill sits beside the destination (same filesystem) and is unlinked
+/// as soon as it is opened, so it never matches *.fbecache and no run, not
+/// even a crashed one, leaves it behind; until finish() returns the blobs
+/// take about twice their size on disk. Spill and temp names embed the pid
+/// and a process-wide sequence number, so writers racing on one
+/// destination write private files and the last rename wins — readers
+/// only see complete, checksummed artifacts. open() creates every missing
+/// directory level.
+///
+/// Failure latches: a put with an out-of-range or repeated index, or whose
+/// spill write fails, fails the writer and later puts are dropped, as is
+/// every put to a writer whose open() failed. finish() fails unless every
+/// index in [0, groups) was put exactly once. The temp file exists only
+/// inside finish(), which removes it on failure: a failed finish(), like a
+/// writer destroyed without one, publishes nothing.
 class IngestArtifactWriter {
  public:
   IngestArtifactWriter() = default;
-  ~IngestArtifactWriter();
+  ~IngestArtifactWriter() { close_spill(); }
 
   IngestArtifactWriter(const IngestArtifactWriter&) = delete;
   IngestArtifactWriter& operator=(const IngestArtifactWriter&) = delete;
@@ -178,27 +195,33 @@ class IngestArtifactWriter {
   /// failure (writer stays closed).
   bool open(const std::string& path, std::uint64_t key, std::uint64_t groups);
 
-  /// Appends the next group's serialized series. Must be called exactly
-  /// `groups` times, in group-id order.
-  bool append(const std::string& blob);
+  /// Stores blob `i` (group-id order), from any thread, between open() and
+  /// finish(). Returns false when the blob is dropped (see above).
+  bool put(std::size_t i, std::string_view blob);
 
-  /// Writes the blob index and footer, closes, and atomically renames into
-  /// place. Returns false (removing the temp file) on any failure or if
-  /// the number of append() calls does not match open()'s group count.
+  /// Publishes the artifact. Returns false, publishing nothing, on any
+  /// failure or unless every blob was put exactly once.
   bool finish();
 
  private:
-  void abandon();
+  struct Entry {
+    std::uint64_t offset{0};  // in the spill
+    std::uint64_t length{0};
+    std::uint64_t checksum{0};
+    bool put{false};
+  };
 
-  std::FILE* file_{nullptr};
+  void close_spill();
+
+  int spill_{-1};
   std::string path_;
-  std::string tmp_;
-  std::uint64_t expected_groups_{0};
-  std::uint64_t appended_{0};
-  /// Header bytes followed by one index entry per appended blob: the
-  /// footer checksum covers exactly this buffer.
-  ByteWriter meta_;
-  bool failed_{false};
+  std::uint64_t key_{0};
+  /// Spill bytes reserved so far: each put claims its range here.
+  std::atomic<std::uint64_t> spill_end_{0};
+  std::atomic<bool> failed_{false};
+  /// Guards the entries of index_ (its size is fixed at open()).
+  std::mutex mutex_;
+  std::vector<Entry> index_;
 };
 
 }  // namespace fbedge

@@ -87,16 +87,15 @@ int run_fleet_worker(const World& world, const DatasetConfig& config,
   const std::vector<std::size_t> groups(
       job.groups.begin() + static_cast<std::ptrdiff_t>(slice.begin),
       job.groups.begin() + static_cast<std::ptrdiff_t>(slice.end));
+  // Each blob goes to the writer from the pool worker that ingested it;
+  // its slice position is its artifact index.
   IngestArtifactWriter writer;
   if (!writer.open(artifact_path, want.artifact_key, slice.size())) return 1;
-  bool append_ok = true;
   ingest_groups_to_blobs(
       world, config, goodput, groups, runtime,
-      [&](std::size_t /*group*/, std::string&& blob) {
-        if (!writer.append(blob)) append_ok = false;
-      },
+      [&writer](std::size_t i, std::string&& blob) { writer.put(i, blob); },
       stats);
-  if (!append_ok || !writer.finish()) return 1;
+  if (!writer.finish()) return 1;
   // Artifact is live; the manifest is published last so its existence
   // implies a complete artifact.
   return write_shard_manifest(manifest_path(spec.cache_dir, want), want) ? 0 : 1;

@@ -8,8 +8,9 @@
 // sweep_fleet.h). ShardPlan splits the list into contiguous slices, one
 // per worker. Each worker — an OS process by default, an in-process call
 // in tests — runs run_fleet_worker: it streams its slice's per-group blobs
-// into a shard ingest artifact (bounded memory: one chunk of groups at a
-// time, via ingest_groups_to_blobs + IngestArtifactWriter), publishes the
+// into a shard ingest artifact (bounded memory: each blob goes to the
+// writer's spill file as soon as its group is ingested, via
+// ingest_groups_to_blobs + IngestArtifactWriter::put), publishes the
 // artifact atomically, and only then writes its shard manifest. Manifests
 // record slice indices into the list; for a scale job those equal the
 // group ids. run_worker_fleet retries crashed workers up to the fault

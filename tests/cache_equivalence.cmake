@@ -20,7 +20,8 @@
 # dir: cold, warm, with the byte in the middle of the artifact flipped
 # (inside a blob: the index and footer at its end take 16 bytes per blob
 # plus 8), and warm again. After every run the cache dir holds exactly one
-# artifact. The checks:
+# file, the artifact, so a leaked spill or temp file fails; and each tool's
+# cold artifact has the same SHA-256 at --threads 1 and 4. The checks:
 #
 #   cold    FIG9: the uncached stdout; misses = every group, no hit, no
 #           write failure.
@@ -87,13 +88,17 @@ function(flip_middle_byte path)
   endif()
 endfunction()
 
-# Fails unless the cache dir `cache` holds exactly one artifact, and stores
-# its path in `out_var`.
+# Fails unless the cache dir `cache` holds exactly one file, an artifact —
+# so a leaked spill or temp file fails too — and stores its path in
+# `out_var`.
 function(the_artifact out_var what cache)
-  file(GLOB artifacts "${cache}/*.fbecache")
-  list(LENGTH artifacts count)
-  expect_eq("${what}: artifacts in the cache dir" ${count} 1)
-  set(${out_var} "${artifacts}" PARENT_SCOPE)
+  file(GLOB entries LIST_DIRECTORIES true "${cache}/*")
+  list(LENGTH entries count)
+  expect_eq("${what}: files in the cache dir" ${count} 1)
+  if(NOT entries MATCHES "\\.fbecache$")
+    message(FATAL_ERROR "${what}: the cache dir holds ${entries}, not an artifact")
+  endif()
+  set(${out_var} "${entries}" PARENT_SCOPE)
 endfunction()
 
 # The four runs and their checks for one tool: `name` labels it, `groups`
@@ -125,6 +130,7 @@ function(check_cache_rule name groups blobs json reference)
         json_without_runtime(cold_json ${json_path})
       endif()
       file(SHA256 "${artifact}" cold_sha)
+      set(cold_sha_${name} ${cold_sha} PARENT_SCOPE)
       file(SIZE "${artifact}" cold_size)
     elseif(NOT stdout STREQUAL cold_stdout)
       message(FATAL_ERROR "${name} ${pass}: stdout differs from the cold run's")
@@ -181,3 +187,11 @@ foreach(threads 1 4)
   check_cache_rule(analyze-t${threads} 6 7 OFF ""
                    ${ANALYZE} --threads ${threads} ${WORK}/sessions.txt)
 endforeach()
+# The writer orders blobs by group id whatever order they were put in, so a
+# cold artifact does not depend on the thread count.
+foreach(tool fig9 whatif-sweep analyze)
+  if(NOT cold_sha_${tool}-t1 STREQUAL cold_sha_${tool}-t4)
+    message(FATAL_ERROR "${tool}: the cold artifact differs between --threads 1 and 4")
+  endif()
+endforeach()
+message("cold artifacts: the same SHA-256 at --threads 1 and 4 for fig9, the sweep and fbedge_analyze")

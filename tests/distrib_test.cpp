@@ -9,11 +9,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/edge_analysis.h"
@@ -226,11 +233,11 @@ TEST(IngestArtifactWriter, DestinationInvisibleUntilFinish) {
 
   IngestArtifactWriter writer;
   ASSERT_TRUE(writer.open(path, 7, 2));
-  ASSERT_TRUE(writer.append("first-blob"));
+  ASSERT_TRUE(writer.put(0, "first-blob"));
   // Mid-write: the destination path must not exist (writers stream into a
   // private temp file and publish by rename).
   EXPECT_FALSE(file_exists(path));
-  ASSERT_TRUE(writer.append("second-blob"));
+  ASSERT_TRUE(writer.put(1, "second-blob"));
   EXPECT_FALSE(file_exists(path));
   ASSERT_TRUE(writer.finish());
 
@@ -248,7 +255,7 @@ TEST(IngestArtifactWriter, AbandonedWriterLeavesNothingBehind) {
   {
     IngestArtifactWriter writer;
     ASSERT_TRUE(writer.open(path, 8, 3));
-    ASSERT_TRUE(writer.append("partial"));
+    ASSERT_TRUE(writer.put(0, "partial"));
     // Destructor without finish(): temp removed, destination untouched.
   }
   EXPECT_FALSE(file_exists(path));
@@ -261,7 +268,7 @@ TEST(IngestArtifactWriter, ShortAppendCountNeverPublishes) {
   const std::string path = ingest_artifact_path(dir, 9);
   IngestArtifactWriter writer;
   ASSERT_TRUE(writer.open(path, 9, 3));
-  ASSERT_TRUE(writer.append("only-one"));
+  ASSERT_TRUE(writer.put(0, "only-one"));
   EXPECT_FALSE(writer.finish());
   EXPECT_FALSE(file_exists(path));
 }
@@ -278,10 +285,10 @@ TEST(IngestArtifactWriter, SameKeyWriteRaceAlwaysYieldsAValidArtifact) {
   IngestArtifactWriter a, b;
   ASSERT_TRUE(a.open(path, 11, 2));
   ASSERT_TRUE(b.open(path, 11, 2));
-  ASSERT_TRUE(a.append(blobs_a[0]));
-  ASSERT_TRUE(b.append(blobs_b[0]));
-  ASSERT_TRUE(a.append(blobs_a[1]));
-  ASSERT_TRUE(b.append(blobs_b[1]));
+  ASSERT_TRUE(a.put(0, blobs_a[0]));
+  ASSERT_TRUE(b.put(0, blobs_b[0]));
+  ASSERT_TRUE(a.put(1, blobs_a[1]));
+  ASSERT_TRUE(b.put(1, blobs_b[1]));
   EXPECT_TRUE(a.finish());
   EXPECT_TRUE(b.finish());
 
@@ -308,6 +315,133 @@ TEST(IngestArtifactWriter, SameKeyWriteRaceAlwaysYieldsAValidArtifact) {
   ASSERT_EQ(artifact.blobs.size(), 2u);
   EXPECT_EQ(artifact.blobs[0].second, 64u);
   EXPECT_EQ(artifact.blobs[1].second, 128u);
+}
+
+/// The whole content of the file at `path` ("" when it cannot be read).
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// The names in directory `dir`, sorted.
+std::vector<std::string> dir_entries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Blobs of distinct sizes and fill bytes: empty, small, and three larger
+/// than the writer's 1 MiB copy buffer.
+std::vector<std::string> writer_blobs() {
+  std::vector<std::string> blobs;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const std::size_t size = i % 8 == 0 ? (std::size_t{3} << 19) + i : i * 37;
+    blobs.emplace_back(size, static_cast<char>('a' + i));
+  }
+  return blobs;
+}
+
+TEST(IngestArtifactWriter, AnyPutOrderGivesTheGroupOrderBytes) {
+  const std::vector<std::string> blobs = writer_blobs();
+  const std::size_t n = blobs.size();
+  const std::string dir = fresh_dir("writer-order");
+  const std::string reference_path = ingest_artifact_path(dir, 31);
+  ASSERT_TRUE(write_ingest_artifact(reference_path, 31, blobs));
+  const std::string reference = file_bytes(reference_path);
+  ASSERT_FALSE(reference.empty());
+
+  std::vector<std::size_t> reverse(n), shuffled(n);
+  for (std::size_t i = 0; i < n; ++i) reverse[i] = n - 1 - i;
+  for (std::size_t i = 0; i < n; ++i) shuffled[i] = i;
+  std::mt19937_64 rng(2019);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const auto& [name, order] :
+       {std::pair{"reverse", reverse}, std::pair{"shuffled", shuffled}}) {
+    const std::string sub = dir + "/" + name;
+    const std::string path = ingest_artifact_path(sub, 31);
+    IngestArtifactWriter writer;
+    ASSERT_TRUE(writer.open(path, 31, n));
+    for (const std::size_t i : order) ASSERT_TRUE(writer.put(i, blobs[i])) << name;
+    ASSERT_TRUE(writer.finish()) << name;
+    EXPECT_TRUE(file_bytes(path) == reference) << name;
+    EXPECT_EQ(dir_entries(sub), std::vector<std::string>{"ingest-000000000000001f.fbecache"})
+        << name;
+  }
+
+  // Four threads at once, each taking the next shuffled index.
+  const std::string sub = dir + "/threads";
+  const std::string path = ingest_artifact_path(sub, 31);
+  IngestArtifactWriter writer;
+  ASSERT_TRUE(writer.open(path, 31, n));
+  std::atomic<std::size_t> next{0};
+  std::atomic<int> failed_puts{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (std::size_t at = next++; at < n; at = next++) {
+        if (!writer.put(shuffled[at], blobs[shuffled[at]])) ++failed_puts;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failed_puts.load(), 0);
+  ASSERT_TRUE(writer.finish());
+  EXPECT_TRUE(file_bytes(path) == reference);
+}
+
+TEST(IngestArtifactWriter, MissingRepeatedOrOutOfRangeIndexFailsFinish) {
+  const std::vector<std::string> blobs = {"zero", "one", "two"};
+  const std::string dir = fresh_dir("writer-bad-index");
+  const std::string path = ingest_artifact_path(dir, 32);
+  ASSERT_TRUE(write_ingest_artifact(path, 32, {"old-zero", "old-one", "old-two"}));
+  const std::string before = file_bytes(path);
+  const std::vector<std::string> listing = dir_entries(dir);
+  ASSERT_EQ(listing.size(), 1u);
+
+  // Each case puts the index list; the second and third are refused as
+  // they happen, the first only at finish().
+  const std::vector<std::pair<const char*, std::vector<std::size_t>>> cases = {
+      {"missing", {0, 2}}, {"repeated", {0, 1, 1, 2}}, {"out of range", {0, 1, 3, 2}}};
+  for (const auto& [name, order] : cases) {
+    IngestArtifactWriter writer;
+    ASSERT_TRUE(writer.open(path, 32, blobs.size())) << name;
+    for (const std::size_t i : order) {
+      writer.put(i, i < blobs.size() ? blobs[i] : std::string("extra"));
+    }
+    EXPECT_EQ(dir_entries(dir), listing) << name << ": a spill or temp file is visible";
+    EXPECT_FALSE(writer.finish()) << name;
+    EXPECT_EQ(file_bytes(path), before) << name;
+    EXPECT_EQ(dir_entries(dir), listing) << name;
+  }
+}
+
+TEST(IngestArtifactWriter, FailedPutLatches) {
+  const std::string dir = fresh_dir("writer-latch");
+  const std::string path = ingest_artifact_path(dir, 33);
+  const std::vector<std::string> listing = dir_entries(dir);
+  IngestArtifactWriter writer;
+  ASSERT_TRUE(writer.open(path, 33, 3));
+  ASSERT_TRUE(writer.put(0, "zero"));
+  EXPECT_FALSE(writer.put(7, "out-of-range"));
+  EXPECT_FALSE(writer.put(1, "one"));
+  EXPECT_FALSE(writer.put(2, "two"));
+  EXPECT_FALSE(writer.finish());
+  EXPECT_FALSE(file_exists(path));
+  EXPECT_EQ(dir_entries(dir), listing);
+
+  // A writer that could not open (a regular file where its directory
+  // should be) drops every put, and its finish() fails.
+  const std::string blocker = dir + "/blocker";
+  std::FILE* f = std::fopen(blocker.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  IngestArtifactWriter closed;
+  EXPECT_FALSE(closed.open(ingest_artifact_path(blocker, 33), 33, 1));
+  EXPECT_FALSE(closed.put(0, "zero"));
+  EXPECT_FALSE(closed.finish());
 }
 
 // ---------------------------------------------------------------------------
@@ -428,6 +562,30 @@ TEST(ShardWorker, PublishesArtifactThenManifestAndIsIdempotent) {
   ASSERT_TRUE(read_ingest_artifact(ingest_artifact_path(dir, key), key,
                                    range.size(), again));
   EXPECT_EQ(artifact.bytes, again.bytes);
+}
+
+TEST(ShardWorker, ArtifactBytesDoNotDependOnWorkerThreads) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const FleetJob job = scale_fleet_job(world, dc, {});
+  const ShardRange range = ShardPlan::make(world.groups.size(), 2).shard(0);
+  const std::uint64_t key = shard_artifact_key(job.base_key, range.begin, range.end);
+
+  // With 4 ingest threads the pool workers put their blobs as they finish,
+  // in no fixed order; the shard artifact must still be the 1-thread one.
+  std::vector<std::string> artifacts;
+  for (const int threads : {1, 4}) {
+    const std::string dir = fresh_dir("worker-threads-" + std::to_string(threads));
+    WorkerSpec spec;
+    spec.shard = 0;
+    spec.workers = 2;
+    spec.cache_dir = dir;
+    ASSERT_EQ(run_fleet_worker(world, dc, {}, job, spec, {}, RuntimeOptions{threads}), 0);
+    artifacts.push_back(file_bytes(ingest_artifact_path(dir, key)));
+    EXPECT_EQ(dir_entries(dir).size(), 2u) << "artifact and manifest only";
+  }
+  ASSERT_FALSE(artifacts[0].empty());
+  EXPECT_TRUE(artifacts[0] == artifacts[1]);
 }
 
 TEST(ShardWorker, InjectedCrashExitsBeforeTouchingTheCache) {

@@ -9,13 +9,15 @@
 #             no failure; then, at full size (6 groups per continent, 2
 #             days), against 1 and 4 worker subprocesses, with the --json
 #             files equal outside the runtime_* keys and no failure, retry
-#             or degraded shard.
+#             or degraded shard. Each fleet's cache dir holds only
+#             artifacts and shard manifests after its run.
 #   WHATIF    the built fbedge_whatif: --sweep SCENARIOS against the same
 #             files passed as --scenario, at --threads 1 and 4. The
 #             verdict_hash lines must agree, and the sweep stdout must not
 #             depend on the thread count. Then --sweep over 1 and 3 worker
 #             subprocesses, cold and warm on one cache dir, must print the
-#             in-process sweep's stdout, spawning each shard once.
+#             in-process sweep's stdout, spawning each shard once, and
+#             leave only artifacts and shard manifests in the cache dir.
 #   WORK      a directory this script may empty and fill.
 
 include(${CMAKE_CURRENT_LIST_DIR}/equivalence_lib.cmake)
@@ -27,6 +29,17 @@ function(expect_same what want got)
   endif()
 endfunction()
 
+# Fails unless the fleet cache dir `cache` holds only artifacts and shard
+# manifests, so a leaked spill or temp file fails.
+function(expect_only_published what cache)
+  file(GLOB entries LIST_DIRECTORIES true "${cache}/*")
+  foreach(entry IN LISTS entries)
+    if(NOT entry MATCHES "\\.(fbecache|fbeshard)$")
+      message(FATAL_ERROR "${what}: ${entry} left in the cache dir")
+    endif()
+  endforeach()
+endfunction()
+
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
@@ -36,6 +49,7 @@ foreach(workers 1 3)
   run_ok(scale ${SCALE} 1 --days 1 --workers ${workers}
          --cache-dir ${WORK}/scale-w${workers} --json ${WORK}/scale.json)
   expect_same("fbedge_scale --workers ${workers}" "${scale_reference}" "${scale}")
+  expect_only_published("fbedge_scale --workers ${workers}" ${WORK}/scale-w${workers})
   expect_json(${WORK}/scale.json runtime_workers_spawned ${workers})
   expect_json(${WORK}/scale.json runtime_worker_failures 0)
 endforeach()
@@ -51,6 +65,7 @@ foreach(workers 1 4)
   run_ok(scale ${SCALE} 6 --days 2 --workers ${workers}
          --cache-dir ${WORK}/scale6-w${workers} --json ${WORK}/scale.json)
   expect_same("fbedge_scale 6 --days 2 --workers ${workers}" "${scale_reference}" "${scale}")
+  expect_only_published("fbedge_scale 6 --days 2 --workers ${workers}" ${WORK}/scale6-w${workers})
   json_without_runtime(scale_json ${WORK}/scale.json)
   if(NOT scale_json STREQUAL scale_reference_json)
     message(FATAL_ERROR "fbedge_scale 6 --days 2 --workers ${workers}: --json differs "
@@ -101,6 +116,7 @@ foreach(workers 1 3)
            --workers ${workers} --cache-dir ${cache} --json ${WORK}/sweep.json)
     expect_same("fbedge_whatif --sweep --workers ${workers}, ${pass}"
                 "${sweep_reference}" "${fleet}")
+    expect_only_published("fbedge_whatif --sweep --workers ${workers}, ${pass}" ${cache})
     math(EXPR spawned "2 * ${workers}")
     expect_json(${WORK}/sweep.json runtime_workers_spawned ${spawned})
     expect_json(${WORK}/sweep.json runtime_worker_failures 0)

@@ -1082,10 +1082,10 @@ TEST(ScenarioSweep, FleetHookIsCalledOncePerNonEmptyScenario) {
         for (std::size_t i = 0; i < groups.size(); i += 2) {
           even.push_back(groups[i]);
         }
-        std::size_t at = 0;
+        // The sink's position i in `even` is affected position 2i.
         ingest_groups_to_blobs(perturbed, dc, {}, even, threads(1),
-                               [&](std::size_t, std::string&& blob) {
-                                 blobs[2 * at++] = std::move(blob);
+                               [&](std::size_t i, std::string&& blob) {
+                                 blobs[2 * i] = std::move(blob);
                                });
         return true;
       };

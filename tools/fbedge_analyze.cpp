@@ -13,18 +13,21 @@
 //
 // With --cache-dir (or FBEDGE_CACHE_DIR) and a FILE argument, the parsed
 // ingest state (counters, summary CDFs, and every group's aggregation
-// series) is persisted keyed by a content hash of the input bytes; a rerun
-// over the same file skips parsing entirely and prints identical output.
-// Stdin input is never cached (no stable identity to key on).
+// series) is persisted keyed by a content hash of the input bytes, read in
+// chunks (the file is never held whole); a rerun over the same file skips
+// parsing entirely and prints identical output. Stdin, and a FILE that is
+// not a regular file, are never cached (no stable identity to key on).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <limits>
+#include <streambuf>
 #include <string>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "agg/series_io.h"
 #include "analysis/ingest_cache.h"
@@ -92,15 +95,16 @@ bool write_state(const std::string& path, std::uint64_t key,
   w.u64(state.malformed);
   save_cdf(state.minrtt, w);
   save_cdf(state.hdratio, w);
-  if (!writer.append(w.data())) return false;
-  for (const auto* entry : entries) {
+  if (!writer.put(0, w.data())) return false;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto* entry = entries[i];
     w.clear();
     w.u32(entry->first.pop.value);
     w.u32(entry->first.prefix.addr);
     w.u32(static_cast<std::uint32_t>(entry->first.prefix.length));
     w.u32(entry->first.country.value);
     save_group_series(entry->second, w);
-    if (!writer.append(w.data())) return false;
+    if (!writer.put(1 + i, w.data())) return false;
   }
   return writer.finish();
 }
@@ -137,16 +141,44 @@ bool load_state(const std::string& path, std::uint64_t key, IngestState& state,
   return ok;
 }
 
-/// Content hash of the input dataset bytes (plus the format epoch and a
-/// tool tag so edge-analysis artifacts can never collide with these).
-std::uint64_t dataset_cache_key(const std::string& data) {
+/// The cache key of an input file of `size` bytes, before its bytes: the
+/// format epoch and a tool tag (so edge-analysis artifacts can never
+/// collide with these), then the size. Hashing the file's bytes into it
+/// gives the key.
+Fnv64 dataset_key_prefix(std::uint64_t size) {
   Fnv64 h;
   h.u32(kIngestArtifactEpoch);
   h.bytes("fbedge_analyze", 14);
-  h.u64(data.size());
-  h.bytes(data.data(), data.size());
-  return h.value();
+  h.u64(size);
+  return h;
 }
+
+/// Serves a file to an istream in fixed chunks and hashes every byte it
+/// serves into `hash` (when given), so no reader of the input holds more
+/// than one chunk of it.
+class ChunkedFileBuf : public std::streambuf {
+ public:
+  ChunkedFileBuf(std::FILE* file, Fnv64* hash) : file_(file), hash_(hash) {}
+
+  /// Bytes served so far.
+  std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  int_type underflow() override {
+    const std::size_t got = std::fread(chunk_, 1, sizeof(chunk_), file_);
+    if (got == 0) return traits_type::eof();
+    if (hash_ != nullptr) hash_->bytes(chunk_, got);
+    bytes_ += got;
+    setg(chunk_, chunk_, chunk_ + got);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  std::FILE* file_;
+  Fnv64* hash_;
+  std::uint64_t bytes_{0};
+  char chunk_[1 << 16];
+};
 
 void ingest_lines(std::istream& in, IngestState& state) {
   std::string line;
@@ -171,6 +203,49 @@ void ingest_lines(std::istream& in, IngestState& state) {
     state.store.add_session(key, sample->client.continent, sample->established_at,
                             sample->route_index, m.min_rtt, m.hdratio, m.traffic);
   }
+}
+
+/// Cached mode: the input file of `size` bytes (fstat) is the cache
+/// identity. A first pass hashes it in chunks into the key; a warm run then
+/// loads the artifact and never reads the file again. A cold run ingests
+/// from a second pass that hashes what it ingests, and saves the artifact
+/// under that hash, and only when it read `size` bytes, so a file that
+/// changed between the two passes is never cached under the first pass's
+/// key.
+void ingest_cached(std::FILE* file, std::uint64_t size,
+                   const IngestCacheOptions& cache, IngestState& state,
+                   RunStats& stats) {
+  using Clock = std::chrono::steady_clock;
+  Fnv64 announced = dataset_key_prefix(size);
+  {
+    ChunkedFileBuf chunks(file, &announced);
+    std::istream in(&chunks);
+    in.ignore(std::numeric_limits<std::streamsize>::max());
+  }
+  const std::uint64_t key = announced.value();
+  const auto load_start = Clock::now();
+  const bool warm = load_state(ingest_artifact_path(cache.dir, key), key, state, stats);
+  stats.cache_load_seconds +=
+      std::chrono::duration<double>(Clock::now() - load_start).count();
+  if (warm) {
+    stats.cache_hits += state.store.group_count();
+    return;
+  }
+  state = IngestState{};  // discard any partial load
+  std::rewind(file);
+  Fnv64 ingested = dataset_key_prefix(size);
+  ChunkedFileBuf chunks(file, &ingested);
+  std::istream in(&chunks);
+  ingest_lines(in, state);
+  const std::uint64_t saved = ingested.value();
+  const auto save_start = Clock::now();
+  if (chunks.bytes() != size ||
+      !write_state(ingest_artifact_path(cache.dir, saved), saved, state)) {
+    ++stats.cache_write_failures;
+  }
+  stats.cache_save_seconds +=
+      std::chrono::duration<double>(Clock::now() - save_start).count();
+  stats.cache_misses += state.store.group_count();
 }
 
 [[noreturn]] void usage(const char* argv0) {
@@ -212,47 +287,24 @@ int main(int argc, char** argv) {
 
   RunStats stats;
   IngestState state;
-  if (cache.enabled() && !path.empty()) {
-    // Cached mode: the file is the cache identity, so read it whole.
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
+  if (path.empty()) {
+    ingest_lines(std::cin, state);
+  } else {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    if (file == nullptr) {
       std::fprintf(stderr, "fbedge_analyze: cannot open %s\n", path.c_str());
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const std::string data = buffer.str();
-    const std::uint64_t key = dataset_cache_key(data);
-    const std::string artifact_path = ingest_artifact_path(cache.dir, key);
-    using Clock = std::chrono::steady_clock;
-    const auto load_start = Clock::now();
-    const bool warm = load_state(artifact_path, key, state, stats);
-    stats.cache_load_seconds +=
-        std::chrono::duration<double>(Clock::now() - load_start).count();
-    if (warm) {
-      stats.cache_hits += state.store.group_count();
+    // Only a regular file has a stable identity to key on.
+    struct stat st{};
+    if (cache.enabled() && ::fstat(::fileno(file), &st) == 0 && S_ISREG(st.st_mode)) {
+      ingest_cached(file, static_cast<std::uint64_t>(st.st_size), cache, state, stats);
     } else {
-      state = IngestState{};  // discard any partial load
-      std::istringstream in(data);
+      ChunkedFileBuf chunks(file, nullptr);
+      std::istream in(&chunks);
       ingest_lines(in, state);
-      const auto save_start = Clock::now();
-      if (!write_state(artifact_path, key, state)) ++stats.cache_write_failures;
-      stats.cache_save_seconds +=
-          std::chrono::duration<double>(Clock::now() - save_start).count();
-      stats.cache_misses += state.store.group_count();
     }
-  } else {
-    std::ifstream file;
-    std::istream* in = &std::cin;
-    if (!path.empty()) {
-      file.open(path);
-      if (!file) {
-        std::fprintf(stderr, "fbedge_analyze: cannot open %s\n", path.c_str());
-        return 1;
-      }
-      in = &file;
-    }
-    ingest_lines(*in, state);
+    std::fclose(file);
   }
 
   std::printf("ingested %llu sessions (%llu hosting-filtered, %llu malformed), "
