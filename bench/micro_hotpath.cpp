@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
   for (std::size_t g = 0; g < reduce_groups.size(); ++g) reduce_groups[g] = g;
   ingest_groups_to_blobs(
       reduce_world, reduce_dc, {}, reduce_groups, RuntimeOptions::sequential(),
-      [&](std::size_t g, std::string&& blob) { group_blobs[g] = std::move(blob); });
+      [&](std::size_t g, std::string_view blob) { group_blobs[g] = std::string(blob); });
   const double reduce_fold_ns =
       time_per_op(20, [&](int) {
         EdgeReducer reducer(reduce_world, reduce_dc, {}, {}, {});

@@ -23,21 +23,26 @@
 namespace fbedge {
 
 /// A saved RouteWindowAgg (the layout RouteWindowAgg::save writes) read in
-/// place: its counters, and both sketches as views over the reader's bytes,
-/// valid while those bytes are. read() is the one parser of that layout:
-/// RouteWindowAgg::load copies what it reads, and a blob summary walks the
-/// views without copying a centroid (agg/cell_summary.h).
+/// place: its counters, and each sketch as a view over the reader's bytes.
+/// read() is the one parser of that layout: RouteWindowAgg::load copies
+/// each sketch, and a blob summary walks each view without copying a
+/// centroid (agg/cell_summary.h).
 struct SavedRouteWindowAgg {
   std::int64_t sessions{0};
   Bytes traffic{0};
   Welford minrtt_mean;
   Welford hdratio_mean;
-  TDigestView minrtt;
-  TDigestView hdratio;
 
-  /// Reads one saved cell at `r`'s position and advances past it. Returns
-  /// false, `r` failed, on truncated or structurally invalid input.
-  bool read(ByteReader& r) {
+  /// Reads one saved cell at `r`'s position and advances past it, handing
+  /// the MinRTT sketch to `on_minrtt(view)` and then the HDratio sketch to
+  /// `on_hdratio(view)` as soon as each is parsed. A view borrows the
+  /// reader's window, which the reader's next read may refill (a streamed
+  /// blob), so it is valid only inside its call: a consumer finishes with
+  /// one sketch before the next field is read. Returns false, `r` failed,
+  /// on truncated or structurally invalid input; a sketch parsed before
+  /// the failure has been handed over.
+  template <typename MinRttFn, typename HdRatioFn>
+  bool read(ByteReader& r, MinRttFn&& on_minrtt, HdRatioFn&& on_hdratio) {
     sessions = r.i64();
     traffic = r.i64();
     for (Welford* m : {&minrtt_mean, &hdratio_mean}) {
@@ -46,7 +51,12 @@ struct SavedRouteWindowAgg {
       const double m2 = r.f64();
       *m = Welford::from_raw(n, mean, m2);
     }
-    return minrtt.parse(r) && hdratio.parse(r) && r.ok();
+    TDigestView sketch;
+    if (!sketch.parse(r)) return false;
+    on_minrtt(sketch);
+    if (!sketch.parse(r)) return false;
+    on_hdratio(sketch);
+    return r.ok();
   }
 };
 
@@ -142,13 +152,17 @@ class RouteWindowAgg {
   }
 
   /// Replaces the cell with the one saved at `r`'s position
-  /// (SavedRouteWindowAgg::read). Returns false, `r` failed and the cell
-  /// unchanged, on truncated or structurally invalid input.
+  /// (SavedRouteWindowAgg::read), copying each sketch as it is parsed.
+  /// Returns false, `r` failed, on truncated or structurally invalid
+  /// input, leaving the cell to be reset or dropped: its MinRTT sketch may
+  /// already be replaced.
   bool load(ByteReader& r) {
     SavedRouteWindowAgg saved;
-    if (!saved.read(r)) return false;
-    minrtt_.load(saved.minrtt);
-    hdratio_.load(saved.hdratio);
+    if (!saved.read(
+            r, [this](const TDigestView& sketch) { minrtt_.load(sketch); },
+            [this](const TDigestView& sketch) { hdratio_.load(sketch); })) {
+      return false;
+    }
     minrtt_mean_ = saved.minrtt_mean;
     hdratio_mean_ = saved.hdratio_mean;
     traffic_bytes_ = saved.traffic;

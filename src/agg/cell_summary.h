@@ -52,16 +52,21 @@ inline CellSummary summarize_cell(const RouteWindowAgg& cell, double z) {
   return s;
 }
 
-/// Summarizes a saved cell in place, walking its digests where they lie:
-/// bitwise the summary of the RouteWindowAgg that load() would rebuild
-/// from it, whose session count is an int.
-inline CellSummary summarize_cell(const SavedRouteWindowAgg& cell, double z) {
-  CellSummary s;
+/// Summarizes the saved cell at `r`'s position into `s` and advances past
+/// it, walking each digest where it lies before the next is read
+/// (SavedRouteWindowAgg::read): bitwise the summary of the RouteWindowAgg
+/// that load() would rebuild from it, whose session count is an int.
+/// Returns false, `r` failed, on the inputs load() rejects.
+inline bool read_cell_summary(ByteReader& r, double z, CellSummary& s) {
+  SavedRouteWindowAgg cell;
+  if (!cell.read(
+          r, [&](const TDigestView& sketch) { s.minrtt = summarize_median(sketch, z); },
+          [&](const TDigestView& sketch) { s.hdratio = summarize_median(sketch, z); })) {
+    return false;
+  }
   s.sessions = static_cast<int>(cell.sessions);
   s.traffic = cell.traffic;
-  s.minrtt = summarize_median(cell.minrtt, z);
-  s.hdratio = summarize_median(cell.hdratio, z);
-  return s;
+  return true;
 }
 
 /// Refills `out` with the summaries of `agg`'s routes, in route order.
@@ -101,10 +106,16 @@ struct SeriesSummary {
   void begin_window(int w) {
     windows.push_back({w, static_cast<std::uint32_t>(cells.size()), 0, 0});
   }
+  /// The window's traffic adds in wrapping arithmetic: a streamed blob is
+  /// summarized before its checksum is known (IngestArtifactReader::parse),
+  /// so a corrupt traffic field must not overflow a signed sum. Sums that
+  /// fit are the signed sums, bit for bit.
   void add_cell(const CellSummary& cell) {
     cells.push_back(cell);
     ++windows.back().routes;
-    windows.back().traffic += cell.traffic;
+    windows.back().traffic = static_cast<Bytes>(
+        static_cast<std::uint64_t>(windows.back().traffic) +
+        static_cast<std::uint64_t>(cell.traffic));
   }
 };
 

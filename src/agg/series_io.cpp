@@ -124,9 +124,9 @@ bool summarize_group_series(ByteReader& r, double z, SeriesSummary& out) {
       r, out.continent, window_count,
       [&](int window, std::uint32_t) { out.begin_window(window); },
       [&](ByteReader& in) {
-        SavedRouteWindowAgg cell;
-        if (!cell.read(in)) return false;
-        out.add_cell(summarize_cell(cell, z));
+        CellSummary cell;
+        if (!read_cell_summary(in, z, cell)) return false;
+        out.add_cell(cell);
         return true;
       });
   // Ids ascend as 64-bit values, so they ascend as ints unless one lies

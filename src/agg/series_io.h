@@ -48,8 +48,10 @@ bool load_group_series(ByteReader& r, GroupSeries& series, RouteAggPool* pool = 
 
 /// Summarizes a saved series straight from `r`'s bytes into `out`, at z =
 /// confidence_z(alpha): each cell is read in place (SavedRouteWindowAgg)
-/// and its two digests walked where they lie, so no GroupSeries, cell or
-/// digest is built and no centroid is copied. The series framing, the
+/// and each of its two digests walked where it lies before the next field
+/// is read, so no GroupSeries, cell or digest is built, no centroid is
+/// copied, and `r` may refill its window between any two fields (a blob
+/// streamed through IngestArtifactReader::parse). The series framing, the
 /// cell layout and the digest header are parsed by the same code as
 /// load_group_series, which therefore accepts exactly the same inputs, and
 /// `out` equals summarize_series() of the series it would have loaded.

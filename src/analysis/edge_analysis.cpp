@@ -165,13 +165,14 @@ struct IngestScratch {
 
 /// What a reduce task reads and analyzes a group in: one per pool worker
 /// (run_reduce_tasks), kept across the tasks it runs, and small next to
-/// the ingest arenas — a blob, a summary, and per-window analysis
+/// the ingest arenas — a read chunk, a summary, and per-window analysis
 /// buffers. Every buffer is rebuilt before use, so a result never depends
 /// on the tasks that ran before it.
 struct AnalysisScratch {
-  /// The group's artifact blob on the warm path (IngestArtifactReader::read
-  /// resizes it without zero-filling the bytes the read overwrites).
-  std::string blob;
+  /// The warm path's read buffer (IngestArtifactReader::parse): one chunk
+  /// of the blob being summarized, or the longest single take, never a
+  /// whole blob.
+  std::string chunk;
   /// The group's cell summaries: what every analysis pass reads.
   SeriesSummary summary;
   /// Analysis-pass buffers, cleared per group.
@@ -627,47 +628,47 @@ struct ReduceSettings {
   ClassifierConfig classifier_config;
 };
 
-/// The per-task body of every reduce (run_reduce_tasks):
-/// group `g` of the generator's world into `part`, analyzed from `blob`
-/// when it summarizes, else cold-ingested under that world, in arenas of
-/// its own, with the fresh series serialized into `save` when one is
-/// given. Either way the analysis reads the group's cell summaries; a blob
-/// is summarized straight from its bytes, without building a GroupSeries.
-/// Returns whether the blob served the group.
-bool reduce_group(AnalysisScratch& scratch, const DatasetGenerator& generator,
-                  const ReduceSettings& s, std::size_t g, GroupBlobRef blob,
+/// The per-task body of every reduce (run_reduce_tasks): group `g` of the
+/// generator's world into `part`. When `warm`, `scratch.summary` already
+/// holds the group's summary, taken from its blob; else the group is
+/// cold-ingested under that world, in arenas of its own, with the fresh
+/// series serialized into `save` when one is given. Either way the
+/// analysis reads the group's cell summaries.
+void reduce_group(AnalysisScratch& scratch, const DatasetGenerator& generator,
+                  const ReduceSettings& s, std::size_t g, bool warm,
                   const EdgeReducer::SaveFn* save, EdgePartial& part) {
   const UserGroupProfile& group = generator.world().groups[g];
-  const double z = confidence_z(s.comparison.alpha);
-  if (!blob.empty()) {
-    ByteReader r(blob.data, blob.size);
-    if (summarize_group_series(r, z, scratch.summary) &&
-        r.remaining() == 0) {
-      analyze_summary_into(scratch, scratch.summary, group, s.thresholds,
-                           s.comparison, s.classifier_config, part);
-      return true;
+  if (!warm) {
+    IngestScratch ingest;
+    ingest_group(ingest, generator, group, s.goodput, s.faults, part.res.faults);
+    if (save != nullptr && *save) {
+      save_group_series(ingest.series, ingest.writer);
+      (*save)(g, ingest.writer.take());
     }
-    // Unusable blob: fall through to cold ingest for this group.
+    summarize_series(ingest.series, confidence_z(s.comparison.alpha), scratch.summary);
   }
-  IngestScratch ingest;
-  ingest_group(ingest, generator, group, s.goodput, s.faults, part.res.faults);
-  if (save != nullptr && *save) {
-    save_group_series(ingest.series, ingest.writer);
-    (*save)(g, ingest.writer.take());
-  }
-  summarize_series(ingest.series, z, scratch.summary);
   analyze_summary_into(scratch, scratch.summary, group, s.thresholds, s.comparison,
                        s.classifier_config, part);
-  return false;
 }
 
-/// Blob `i` of `reader` read into the worker's `scratch`, or an empty ref
-/// (cold ingest) when the reader is not open or the read fails its
-/// checksum.
-GroupBlobRef read_blob(const IngestArtifactReader& reader, std::size_t i,
-                       AnalysisScratch& scratch) {
-  if (!reader.read(i, scratch.blob)) return GroupBlobRef{};
-  return GroupBlobRef{scratch.blob.data(), scratch.blob.size()};
+/// Summarizes a blob held in memory (the BlobFn overload, the sweep
+/// fleet's blobs) into `summary`: true when the blob parsed whole. An
+/// empty ref summarizes nothing.
+bool summarize_blob(GroupBlobRef blob, double z, SeriesSummary& summary) {
+  if (blob.empty()) return false;
+  ByteReader r(blob.data, blob.size);
+  return summarize_group_series(r, z, summary) && r.remaining() == 0;
+}
+
+/// Summarizes blob `i` of `reader` into the worker's `scratch.summary`,
+/// streamed through its chunk buffer: true when the blob parsed whole and
+/// matched its checksum, false (cold ingest) when the reader is not open
+/// or the read fails.
+bool summarize_blob(const IngestArtifactReader& reader, std::size_t i, double z,
+                    AnalysisScratch& scratch) {
+  return reader.parse(i, scratch.chunk, [&](ByteReader& r) {
+    return summarize_group_series(r, z, scratch.summary);
+  });
 }
 
 /// One reduce task: group `group` of `generator`'s world. `save`, when
@@ -695,21 +696,21 @@ struct ReducePass {
 /// worker instead, the arenas of the heaviest groups, which every worker
 /// runs first, stay resident for the whole pass beside every partial — on
 /// the whatif_sweep benchmark (4-core VM) that was 69 instead of 51 MiB
-/// peak RSS for about 3% less wall time. The AnalysisScratch, blob read
-/// buffer included, is one per worker and kept across the tasks it runs: a
-/// warm pass then allocates each worker's largest blob once instead of
-/// every blob. An attempt aborts when the plan's task_abort_decision says
-/// so, and the pool retries it under the plan's attempt budget; a task
-/// whose every attempt aborted is flagged lost. `blob_for(scratch, t)`
-/// returns task t's blob (or an empty ref to cold-ingest it), reading it
-/// into the running worker's `scratch` when it must be read. Which attempts
-/// abort is a pure function of (plan, group, attempt), and the deal changes
-/// only the schedule, so the pass leaves the same partials at any thread
-/// count.
-template <typename BlobFor>
+/// peak RSS for about 3% less wall time. The AnalysisScratch, read chunk
+/// included, is one per worker and kept across the tasks it runs: a warm
+/// pass then allocates each worker's chunk and summary buffers once, and
+/// no worker holds a whole blob. An attempt aborts when the plan's
+/// task_abort_decision says so, and the pool retries it under the plan's
+/// attempt budget; a task whose every attempt aborted is flagged lost.
+/// `summarize(scratch, t, z)` summarizes task t's blob into the running
+/// worker's `scratch.summary` and returns true, or returns false to
+/// cold-ingest the group. Which attempts abort is a pure function of
+/// (plan, group, attempt), and the deal changes only the schedule, so the
+/// pass leaves the same partials at any thread count.
+template <typename SummarizeFn>
 ReducePass run_reduce_tasks(const std::vector<ReduceTask>& tasks,
                             const ReduceSettings& s, const RuntimeOptions& runtime,
-                            const BlobFor& blob_for, RunStats* stats) {
+                            const SummarizeFn& summarize, RunStats* stats) {
   ReducePass pass;
   pass.partials.resize(tasks.size());
   pass.from_blob.assign(tasks.size(), 0);
@@ -721,6 +722,7 @@ ReducePass run_reduce_tasks(const std::vector<ReduceTask>& tasks,
   ThreadPool pool(resolve_threads(runtime.threads));
   const std::vector<std::size_t> dealt = deal_heaviest_first(weights, pool.threads());
   std::vector<AnalysisScratch> scratch(static_cast<std::size_t>(pool.threads()));
+  const double z = confidence_z(s.comparison.alpha);
   std::vector<std::uint8_t> failed;  // by plan index
   const RunStats rs = pool.parallel_for_failable(
       ShardPlan::make(tasks.size(), pool.threads()),
@@ -732,9 +734,10 @@ ReducePass run_reduce_tasks(const std::vector<ReduceTask>& tasks,
           return false;
         }
         AnalysisScratch& mine = scratch[static_cast<std::size_t>(worker)];
-        pass.from_blob[t] = reduce_group(mine, *task.generator, s, task.group,
-                                         blob_for(mine, t), task.save,
-                                         pass.partials[t]);
+        const bool warm = summarize(mine, t, z);
+        pass.from_blob[t] = warm;
+        reduce_group(mine, *task.generator, s, task.group, warm, task.save,
+                     pass.partials[t]);
         return true;
       },
       RetryPolicy{s.faults.task_max_attempts, s.faults.task_backoff_seconds},
@@ -767,10 +770,11 @@ struct EdgeReducer::Impl {
 
   /// The fold behind both reduce_range overloads: one run_reduce_tasks
   /// pass over the range, then its partials in ascending group-id order,
-  /// always, each lost group skipped. `blob_for(scratch, i)` returns group
-  /// range.begin + i's blob, or an empty ref to cold-ingest it.
-  template <typename BlobFor>
-  void reduce(const ShardRange& range, const BlobFor& blob_for,
+  /// always, each lost group skipped. `summarize(scratch, i, z)`
+  /// summarizes group range.begin + i's blob, or returns false to
+  /// cold-ingest it.
+  template <typename SummarizeFn>
+  void reduce(const ShardRange& range, const SummarizeFn& summarize,
               const RuntimeOptions& runtime, RunStats* stats,
               const SaveFn* save) {
     FBEDGE_EXPECT(range.end <= generator.world().groups.size(),
@@ -781,7 +785,7 @@ struct EdgeReducer::Impl {
     for (std::size_t g = range.begin; g < range.end; ++g) {
       tasks.push_back({&generator, g, save});
     }
-    const ReducePass pass = run_reduce_tasks(tasks, settings, runtime, blob_for, stats);
+    const ReducePass pass = run_reduce_tasks(tasks, settings, runtime, summarize, stats);
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       if (!pass.lost[i]) total.merge(pass.partials[i]);
       blob_groups += pass.from_blob[i];
@@ -804,8 +808,8 @@ void EdgeReducer::reduce_range(const ShardRange& range, const BlobFn& blob,
                                const SaveFn* save) {
   impl_->reduce(
       range,
-      [&](AnalysisScratch&, std::size_t i) {
-        return blob ? blob(range.begin + i) : GroupBlobRef{};
+      [&](AnalysisScratch& scratch, std::size_t i, double z) {
+        return blob && summarize_blob(blob(range.begin + i), z, scratch.summary);
       },
       runtime, stats, save);
 }
@@ -818,8 +822,8 @@ void EdgeReducer::reduce_range(const ShardRange& range,
                 "artifact blob count differs from the reduce range");
   impl_->reduce(
       range,
-      [&reader](AnalysisScratch& scratch, std::size_t i) {
-        return read_blob(reader, i, scratch);
+      [&reader](AnalysisScratch& scratch, std::size_t i, double z) {
+        return summarize_blob(reader, i, z, scratch);
       },
       runtime, stats, save);
 }
@@ -882,8 +886,9 @@ SweepPassResult reduce_sweep_pass(
   }
   const ReducePass pass = run_reduce_tasks(
       tasks, settings, runtime,
-      [&](AnalysisScratch& scratch, std::size_t t) {
-        return t < n ? read_blob(baseline_blobs, t, scratch) : held[t - n];
+      [&](AnalysisScratch& scratch, std::size_t t, double z) {
+        return t < n ? summarize_blob(baseline_blobs, t, z, scratch)
+                     : summarize_blob(held[t - n], z, scratch.summary);
       },
       stats);
 
@@ -912,7 +917,7 @@ SweepPassResult reduce_sweep_pass(
 void ingest_groups_to_blobs(
     const World& world, const DatasetConfig& config, GoodputConfig goodput,
     const std::vector<std::size_t>& groups, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t i, std::string&& blob)>& sink,
+    const std::function<void(std::size_t i, std::string_view blob)>& sink,
     RunStats* stats) {
   DatasetGenerator generator(world, config);
   const FaultPlan no_faults;
@@ -929,7 +934,7 @@ void ingest_groups_to_blobs(
         ingest_group(mine, generator, world.groups[g], goodput, no_faults, none);
         mine.writer.clear();
         save_group_series(mine.series, mine.writer);
-        sink(i, std::string(mine.writer.data()));
+        sink(i, mine.writer.data());
       });
   if (stats) stats->accumulate(rs);
 }

@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/edge_analysis.h"
@@ -94,10 +95,11 @@ class EdgeReducer {
                     const SaveFn* save = nullptr);
 
   /// reduce_range with the blobs read straight from an artifact: inside
-  /// each pool task, group `range.begin + i` reads blob i of `reader` into
-  /// the task's own buffer, so no more than one blob per worker is ever
-  /// resident. A reader that is not open serves no blobs, and a blob whose
-  /// read fails its checksum cold-ingests that group — output identical
+  /// each pool task, group `range.begin + i` streams blob i of `reader`
+  /// through its worker's chunk buffer (IngestArtifactReader::parse) and
+  /// summarizes it as it arrives, so no worker ever holds a whole blob. A
+  /// reader that is not open serves no blobs, and a blob whose read fails
+  /// its parse or its checksum cold-ingests that group — output identical
   /// either way. An open reader must hold exactly range.size() blobs.
   void reduce_range(const ShardRange& range, const IngestArtifactReader& reader,
                     const RuntimeOptions& runtime, RunStats* stats = nullptr,
@@ -185,16 +187,17 @@ SweepPassResult reduce_sweep_pass(
 /// the list, from the pool worker that ingested it, as soon as it is done:
 /// in no fixed order, and from several threads at once, so the sink must
 /// tolerate that (IngestArtifactWriter::put with the position as the
-/// artifact index does). Nothing waits for a later group, so a worker holds
-/// only the blobs its threads are handing over — per-process RSS stays
-/// flat in the list size. Ingest is fault-free (the distributed cache must
+/// artifact index does). The view borrows the worker's serialization
+/// buffer and is valid only inside the call; a sink that keeps a blob
+/// copies it. Nothing waits for a later group, so a worker holds only the
+/// blob it is handing over — per-process RSS stays flat in the list size. Ingest is fault-free (the distributed cache must
 /// never hold faulted series), and per-group ingest is seeded from the
 /// group key alone, so the blobs are identical to what a whole-world
 /// ingest would produce for those groups.
 void ingest_groups_to_blobs(
     const World& world, const DatasetConfig& config, GoodputConfig goodput,
     const std::vector<std::size_t>& groups, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t i, std::string&& blob)>& sink,
+    const std::function<void(std::size_t i, std::string_view blob)>& sink,
     RunStats* stats = nullptr);
 
 }  // namespace fbedge

@@ -27,6 +27,8 @@ constexpr std::size_t kFooterBytes = 8;
 
 // The writer's copy buffer: finish() moves spilled blobs through it.
 constexpr std::size_t kCopyBufferBytes = std::size_t{1} << 20;
+// The reader's chunk: each pread of a blob reads at most this many bytes.
+constexpr std::size_t kBlobChunkBytes = std::size_t{64} << 10;
 
 /// pread()s exactly `n` bytes at `offset`; false on error or end of file.
 bool pread_full(int fd, char* dst, std::uint64_t n, std::uint64_t offset) {
@@ -261,11 +263,15 @@ bool IngestArtifactReader::open_index(const std::string& path,
 bool IngestArtifactReader::open(const std::string& path, std::uint64_t key,
                                 std::size_t expected_groups) {
   if (!open_index(path, key, expected_groups)) return false;
-  // Verify pass: every blob against its checksum, in file order, through
-  // one reused buffer.
-  std::string blob;
+  // Verify pass: every blob against its checksum, in file order, one chunk
+  // at a time through one buffer.
+  std::string chunk;
+  const BlobParser skip_all = [](ByteReader& r) {
+    r.skip(r.remaining());
+    return r.ok();
+  };
   for (std::size_t i = 0; i < index_.size(); ++i) {
-    if (!read(i, blob)) {
+    if (!parse(i, chunk, skip_all)) {
       close();
       return false;
     }
@@ -274,21 +280,74 @@ bool IngestArtifactReader::open(const std::string& path, std::uint64_t key,
 }
 
 bool IngestArtifactReader::read(std::size_t i, std::string& blob) const {
-  if (fd_ < 0 || i >= index_.size()) {
+  // The blob is its own buffer: one take of the whole blob fills it from
+  // its first byte, chunk by chunk.
+  const bool ok = parse(i, blob, [](ByteReader& r) {
+    r.take(r.remaining());
+    return r.ok();
+  });
+  if (ok) {
+    blob.resize(static_cast<std::size_t>(index_[i].length));
+  } else {
     blob.clear();
-    return false;
   }
+  return ok;
+}
+
+namespace {
+
+/// Blob bytes at [offset, offset + length) of `fd` as a ByteSource: each
+/// refill preads the next bytes into `buffer` in pieces of at most
+/// kBlobChunkBytes and hashes each piece as it lands. A window is one
+/// chunk (less at the blob's end) unless the reader needs more at once;
+/// it never reaches past the blob.
+class BlobChunks final : public ByteSource {
+ public:
+  BlobChunks(int fd, std::uint64_t offset, std::uint64_t length, std::string& buffer)
+      : fd_(fd), offset_(offset), left_(length), buffer_(buffer) {}
+
+  std::span<const unsigned char> refill(const unsigned char* unread, std::size_t keep,
+                                        std::size_t need) override {
+    const std::size_t size = std::max<std::size_t>(
+        need, static_cast<std::size_t>(
+                  std::min<std::uint64_t>(kBlobChunkBytes, keep + left_)));
+    // The unread bytes lie in buffer_ (the window handed out last).
+    if (keep > 0) std::memmove(buffer_.data(), unread, keep);
+    if (buffer_.size() < size) buffer_.resize(size);
+    for (std::size_t at = keep; at < size;) {
+      const std::size_t n = std::min(kBlobChunkBytes, size - at);
+      if (!pread_full(fd_, buffer_.data() + at, n, offset_)) return {};
+      hash_.update(buffer_.data() + at, n);
+      offset_ += n;
+      left_ -= n;
+      at += n;
+    }
+    return {reinterpret_cast<const unsigned char*>(buffer_.data()), size};
+  }
+
+  /// Blob bytes not read yet.
+  std::uint64_t unread() const { return left_; }
+  std::uint64_t checksum() const { return hash_.digest(); }
+
+ private:
+  int fd_;
+  std::uint64_t offset_;
+  std::uint64_t left_;
+  std::string& buffer_;
+  Xxh64 hash_;
+};
+
+}  // namespace
+
+bool IngestArtifactReader::parse(std::size_t i, std::string& buffer,
+                                 const BlobParser& parse) const {
+  if (fd_ < 0 || i >= index_.size()) return false;
   const Entry& e = index_[i];
-  // resize() without a prior clear() only writes bytes beyond the old
-  // size, so a reused buffer is not re-zeroed before every pread.
-  blob.resize(static_cast<std::size_t>(e.length));
-  const bool got = pread_full(fd_, blob.data(), e.length, e.offset);
-  if (got) bytes_read_ += e.length;
-  if (!got || xxh64(blob.data(), blob.size()) != e.checksum) {
-    blob.clear();
-    return false;
-  }
-  return true;
+  BlobChunks chunks(fd_, e.offset, e.length, buffer);
+  ByteReader r(chunks, static_cast<std::size_t>(e.length));
+  const bool parsed = parse(r) && r.ok() && r.remaining() == 0;
+  bytes_read_ += e.length - chunks.unread();
+  return parsed && chunks.checksum() == e.checksum;
 }
 
 bool write_ingest_artifact(const std::string& path, std::uint64_t key,

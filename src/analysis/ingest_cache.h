@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -97,23 +98,26 @@ bool write_ingest_artifact(const std::string& path, std::uint64_t key,
 /// is bounds-checked before it is summed, and the blobs must tile the space
 /// between header and index exactly, so the file size is exact — without
 /// reading a blob byte. open() is open_index() plus one sequential pass
-/// that reads and checks every blob through a reused buffer, so anything
-/// missing, truncated, wrong-epoch, wrong-key or with a flipped byte fails
-/// it. Memory stays at the index plus the largest blob, whatever the
-/// artifact's size.
+/// that checks every blob chunk by chunk, so anything missing, truncated,
+/// wrong-epoch, wrong-key or with a flipped byte fails it. Memory stays at
+/// the index plus one 64 KiB chunk, whatever the artifact's size.
 ///
 /// Access paths: every reader of blobs opens the index only and checks
-/// each blob where it reads it, so every blob is read and hashed once:
-/// run_cached_pass (the warm run_edge_analysis and sweep baseline), the
-/// fleet's shard open (open_fleet_shard), tools/fbedge_analyze and
-/// read_ingest_artifact. open() serves only the fleet worker's idempotence
-/// probe, which vouches for a whole shard before it skips rebuilding it.
+/// each blob where it reads it, so every blob is read and hashed once.
+/// Readers that only summarize a blob stream it through parse() and hold
+/// one chunk (plus the longest single take, a digest's centroids): the
+/// warm run_edge_analysis and sweep baseline (run_cached_pass) and the
+/// scale coordinator's shard reduce (open_fleet_shard). read() hands a
+/// whole blob to the callers that keep one: the sweep fleet's slice
+/// collect, tools/fbedge_analyze and read_ingest_artifact. open() serves
+/// only the fleet worker's idempotence probe, which vouches for a whole
+/// shard before it skips rebuilding it.
 ///
-/// After either open, read(i) may be called from any number of threads at
-/// once, in any order: it preads blob i (no mmap, so a file truncated
-/// underneath fails the read instead of raising SIGBUS) and checks its
-/// XXH64, so a blob whose bytes differ from the index fails exactly that
-/// read and is never served.
+/// After either open, parse() and read() may be called from any number of
+/// threads at once, in any order, each with its own buffer: they pread
+/// blob i (no mmap, so a file truncated underneath fails the read instead
+/// of raising SIGBUS) and check its XXH64, so a blob whose bytes differ
+/// from the index fails exactly that call and is never served.
 class IngestArtifactReader {
  public:
   IngestArtifactReader() = default;
@@ -127,20 +131,40 @@ class IngestArtifactReader {
   bool open_index(const std::string& path, std::uint64_t key,
                   std::size_t expected_groups);
 
-  /// open_index(), then read() of every blob: false if any blob fails.
+  /// open_index(), then a check of every blob, chunk by chunk through one
+  /// buffer: false if any blob fails.
   bool open(const std::string& path, std::uint64_t key,
             std::size_t expected_groups);
 
   /// Blob count from the validated header (0 when not open).
   std::size_t groups() const { return index_.size(); }
 
-  /// Copies blob `i` (group-id order) into `blob`, reusing its capacity.
-  /// Returns false, leaving `blob` empty, when the reader is not open,
-  /// `i` is out of range, or the bytes on disk do not match the index.
+  /// What parse() runs over a blob: true when it read the blob's bytes
+  /// as it expected.
+  using BlobParser = std::function<bool(ByteReader&)>;
+
+  /// Runs `parse` over blob `i` (group-id order) and checks the blob: the
+  /// one reader of blob bytes. It preads the blob into `buffer`, which the
+  /// caller keeps across calls, in chunks of at most 64 KiB, hashes each
+  /// chunk as it arrives, and hands `parse` a ByteReader that refills from
+  /// `buffer` whenever it reads past the chunk. A take() longer than a
+  /// chunk grows `buffer` to that take, never past the blob, so `buffer`
+  /// holds one chunk or the longest take. Returns true only when `parse`
+  /// returned true, consumed exactly the blob, and the blob's XXH64
+  /// matched the index; false when the reader is not open or `i` is out
+  /// of range. The bytes `parse` sees are unverified until then, so a
+  /// caller acts on what it parsed only after a true return.
+  bool parse(std::size_t i, std::string& buffer, const BlobParser& parse) const;
+
+  /// Copies blob `i` (group-id order) into `blob`, reusing its capacity:
+  /// parse() with `blob` as the buffer and one take of the whole blob.
+  /// Returns false, leaving `blob` empty, when parse() fails.
   bool read(std::size_t i, std::string& blob) const;
 
-  /// Blob bytes read() has read and hashed since the last open — open()'s
-  /// own pass included, and a blob that failed its checksum too.
+  /// Blob bytes read and hashed since the last open — open()'s own pass
+  /// included. A blob that failed its checksum counts whole; one whose
+  /// parse failed counts only the bytes read until then, since reading
+  /// stops there.
   std::uint64_t bytes_read() const { return bytes_read_.load(); }
 
   void close();

@@ -93,7 +93,7 @@ int run_fleet_worker(const World& world, const DatasetConfig& config,
   if (!writer.open(artifact_path, want.artifact_key, slice.size())) return 1;
   ingest_groups_to_blobs(
       world, config, goodput, groups, runtime,
-      [&writer](std::size_t i, std::string&& blob) { writer.put(i, blob); },
+      [&writer](std::size_t i, std::string_view blob) { writer.put(i, blob); },
       stats);
   if (!writer.finish()) return 1;
   // Artifact is live; the manifest is published last so its existence
@@ -212,9 +212,10 @@ EdgeAnalysisResult run_scale_analysis(const World& world,
   // ---- Reduce phase: shard by shard in shard order (= ascending group
   // order, since a scale job's slices are contiguous ascending blocks of
   // group ids). Each shard's index is validated at open; then every reduce
-  // worker reads and checks its own group's blob inside its pool task, so
-  // each blob is read once and the coordinator holds one blob per worker —
-  // never a whole shard, which at scale is gigabytes. A shard without a
+  // worker streams and checks its own group's blob inside its pool task, so
+  // each blob is read once and the coordinator holds one 64 KiB chunk per
+  // worker — never a whole blob, let alone a shard, which at scale is
+  // gigabytes. A shard without a
   // valid manifest + index — degraded, raced, or vandalized — leaves the
   // reader closed, and EdgeReducer cold-ingests its groups; a blob that
   // fails its checksum cold-ingests its group alone. Output is

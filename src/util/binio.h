@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 
 namespace fbedge {
@@ -83,54 +84,95 @@ inline std::uint64_t xxh64_merge(std::uint64_t acc, std::uint64_t lane) {
 
 }  // namespace detail
 
-/// One-shot XXH64 (seed 0) of `n` bytes: the ingest-artifact blob and
-/// index checksum. Four independent 64-bit lanes over 32-byte stripes, so
-/// it runs at memory speed where FNV-1a is one multiply per byte.
-/// Little-endian loads keep the value host-independent.
-inline std::uint64_t xxh64(const void* data, std::size_t n) {
-  using namespace detail;
-  const auto* p = static_cast<const unsigned char*>(data);
-  const unsigned char* const end = p + n;
-  std::uint64_t h = 0;
-  if (n >= 32) {
-    std::uint64_t v1 = kXxhPrime1 + kXxhPrime2;
-    std::uint64_t v2 = kXxhPrime2;
-    std::uint64_t v3 = 0;
-    std::uint64_t v4 = 0 - kXxhPrime1;
-    for (; end - p >= 32; p += 32) {
-      v1 = xxh64_round(v1, load_le64(p));
-      v2 = xxh64_round(v2, load_le64(p + 8));
-      v3 = xxh64_round(v3, load_le64(p + 16));
-      v4 = xxh64_round(v4, load_le64(p + 24));
+/// Streaming XXH64 (seed 0): the ingest-artifact blob and index checksum.
+/// Four independent 64-bit lanes over 32-byte stripes, so it runs at memory
+/// speed where FNV-1a is one multiply per byte; little-endian loads keep
+/// the value host-independent. update() takes the bytes in pieces of any
+/// size, so a blob read in chunks is hashed as each chunk arrives, and
+/// digest() equals xxh64() of the concatenation.
+class Xxh64 {
+ public:
+  void update(const void* data, std::size_t n) {
+    using namespace detail;
+    const auto* p = static_cast<const unsigned char*>(data);
+    const unsigned char* const end = p + n;
+    total_ += n;
+    if (held_ + n < 32) {
+      if (n > 0) std::memcpy(stripe_ + held_, p, n);
+      held_ += n;
+      return;
     }
-    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
-    h = xxh64_merge(h, v1);
-    h = xxh64_merge(h, v2);
-    h = xxh64_merge(h, v3);
-    h = xxh64_merge(h, v4);
-  } else {
-    h = kXxhPrime5;
+    // Lanes in locals: `p` may alias any member, so members would be
+    // reloaded on every stripe.
+    std::uint64_t v1 = v_[0], v2 = v_[1], v3 = v_[2], v4 = v_[3];
+    const auto round = [&](const unsigned char* s) {
+      v1 = xxh64_round(v1, load_le64(s));
+      v2 = xxh64_round(v2, load_le64(s + 8));
+      v3 = xxh64_round(v3, load_le64(s + 16));
+      v4 = xxh64_round(v4, load_le64(s + 24));
+    };
+    if (held_ > 0) {
+      const std::size_t fill = 32 - held_;
+      std::memcpy(stripe_ + held_, p, fill);
+      p += fill;
+      round(stripe_);
+    }
+    for (; end - p >= 32; p += 32) round(p);
+    v_[0] = v1;
+    v_[1] = v2;
+    v_[2] = v3;
+    v_[3] = v4;
+    held_ = static_cast<std::size_t>(end - p);
+    if (held_ > 0) std::memcpy(stripe_, p, held_);
   }
-  h += static_cast<std::uint64_t>(n);
-  for (; end - p >= 8; p += 8) {
-    h ^= xxh64_round(0, load_le64(p));
-    h = std::rotl(h, 27) * kXxhPrime1 + kXxhPrime4;
+
+  /// XXH64 of every byte given so far.
+  std::uint64_t digest() const {
+    using namespace detail;
+    std::uint64_t h = kXxhPrime5;
+    if (total_ >= 32) {
+      h = std::rotl(v_[0], 1) + std::rotl(v_[1], 7) + std::rotl(v_[2], 12) +
+          std::rotl(v_[3], 18);
+      for (const std::uint64_t v : v_) h = xxh64_merge(h, v);
+    }
+    h += total_;
+    const unsigned char* p = stripe_;
+    const unsigned char* const end = stripe_ + held_;
+    for (; end - p >= 8; p += 8) {
+      h ^= xxh64_round(0, load_le64(p));
+      h = std::rotl(h, 27) * kXxhPrime1 + kXxhPrime4;
+    }
+    if (end - p >= 4) {
+      h ^= static_cast<std::uint64_t>(load_le32(p)) * kXxhPrime1;
+      h = std::rotl(h, 23) * kXxhPrime2 + kXxhPrime3;
+      p += 4;
+    }
+    for (; p < end; ++p) {
+      h ^= static_cast<std::uint64_t>(*p) * kXxhPrime5;
+      h = std::rotl(h, 11) * kXxhPrime1;
+    }
+    h ^= h >> 33;
+    h *= kXxhPrime2;
+    h ^= h >> 29;
+    h *= kXxhPrime3;
+    h ^= h >> 32;
+    return h;
   }
-  if (end - p >= 4) {
-    h ^= static_cast<std::uint64_t>(load_le32(p)) * kXxhPrime1;
-    h = std::rotl(h, 23) * kXxhPrime2 + kXxhPrime3;
-    p += 4;
-  }
-  for (; p < end; ++p) {
-    h ^= static_cast<std::uint64_t>(*p) * kXxhPrime5;
-    h = std::rotl(h, 11) * kXxhPrime1;
-  }
-  h ^= h >> 33;
-  h *= kXxhPrime2;
-  h ^= h >> 29;
-  h *= kXxhPrime3;
-  h ^= h >> 32;
-  return h;
+
+ private:
+  std::uint64_t v_[4] = {detail::kXxhPrime1 + detail::kXxhPrime2, detail::kXxhPrime2, 0,
+                         0 - detail::kXxhPrime1};
+  std::uint64_t total_{0};
+  /// The bytes of the stripe not yet complete (held_ < 32 of them).
+  unsigned char stripe_[32];
+  std::size_t held_{0};
+};
+
+/// One-call XXH64 (seed 0) of `n` bytes: Xxh64's update() then digest().
+inline std::uint64_t xxh64(const void* data, std::size_t n) {
+  Xxh64 h;
+  h.update(data, n);
+  return h.digest();
 }
 
 /// Append-only little-endian encoder into an owned byte string.
@@ -169,11 +211,38 @@ class ByteWriter {
   std::string out_;
 };
 
-/// Bounds-checked little-endian decoder over a borrowed byte range.
+/// Where a refilling ByteReader gets its bytes: IngestArtifactReader's
+/// chunked blob reads (analysis/ingest_cache.h), or a test's fake source.
+class ByteSource {
+ public:
+  /// Returns the reader's next window: the `keep` unread bytes at `unread`
+  /// (which the current window holds), then at least `need - keep` more
+  /// bytes of the stream. The reader asks only for bytes the stream still
+  /// has (need > keep); a window shorter than `need` means the source
+  /// failed. A refill may move or reallocate the buffer, so no pointer into
+  /// an earlier window survives it.
+  virtual std::span<const unsigned char> refill(const unsigned char* unread,
+                                                std::size_t keep, std::size_t need) = 0;
+
+ protected:
+  ~ByteSource() = default;
+};
+
+/// Bounds-checked little-endian decoder over a borrowed byte range, or
+/// over a stream that a ByteSource hands out window by window. Either way
+/// remaining() counts every unread byte of the whole range or stream, so a
+/// parser's count bounds do not depend on where a window ends.
 class ByteReader {
  public:
+  /// Reads the `n` bytes at `data`.
   ByteReader(const void* data, std::size_t n)
       : data_(static_cast<const unsigned char*>(data)), size_(n) {}
+
+  /// Reads a `length`-byte stream from `source`. A read that runs past the
+  /// window refills it, so a pointer from take(), and any view over one,
+  /// is valid only until the next read.
+  ByteReader(ByteSource& source, std::size_t length)
+      : source_(&source), after_(length) {}
 
   std::uint8_t u8() {
     if (!ensure(1)) return 0;
@@ -187,9 +256,11 @@ class ByteReader {
   /// The next `n` bytes where they lie, and advances past them: the bulk
   /// read of an array whose in-memory layout is its little-endian wire
   /// layout (callers static_assert that), with one bounds check for the
-  /// whole array. The pointer borrows the reader's buffer. When fewer than
-  /// `n` bytes remain it returns nullptr and latches failure like every
-  /// getter; check ok(), since an empty take may also be nullptr.
+  /// whole array. The pointer borrows the reader's buffer; on a stream, a
+  /// take longer than the window grows the source's buffer to `n` bytes,
+  /// never more than remain. When fewer than `n` bytes remain it returns
+  /// nullptr and latches failure like every getter; check ok(), since an
+  /// empty take may also be nullptr.
   const unsigned char* take(std::size_t n) {
     if (!ensure(n)) return nullptr;
     const unsigned char* at = data_ + pos_;
@@ -197,23 +268,53 @@ class ByteReader {
     return at;
   }
 
-  /// Advances past `n` bytes (latching failure if fewer remain).
+  /// Advances past `n` bytes (latching failure if fewer remain). On a
+  /// stream it passes window by window, so a skip never grows a buffer.
   void skip(std::size_t n) {
-    if (ensure(n)) pos_ += n;
+    if (n > remaining()) {
+      ok_ = false;
+      return;
+    }
+    while (n > size_ - pos_) {
+      n -= size_ - pos_;
+      pos_ = size_;
+      if (!ensure(1)) return;
+    }
+    pos_ += n;
   }
 
   /// Marks the stream failed (validation found an inconsistency).
   void fail() { ok_ = false; }
   bool ok() const { return ok_; }
-  std::size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
-  std::size_t position() const { return pos_; }
+  std::size_t remaining() const { return ok_ ? size_ - pos_ + after_ : 0; }
+  std::size_t position() const { return start_ + pos_; }
 
  private:
   bool ensure(std::size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
+    if (ok_ && size_ - pos_ >= n) return true;
+    return refill(n);
+  }
+
+  /// The slow half of ensure(): a window holding the next `n` bytes from
+  /// the source, or a latched failure when fewer remain (always, without
+  /// a source) or the source fails.
+  bool refill(std::size_t n) {
+    const std::size_t keep = size_ - pos_;
+    if (!ok_ || n - keep > after_) {
       ok_ = false;
       return false;
     }
+    const std::span<const unsigned char> window =
+        source_->refill(data_ + pos_, keep, n);
+    if (window.size() < n || window.size() - keep > after_) {
+      ok_ = false;
+      return false;
+    }
+    after_ -= window.size() - keep;
+    start_ += pos_;
+    data_ = window.data();
+    size_ = window.size();
+    pos_ = 0;
     return true;
   }
 
@@ -230,10 +331,15 @@ class ByteReader {
     return v;
   }
 
-  const unsigned char* data_;
-  std::size_t size_;
+  const unsigned char* data_{nullptr};
+  /// The window: data_[0, size_), read up to pos_.
+  std::size_t size_{0};
   std::size_t pos_{0};
   bool ok_{true};
+  ByteSource* source_{nullptr};
+  /// Stream offset of data_[0], and stream bytes beyond the window.
+  std::size_t start_{0};
+  std::size_t after_{0};
 };
 
 // ---------------------------------------------------------------------------

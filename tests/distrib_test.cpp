@@ -3,9 +3,11 @@
 // idempotence, and the headline guarantee — run_scale_analysis output is
 // byte-identical to a single-process run_edge_analysis for any worker
 // count, with every degradation (crashed worker, vandalized cache, absent
-// artifacts) falling back to cold ingest instead of drifting or dying.
+// artifacts) falling back to cold ingest instead of drifting or dying —
+// and the artifact reader's streamed blob reads those paths run on.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -14,16 +16,20 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "agg/series_io.h"
 #include "analysis/edge_analysis.h"
+#include "analysis/edge_reduce.h"
 #include "analysis/ingest_cache.h"
 #include "distrib/coordinator.h"
 #include "distrib/shard_manifest.h"
@@ -521,6 +527,229 @@ TEST(IngestArtifactReader, TruncationAndBitFlipsFailOpen) {
     IngestArtifactReader reader;
     EXPECT_FALSE(reader.open(mut, 23, 2)) << "accepted flip at byte " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Streamed blob reads (IngestArtifactReader::parse): the warm reduce's,
+// the shard reduce's and the fleet probe's one read.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kChunk = std::size_t{64} << 10;
+const double kZ = confidence_z(0.95);
+
+/// small_world()'s groups as ingest saves them (about 100-150 KB each, so
+/// two or three chunks), then blobs of 0, 10 and 200,000 bytes; written as
+/// the artifact `path` under `key`.
+std::vector<std::string> write_stream_artifact(const std::string& path, std::uint64_t key) {
+  const World world = build_world(small_world());
+  std::vector<std::size_t> groups(world.groups.size());
+  std::iota(groups.begin(), groups.end(), std::size_t{0});
+  std::vector<std::string> blobs(groups.size());
+  ingest_groups_to_blobs(world, small_dataset(), {}, groups, RuntimeOptions::sequential(),
+                         [&](std::size_t i, std::string_view blob) {
+                           blobs[i] = std::string(blob);
+                         });
+  std::mt19937_64 rng(7);
+  std::string noise(200000, '\0');
+  for (char& c : noise) c = static_cast<char>(rng());
+  for (const std::string& extra : {std::string(), std::string("0123456789"), noise}) {
+    blobs.push_back(extra);
+  }
+  EXPECT_TRUE(write_ingest_artifact(path, key, blobs));
+  return blobs;
+}
+
+/// summarize_group_series of blob `i`, streamed through `buffer`.
+bool summarize_streamed(const IngestArtifactReader& reader, std::size_t i,
+                        std::string& buffer, SeriesSummary& out) {
+  return reader.parse(
+      i, buffer, [&](ByteReader& r) { return summarize_group_series(r, kZ, out); });
+}
+
+/// Whether two summaries hold the same windows and bitwise the same cells.
+bool same_summary(const SeriesSummary& a, const SeriesSummary& b) {
+  if (a.continent != b.continent || a.windows.size() != b.windows.size() ||
+      a.cells.size() != b.cells.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.windows.size(); ++i) {
+    const WindowSummary& x = a.windows[i];
+    const WindowSummary& y = b.windows[i];
+    if (x.window != y.window || x.first != y.first || x.routes != y.routes ||
+        x.traffic != y.traffic) {
+      return false;
+    }
+  }
+  return a.cells.empty() ||
+         std::memcmp(a.cells.data(), b.cells.data(), a.cells.size() * sizeof(CellSummary)) == 0;
+}
+
+TEST(IngestArtifactReader, ParseStreamsEachBlobThroughOneChunk) {
+  const std::string dir = fresh_dir("reader-parse");
+  const std::string path = ingest_artifact_path(dir, 31);
+  const std::vector<std::string> blobs = write_stream_artifact(path, 31);
+  const std::size_t series = blobs.size() - 3;
+  IngestArtifactReader reader;
+  ASSERT_TRUE(reader.open_index(path, 31, blobs.size()));
+
+  // A series blob summarizes as it streams, bitwise as in memory, through
+  // exactly one chunk: no take is longer.
+  for (std::size_t i = 0; i < series; ++i) {
+    ASSERT_GT(blobs[i].size(), kChunk) << i;
+    SeriesSummary want;
+    ByteReader flat(blobs[i].data(), blobs[i].size());
+    ASSERT_TRUE(summarize_group_series(flat, kZ, want));
+    std::string buffer;
+    SeriesSummary got;
+    const std::uint64_t before = reader.bytes_read();
+    ASSERT_TRUE(summarize_streamed(reader, i, buffer, got)) << i;
+    EXPECT_TRUE(same_summary(got, want)) << i;
+    EXPECT_EQ(buffer.size(), kChunk) << i;
+    EXPECT_EQ(reader.bytes_read() - before, blobs[i].size()) << i;
+  }
+
+  // Bytes come in order across refills; the buffer never grows past the
+  // blob, and a take longer than a chunk grows it to exactly that take.
+  const auto copy_in_steps = [](std::string& out) {
+    return [&out](ByteReader& r) {
+      out.clear();
+      for (std::size_t step = 1; r.remaining() > 0; step = step % 5000 + 1) {
+        const std::size_t n = std::min(step, r.remaining());
+        const unsigned char* at = r.take(n);
+        if (at == nullptr) return false;
+        out.append(reinterpret_cast<const char*>(at), n);
+      }
+      return true;
+    };
+  };
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    std::string buffer;
+    std::string copy;
+    ASSERT_TRUE(reader.parse(i, buffer, copy_in_steps(copy))) << i;
+    EXPECT_EQ(copy, blobs[i]) << i;
+    EXPECT_EQ(buffer.size(), std::min(blobs[i].size(), kChunk)) << i;
+  }
+  const std::size_t noise = blobs.size() - 1;
+  std::string buffer;
+  ASSERT_TRUE(reader.parse(noise, buffer, [](ByteReader& r) {
+    r.take(100);
+    r.take(150000);
+    r.skip(r.remaining());
+    return r.ok();
+  }));
+  EXPECT_EQ(buffer.size(), 150000u);
+
+  // A parse that fails, or stops short of the blob's end, fails the read,
+  // and reading stops there: bytes_read() counts one chunk.
+  for (const bool parsed : {false, true}) {
+    std::string fresh;
+    const std::uint64_t before = reader.bytes_read();
+    EXPECT_FALSE(reader.parse(noise, fresh, [parsed](ByteReader& r) {
+      r.u8();
+      return parsed;
+    }));
+    EXPECT_EQ(reader.bytes_read() - before, kChunk);
+  }
+  // Out of range, or on a closed reader, the parser never runs.
+  bool ran = false;
+  const auto mark = [&ran](ByteReader&) { return ran = true; };
+  EXPECT_FALSE(reader.parse(blobs.size(), buffer, mark));
+  reader.close();
+  EXPECT_FALSE(reader.parse(0, buffer, mark));
+  EXPECT_FALSE(ran);
+}
+
+TEST(IngestArtifactReader, EveryByteFlipFailsTheStreamedRead) {
+  const std::string dir = fresh_dir("reader-parse-flips");
+  const std::string path = ingest_artifact_path(dir, 32);
+  const std::vector<std::string> blobs = write_stream_artifact(path, 32);
+  // Blob 1's bytes: its first and last byte, the first digest's centroid
+  // count (continent, window count, window id and route count, the cell's
+  // counters and Welfords, then five header fields), and a sample of the
+  // rest.
+  constexpr std::size_t kHeader = 28;
+  const std::size_t start = kHeader + blobs[0].size();
+  const std::size_t length = blobs[1].size();
+  std::vector<std::size_t> offsets = {0, length - 1, 1 + 8 + 8 + 4 + 16 + 48 + 40};
+  std::mt19937_64 rng(32);
+  for (int k = 0; k < 150; ++k) offsets.push_back(rng() % length);
+
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  for (const std::size_t at : offsets) {
+    char original = 0;
+    ASSERT_EQ(::pread(fd, &original, 1, static_cast<off_t>(start + at)), 1);
+    const char flipped = static_cast<char>(original ^ static_cast<char>(1 + rng() % 255));
+    ASSERT_EQ(::pwrite(fd, &flipped, 1, static_cast<off_t>(start + at)), 1);
+
+    // The index still validates, so only the reads of blob 1 fail.
+    IngestArtifactReader reader;
+    ASSERT_TRUE(reader.open_index(path, 32, blobs.size())) << at;
+    std::string buffer;
+    SeriesSummary summary;
+    EXPECT_FALSE(summarize_streamed(reader, 1, buffer, summary)) << "flip at " << at;
+    EXPECT_LE(buffer.size(), length) << "flip at " << at;
+    EXPECT_TRUE(summarize_streamed(reader, 0, buffer, summary)) << "flip at " << at;
+    std::string blob = "stale";
+    EXPECT_FALSE(reader.read(1, blob)) << "flip at " << at;
+    EXPECT_TRUE(blob.empty());
+    IngestArtifactReader probe;
+    EXPECT_FALSE(probe.open(path, 32, blobs.size())) << "flip at " << at;
+
+    ASSERT_EQ(::pwrite(fd, &original, 1, static_cast<off_t>(start + at)), 1);
+  }
+  ::close(fd);
+  IngestArtifactReader intact;
+  EXPECT_TRUE(intact.open(path, 32, blobs.size()));
+}
+
+TEST(IngestArtifactReader, ConcurrentStreamedReadsAgree) {
+  const std::string dir = fresh_dir("reader-parse-threads");
+  const std::string path = ingest_artifact_path(dir, 33);
+  const std::vector<std::string> blobs = write_stream_artifact(path, 33);
+  const std::size_t series = blobs.size() - 3;
+  IngestArtifactReader reader;
+  ASSERT_TRUE(reader.open_index(path, 33, blobs.size()));
+  std::vector<SeriesSummary> want(series);
+  for (std::size_t i = 0; i < series; ++i) {
+    ByteReader flat(blobs[i].data(), blobs[i].size());
+    ASSERT_TRUE(summarize_group_series(flat, kZ, want[i]));
+  }
+
+  // Four threads, each with its own buffer, first on the same blob at
+  // once, then each on a different one; each also reads whole blobs.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::string buffer;
+      std::string blob;
+      SeriesSummary got;
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t k = 0; k < series; ++k) {
+          const std::size_t i = round == 0 ? k : (k + static_cast<std::size_t>(t)) % series;
+          if (!summarize_streamed(reader, i, buffer, got) || !same_summary(got, want[i])) {
+            ++mismatches;
+          }
+        }
+        const std::size_t i = (static_cast<std::size_t>(t + round)) % blobs.size();
+        if (!reader.read(i, blob) || blob != blobs[i]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  std::uint64_t series_bytes = 0;
+  for (std::size_t i = 0; i < series; ++i) series_bytes += blobs[i].size();
+  std::uint64_t whole_bytes = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      whole_bytes += blobs[static_cast<std::size_t>(t + round) % blobs.size()].size();
+    }
+  }
+  EXPECT_EQ(reader.bytes_read(), kThreads * kRounds * series_bytes + whole_bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -818,8 +818,8 @@ TEST(ScenarioSweep, OutsideBlobsBitwiseIdenticalInsideBlobsDiffer) {
   const auto ingest_all = [&](const World& w) {
     std::vector<std::string> blobs(n);
     ingest_groups_to_blobs(w, dc, {}, all_groups, threads(1),
-                           [&](std::size_t g, std::string&& blob) {
-                             blobs[g] = std::move(blob);
+                           [&](std::size_t g, std::string_view blob) {
+                             blobs[g] = std::string(blob);
                            });
     return blobs;
   };
@@ -1084,8 +1084,8 @@ TEST(ScenarioSweep, FleetHookIsCalledOncePerNonEmptyScenario) {
         }
         // The sink's position i in `even` is affected position 2i.
         ingest_groups_to_blobs(perturbed, dc, {}, even, threads(1),
-                               [&](std::size_t i, std::string&& blob) {
-                                 blobs[2 * i] = std::move(blob);
+                               [&](std::size_t i, std::string_view blob) {
+                                 blobs[2 * i] = std::string(blob);
                                });
         return true;
       };

@@ -1,12 +1,14 @@
 // Serialization coverage for the ingest-artifact cache: bitwise round-trip
 // properties for the binio primitives, TDigest (its bulk centroid decode at
-// every byte alignment), and GroupSeries; the XXH64 artifact checksum;
-// rejection of truncated / corrupted / wrong-epoch artifacts by both opens
-// (always a clean miss, never a crash); concurrent, post-open-corrupted and
-// index-only IngestArtifactReader reads; and end-to-end warm == cold
-// equivalence through run_edge_analysis, including each blob read once,
-// the whole-or-nothing corruption fallback and failed artifact writes —
-// the first two for run_scenario_sweep's baseline too.
+// every byte alignment), and GroupSeries; the XXH64 artifact checksum, in
+// one call and streamed; the refilling ByteReader and the blob summary
+// streamed through it; rejection of truncated / corrupted / wrong-epoch
+// artifacts by both opens (always a clean miss, never a crash); concurrent,
+// post-open-corrupted and index-only IngestArtifactReader reads; and
+// end-to-end warm == cold equivalence through run_edge_analysis, including
+// each blob read once, the warm read buffer staying one chunk, the
+// whole-or-nothing corruption fallback and failed artifact writes — the
+// first two for run_scenario_sweep's baseline too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +32,7 @@
 #include "analysis/edge_reduce.h"
 #include "analysis/ingest_cache.h"
 #include "analysis/sweep.h"
+#include "choppy_source.h"
 #include "util/binio.h"
 #include "util/rng.h"
 
@@ -161,6 +164,96 @@ TEST(BinIo, Xxh64MatchesPublishedVectors) {
   EXPECT_EQ(hash("Nobody inspects the spammish repetition"), 0xfbcea83c8a378bf1ULL);
   // 43 bytes: one stripe, then the 8- and 1-byte tails.
   EXPECT_EQ(hash("The quick brown fox jumps over the lazy dog"), 0x0b242d361fda71bcULL);
+}
+
+TEST(BinIo, StreamingXxh64MatchesOneCallAtEverySplit) {
+  // The published vectors, fed one byte at a time.
+  const std::pair<const char*, std::uint64_t> vectors[] = {
+      {"", 0xef46db3751d8e999ULL},
+      {"a", 0xd24ec4f1a98c6e5bULL},
+      {"abc", 0x44bc2cf5ad770999ULL},
+      {"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1ULL},
+      {"The quick brown fox jumps over the lazy dog", 0x0b242d361fda71bcULL}};
+  for (const auto& [text, want] : vectors) {
+    Xxh64 h;
+    for (const char* p = text; *p != '\0'; ++p) h.update(p, 1);
+    EXPECT_EQ(h.digest(), want) << text;
+  }
+  // Random inputs of every length 0-300, in two pieces split at every
+  // offset (digest() of the first piece is the prefix's hash, and the
+  // stream goes on after it) and in pieces of 1-33 bytes. The one-call
+  // values are pinned through an FNV-1a fold: they are the checksums in
+  // every artifact's index.
+  Rng rng(24);
+  Fnv64 fold;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    std::string bytes(len, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+    const std::uint64_t want = xxh64(bytes.data(), len);
+    fold.u64(want);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Xxh64 h;
+      h.update(bytes.data(), split);
+      ASSERT_EQ(h.digest(), xxh64(bytes.data(), split)) << "prefix " << split;
+      h.update(bytes.data() + split, len - split);
+      ASSERT_EQ(h.digest(), want) << "length " << len << " split at " << split;
+    }
+    Xxh64 pieces;
+    for (std::size_t at = 0, step = 1; at < len; at += step, step = step % 33 + 1) {
+      pieces.update(bytes.data() + at, std::min(step, len - at));
+    }
+    ASSERT_EQ(pieces.digest(), want) << "length " << len << " in pieces";
+  }
+  EXPECT_EQ(fold.value(), 0x8cb626edf8b60d56ULL);
+}
+
+TEST(BinIo, RefillingReaderCountsTheWholeStream) {
+  std::string bytes(1000, '\0');
+  Rng rng(5);
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+  for (const std::size_t max_step : {1u, 3u, 64u, 2000u}) {
+    ChoppySource source(bytes, max_step, 7);
+    ByteReader r(source, bytes.size());
+    ByteReader flat(bytes.data(), bytes.size());
+    // Every getter, a take that spans windows, and skips across windows
+    // read what the in-memory reader reads, and remaining() and
+    // position() count the whole stream, not the window.
+    EXPECT_EQ(r.u8(), flat.u8());
+    EXPECT_EQ(r.u32(), flat.u32());
+    EXPECT_EQ(r.u64(), flat.u64());
+    EXPECT_EQ(r.remaining(), bytes.size() - 13);
+    const unsigned char* taken = r.take(300);
+    ASSERT_NE(taken, nullptr);
+    EXPECT_EQ(std::memcmp(taken, flat.take(300), 300), 0);
+    EXPECT_GE(source.largest_window(), 300u);
+    r.skip(500);
+    flat.skip(500);
+    EXPECT_EQ(r.position(), 813u);
+    EXPECT_EQ(r.remaining(), 187u);
+    EXPECT_EQ(r.i64(), flat.i64());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), std::bit_cast<std::uint64_t>(flat.f64()));
+    r.skip(171);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_TRUE(r.ok());
+    // Past the end it latches like the in-memory reader, without asking
+    // the source for bytes the stream does not have.
+    const std::size_t refills = source.refills();
+    EXPECT_EQ(r.u8(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(source.refills(), refills);
+  }
+  // A skip or take longer than the rest fails at once.
+  ChoppySource source(bytes, 10, 8);
+  ByteReader r(source, bytes.size());
+  r.skip(1001);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(source.refills(), 0u);
+  ChoppySource again(bytes, 10, 8);
+  ByteReader t(again, bytes.size());
+  EXPECT_EQ(t.take(1001), nullptr);
+  EXPECT_FALSE(t.ok());
+  EXPECT_EQ(again.refills(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -615,6 +708,105 @@ std::string two_windows_with_second_id(std::int64_t id) {
         static_cast<char>(static_cast<std::uint64_t>(id) >> (8 * b));
   }
   return bytes;
+}
+
+/// summarize_group_series over the first `len` bytes of `bytes`, handed
+/// out by a ChoppySource of 1 to `max_step` bytes per refill.
+bool summarize_streamed(const std::string& bytes, std::size_t max_step, std::uint64_t seed,
+                        SeriesSummary& out, std::size_t len = std::string::npos) {
+  const std::string prefix = bytes.substr(0, std::min(len, bytes.size()));
+  ChoppySource source(prefix, max_step, seed);
+  ByteReader r(source, prefix.size());
+  const bool ok = summarize_group_series(r, kZ, out);
+  EXPECT_TRUE(!ok || r.remaining() == 0);
+  return ok;
+}
+
+/// Real blobs: the series of a small world's groups, as ingest saves them.
+std::vector<std::string> ingested_blobs() {
+  WorldConfig wc;
+  wc.seed = 2019;
+  wc.groups_per_continent = 1;
+  wc.days = 1;
+  const World world = build_world(wc);
+  DatasetConfig dc;
+  dc.seed = 2019;
+  dc.days = 1;
+  dc.session_scale = 0.1;
+  std::vector<std::size_t> groups(world.groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) groups[g] = g;
+  std::vector<std::string> blobs(groups.size());
+  ingest_groups_to_blobs(world, dc, {}, groups, RuntimeOptions::sequential(),
+                         [&](std::size_t g, std::string_view blob) {
+                           blobs[g] = std::string(blob);
+                         });
+  return blobs;
+}
+
+TEST(SeriesSummary, StreamedSummaryIsBitwiseTheInMemorySummary) {
+  GroupSeries empty;
+  empty.continent = Continent::kOceania;
+  std::vector<std::string> blobs = ingested_blobs();
+  blobs.push_back(series_bytes(empty));
+  for (const std::uint64_t seed : {55u, 56u, 57u, 58u, 59u, 62u}) {
+    blobs.push_back(series_bytes(make_series(seed)));
+  }
+  bool saw_nan_p50 = false;
+  for (std::size_t b = 0; b < blobs.size(); ++b) {
+    SeriesSummary want;
+    ASSERT_TRUE(summarize_blob(blobs[b], want)) << "blob " << b;
+    for (const std::size_t max_step : {1u, 2u, 7u, 100u, 5000u}) {
+      SeriesSummary got;
+      ASSERT_TRUE(summarize_streamed(blobs[b], max_step, b, got))
+          << "blob " << b << " step " << max_step;
+      expect_summaries_eq(got, want);
+    }
+    for (const CellSummary& c : want.cells) {
+      saw_nan_p50 = saw_nan_p50 || std::isnan(c.hdratio_p50());
+    }
+  }
+  EXPECT_TRUE(saw_nan_p50) << "fixtures should include a cell without HDratio";
+}
+
+TEST(SeriesSummary, StreamedSummaryRejectsExactlyWhatInMemoryRejects) {
+  // The prefixes and seeded byte flips of RejectsExactlyWhatLoadRejects,
+  // then a real blob's prefixes (sampled) and flips.
+  const auto expect_same = [](const std::string& bytes, std::size_t len, std::uint64_t seed,
+                              const char* what) {
+    SeriesSummary flat, streamed;
+    const bool ok = summarize_blob(bytes, flat, len);
+    ASSERT_EQ(summarize_streamed(bytes, 1 + seed % 9, seed, streamed, len), ok)
+        << what << " " << seed << " length " << len;
+    if (ok) {
+      expect_summaries_eq(streamed, flat);
+    } else {
+      EXPECT_TRUE(streamed.windows.empty() && streamed.cells.empty());
+    }
+  };
+  const std::string bytes = series_bytes(make_series(60));
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    expect_same(bytes, len, len, "prefix");
+  }
+  Rng rng(2000);
+  for (int flip = 0; flip < 2000; ++flip) {
+    std::string bad = bytes;
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    bad[at] = static_cast<char>(bad[at] ^ static_cast<char>(rng.uniform_int(1, 255)));
+    expect_same(bad, bad.size(), static_cast<std::uint64_t>(flip), "flip");
+  }
+  const std::string real = ingested_blobs().front();
+  for (std::size_t len = 0; len <= real.size(); len += len + 64 < real.size() ? 97 : 1) {
+    expect_same(real, len, len, "real prefix");
+  }
+  Rng real_rng(2001);
+  for (int flip = 0; flip < 300; ++flip) {
+    std::string bad = real;
+    const auto at = static_cast<std::size_t>(
+        real_rng.uniform_int(0, static_cast<std::int64_t>(real.size()) - 1));
+    bad[at] = static_cast<char>(bad[at] ^ static_cast<char>(real_rng.uniform_int(1, 255)));
+    expect_same(bad, bad.size(), static_cast<std::uint64_t>(flip), "real flip");
+  }
 }
 
 TEST(SeriesSummary, WindowIdsOrderAndCollideAsInLoad) {
@@ -1156,8 +1348,8 @@ TEST_F(IngestCacheEndToEnd, ReaderReduceMatchesBlobFnReduce) {
   std::vector<std::size_t> groups(n);
   for (std::size_t g = 0; g < n; ++g) groups[g] = g;
   ingest_groups_to_blobs(w, dc, {}, groups, RuntimeOptions::sequential(),
-                         [&](std::size_t g, std::string&& blob) {
-                           blobs[g] = std::move(blob);
+                         [&](std::size_t g, std::string_view blob) {
+                           blobs[g] = std::string(blob);
                          });
   const std::uint64_t key = 47;
   const std::string path = ingest_artifact_path(artifact_dir("reader-reduce"), key);
@@ -1299,6 +1491,51 @@ TEST_F(IngestCacheEndToEnd, WarmRunReusesEachWorkersReadBuffer) {
   EXPECT_EQ(stats.cache_hits, w.groups.size());
   ASSERT_GT(stats.cache_read_bytes, 0u);
   EXPECT_LT(stats.alloc_bytes, stats.cache_read_bytes);
+}
+
+TEST_F(IngestCacheEndToEnd, WarmReadBufferIsOneChunkWhateverTheBlobSize) {
+  // Blobs of several 64 KiB chunks each: more sessions per cell, more
+  // centroids.
+  const World w = world();
+  DatasetConfig dc = dataset();
+  dc.session_scale = 0.5;
+  const std::size_t n = w.groups.size();
+  const IngestCacheOptions cache{artifact_dir("one-chunk")};
+  const std::uint64_t key = ingest_cache_key(w, dc, {});
+  const std::string path = ingest_artifact_path(cache.dir, key);
+  std::remove(path.c_str());
+  run_edge_analysis(w, dc, {}, {}, {}, RuntimeOptions::sequential(), nullptr, {}, cache);
+  IngestArtifact artifact;
+  ASSERT_TRUE(read_ingest_artifact(path, key, n, artifact));
+  std::size_t largest = 0;
+  for (const auto& [offset, length] : artifact.blobs) largest = std::max(largest, length);
+  ASSERT_GT(largest, std::size_t{4} << 16);
+
+  // The same pass over blobs held in memory reads nothing, so what the
+  // warm pass allocates beyond it is its read buffer: one chunk, where a
+  // whole-blob buffer would be the largest blob at least.
+  RunStats held_stats;
+  EdgeReducer held(w, dc, {}, {}, {});
+  held.reduce_range(
+      ShardRange{0, n},
+      [&](std::size_t g) {
+        const auto [offset, length] = artifact.blobs[g];
+        return GroupBlobRef{artifact.bytes.data() + offset, length};
+      },
+      RuntimeOptions::sequential(), &held_stats);
+  IngestArtifactReader reader;
+  ASSERT_TRUE(reader.open_index(path, key, n));
+  RunStats warm_stats;
+  EdgeReducer warm(w, dc, {}, {}, {});
+  warm.reduce_range(ShardRange{0, n}, reader, RuntimeOptions::sequential(), &warm_stats);
+  EXPECT_EQ(held.blob_groups(), n);
+  EXPECT_EQ(warm.blob_groups(), n);
+  EXPECT_EQ(reader.bytes_read(), artifact.bytes.size());
+  ASSERT_GE(warm_stats.alloc_bytes, held_stats.alloc_bytes);
+  // 64 KiB, plus the string's terminator.
+  EXPECT_LE(warm_stats.alloc_bytes - held_stats.alloc_bytes, (std::uint64_t{1} << 16) + 1)
+      << "largest blob " << largest;
+  expect_results_eq(held.finish(), warm.finish());
 }
 
 TEST_F(IngestCacheEndToEnd, KeySeparatesConfigs) {

@@ -16,6 +16,7 @@
 #include "stats/quantiles.h"
 #include "stats/tdigest.h"
 #include "stats/welford.h"
+#include "choppy_source.h"
 #include "util/binio.h"
 #include "util/rng.h"
 
@@ -801,6 +802,64 @@ TEST(TDigestView, EdgeDigestsWalkLikeTheLoadedDigestAtEveryOffset) {
       "unsorted means");
   expect_view_matches_loaded(saved_digest(8, 8, 0, 10, {{1, 5}, {2, -3}, {3, 6}}), qs,
                              "negative weight");
+}
+
+TEST(TDigestView, ParsedFromARefillingReaderWalksLikeTheLoadedDigest) {
+  // A saved digest followed by one more field, handed out 1 to max_step
+  // bytes per refill in fresh allocations: the centroid array is one take,
+  // and the view is walked before the next field is read, as every blob
+  // consumer does (reading the field first would walk freed memory).
+  const double z = confidence_z(0.95);
+  const double qs[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+  Rng rng(24);
+  for (int trial = 0; trial < 300; ++trial) {
+    TDigest d(rng.uniform(20.0, 200.0));
+    const auto n = rng.uniform_int(0, 3000);
+    for (std::int64_t i = 0; i < n; ++i) d.add(rng.lognormal(2.0, 1.0));
+    ByteWriter w;
+    d.save(w);
+    w.u64(0x5eedULL + static_cast<std::uint64_t>(trial));
+    const std::string bytes = w.data();
+    ByteReader flat(bytes.data(), bytes.size());
+    TDigestView want;
+    ASSERT_TRUE(want.parse(flat));
+    double want_q[5];
+    want.quantiles(qs, want_q);
+    const MedianSummary want_summary = summarize_median(want, z);
+    for (const std::size_t max_step : {1u, 16u, 700u}) {
+      ChoppySource source(bytes, max_step, static_cast<std::uint64_t>(trial));
+      ByteReader r(source, bytes.size());
+      TDigestView view;
+      ASSERT_TRUE(view.parse(r)) << trial;
+      EXPECT_GE(source.largest_window(), 16 * view.size());
+      double got_q[5];
+      view.quantiles(qs, got_q);
+      for (int k = 0; k < 5; ++k) {
+        ASSERT_EQ(bits(got_q[k]), bits(want_q[k])) << trial << " q=" << qs[k];
+      }
+      const MedianSummary got_summary = summarize_median(view, z);
+      ASSERT_EQ(std::memcmp(&got_summary, &want_summary, sizeof got_summary), 0) << trial;
+      EXPECT_EQ(r.u64(), 0x5eedULL + static_cast<std::uint64_t>(trial));
+      EXPECT_EQ(r.remaining(), 0u);
+    }
+  }
+  // Every prefix of a saved digest: the streamed parse and TDigest::load
+  // accept and reject the same.
+  TDigest d;
+  for (int i = 0; i < 500; ++i) d.add(rng.uniform(0, 1));
+  ByteWriter w;
+  d.save(w);
+  const std::string bytes = w.data();
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    const std::string prefix = bytes.substr(0, len);
+    ChoppySource source(prefix, 1 + len % 13, len);
+    ByteReader rv(source, len);
+    ByteReader rl(prefix.data(), len);
+    TDigestView view;
+    TDigest loaded;
+    ASSERT_EQ(view.parse(rv), loaded.load(rl)) << "prefix " << len;
+    EXPECT_EQ(rv.ok(), rl.ok());
+  }
 }
 
 TEST(TDigestView, ParseRejectsExactlyWhatLoadRejects) {
